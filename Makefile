@@ -34,7 +34,7 @@ ALLOCS_SLACK   ?= 0.05
 # percent of pure noise in ns/op — more than the regression threshold.
 BENCH_FLAGS     = -run xxx -bench=. -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -p 1
 
-.PHONY: all build vet lint lint-self test race bench bench-json bench-check docs-check sweep gateway-smoke faults-smoke fabric-smoke ci clean
+.PHONY: all build vet lint lint-self test race bench bench-json bench-check perfbench-check docs-check sweep gateway-smoke faults-smoke fabric-smoke ci clean
 
 all: ci
 
@@ -133,11 +133,18 @@ bench-check:
 		| $(GO) run ./cmd/iobenchdiff parse -label check -o BENCH_check.json
 	$(GO) run ./cmd/iobenchdiff diff -ns-threshold $(NS_THRESHOLD) -allocs-slack $(ALLOCS_SLACK) -fail-missing BENCH_baseline.json BENCH_check.json
 
+# perfbench/ is its own Go module (the repository benchmark), so the
+# root ./... patterns never compile it. Vet and test it here so removing
+# an API it uses fails CI instead of the benchmark run.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # Regenerate all figures as one parallel sweep with a warm disk cache.
 sweep:
 	$(GO) run ./cmd/iosweep -figs all -scale quick -j 0 -cache .iosweep-cache
 
-ci: vet build lint lint-self test race docs-check bench-check fabric-smoke
+ci: vet build lint lint-self test race docs-check bench-check perfbench-check fabric-smoke
 
 clean:
 	rm -rf .iosweep-cache

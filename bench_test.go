@@ -31,16 +31,27 @@ func benchScale() experiments.Scale {
 	return experiments.Quick
 }
 
+// runFig runs exp serially and returns the assembled figure as T.
+func runFig[T experiments.Renderer](tb testing.TB, exp *experiments.Experiment) T {
+	tb.Helper()
+	res, err := experiments.RunExperiment(context.Background(), runner.Serial(), exp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v, ok := res.(T)
+	if !ok {
+		tb.Fatalf("figure %s assembled a %T", exp.Fig, res)
+	}
+	return v
+}
+
 // BenchmarkFig01ClusterRuntimes regenerates Figs. 1 and 2: the eight-job
 // scenario with and without contention-only limiting of the async job.
 // Metrics: mean sync-job speedup (%) and async-job slowdown (%).
 func BenchmarkFig01ClusterRuntimes(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig01(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.ClusterResult](b, experiments.Fig01Experiment(scale))
 		var syncGain, asyncCost float64
 		var syncJobs int
 		for j := range res.Base.Jobs {
@@ -65,10 +76,7 @@ func BenchmarkFig01ClusterRuntimes(b *testing.B) {
 func BenchmarkFig02ClusterBandwidth(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig01(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.ClusterResult](b, experiments.Fig01Experiment(scale))
 		var asyncPeak float64
 		for j, s := range res.Base.Bandwidth {
 			if res.Base.Jobs[j].Async {
@@ -85,10 +93,7 @@ func BenchmarkFig02ClusterBandwidth(b *testing.B) {
 func BenchmarkFig05HaccRuntime(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig05(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.HaccRuntimeResult](b, experiments.Fig05Experiment(scale))
 		b.ReportMetric(res.MaxOverheadShare(), "max-overhead-%")
 		small, large := res.RequiredBandwidthGrowth()
 		b.ReportMetric(large/small, "B-growth-x")
@@ -101,10 +106,7 @@ func BenchmarkFig05HaccRuntime(b *testing.B) {
 func BenchmarkFig06HaccDistribution(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig05(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.HaccRuntimeResult](b, experiments.Fig05Experiment(scale))
 		var maxPeri float64
 		for _, row := range res.Rows {
 			if d := row.Report.Distribution(); d.OverheadPeri > maxPeri {
@@ -121,10 +123,7 @@ func BenchmarkFig06HaccDistribution(b *testing.B) {
 func BenchmarkFig07WacommDistribution(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig07(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.WacommDistResult](b, experiments.Fig07Experiment(scale))
 		b.ReportMetric(res.MeanExploit(tmio.Direct), "exploit-direct-%")
 		b.ReportMetric(res.MeanExploit(tmio.UpOnly), "exploit-uponly-%")
 		b.ReportMetric(res.MeanExploit(tmio.None), "exploit-none-%")
@@ -136,10 +135,7 @@ func BenchmarkFig07WacommDistribution(b *testing.B) {
 func BenchmarkFig08Wacomm96NoLimit(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig08(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.SeriesResult](b, experiments.Fig08Experiment(scale))
 		b.ReportMetric(res.T.Max()/res.Report.RequiredBandwidth, "burst-over-B-x")
 	}
 }
@@ -151,10 +147,7 @@ func BenchmarkFig08Wacomm96NoLimit(b *testing.B) {
 func BenchmarkFig09Wacomm96UpOnly(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig09(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.SeriesResult](b, experiments.Fig09Experiment(scale))
 		var blPeak float64
 		for _, ph := range res.Report.BLPhases {
 			if ph.Value > blPeak {
@@ -173,10 +166,7 @@ func BenchmarkFig09Wacomm96UpOnly(b *testing.B) {
 func BenchmarkFig10Wacomm9216(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.Fig10Result](b, experiments.Fig10Experiment(scale))
 		b.ReportMetric(res.Speedup(), "speedup-%")
 		b.ReportMetric(res.UpOnly.Report.Distribution().ExploitTotal(), "exploit-uponly-%")
 		b.ReportMetric(res.None.Report.Distribution().ExploitTotal(), "exploit-none-%")
@@ -188,10 +178,7 @@ func BenchmarkFig10Wacomm9216(b *testing.B) {
 func BenchmarkFig11HaccDistribution(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.HaccDistResult](b, experiments.Fig11Experiment(scale))
 		exploit := res.ExploitByStrategy()
 		b.ReportMetric(exploit[tmio.Direct], "exploit-direct-%")
 		b.ReportMetric(exploit[tmio.UpOnly], "exploit-uponly-%")
@@ -206,10 +193,7 @@ func BenchmarkFig11HaccDistribution(b *testing.B) {
 func BenchmarkFig13Hacc9216Series(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig13(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.Fig13Result](b, experiments.Fig13Experiment(scale))
 		unlimited := res.Runs[len(res.Runs)-1].BurstPeak()
 		var worstThrottled float64
 		for _, run := range res.Runs[:len(res.Runs)-1] {
@@ -229,10 +213,7 @@ func BenchmarkFig13Hacc9216Series(b *testing.B) {
 func BenchmarkFig14Hacc1536Direct(b *testing.B) {
 	scale := benchScale()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig14(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFig[*experiments.SeriesResult](b, experiments.Fig14Experiment(scale))
 		d := res.Report.Distribution()
 		b.ReportMetric(d.AsyncWriteLost+d.AsyncReadLost, "lost-%")
 	}
@@ -255,15 +236,11 @@ func BenchmarkFig14Hacc1536Direct(b *testing.B) {
 // sweepPoints enumerates every distinct figure's points at the bench scale.
 func sweepPoints(b *testing.B) []runner.Point {
 	b.Helper()
-	var points []runner.Point
-	for _, fig := range experiments.FigOrder {
-		exp, ok := experiments.ByFig(fig, benchScale())
-		if !ok {
-			b.Fatalf("figure %s missing", fig)
-		}
-		points = append(points, exp.Points...)
+	plan, err := experiments.BuildPlan(nil, benchScale(), 0)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return points
+	return plan.Points
 }
 
 // runSweep executes the suite's points through r and fails on any point error.

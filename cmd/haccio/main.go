@@ -12,13 +12,14 @@ import (
 
 	"iobehind"
 	"iobehind/internal/report"
+	"iobehind/internal/tmio"
 )
 
 func main() {
 	ranks := flag.Int("ranks", 96, "MPI ranks")
 	loops := flag.Int("loops", 10, "compute/write/read/verify loops")
 	particles := flag.Int64("particles", 5_500_000, "particles per rank (38 bytes each)")
-	strategy := flag.String("strategy", "direct", "limiting strategy: none, direct, up-only, adaptive")
+	strategy := flag.String("strategy", "direct", "limiting strategy: none, direct, up-only, adaptive, frequent")
 	tol := flag.Float64("tol", 1.1, "strategy tolerance")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	jsonPath := flag.String("json", "", "write the full report as JSON to this file")
@@ -67,19 +68,14 @@ func main() {
 	}
 }
 
+// parseStrategy turns a -strategy name and -tol into the facade config;
+// "none" is the zero config.
 func parseStrategy(name string, tol float64) (iobehind.StrategyConfig, error) {
-	switch name {
-	case "none":
-		return iobehind.StrategyConfig{}, nil
-	case "direct":
-		return iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: tol}, nil
-	case "up-only", "uponly":
-		return iobehind.StrategyConfig{Strategy: iobehind.UpOnly, Tol: tol}, nil
-	case "adaptive":
-		return iobehind.StrategyConfig{Strategy: iobehind.Adaptive, Tol: tol}, nil
-	default:
-		return iobehind.StrategyConfig{}, fmt.Errorf("unknown strategy %q", name)
+	s, err := tmio.ParseStrategy(name)
+	if err != nil || s == tmio.None {
+		return iobehind.StrategyConfig{}, err
 	}
+	return iobehind.StrategyConfig{Strategy: s, Tol: tol}, nil
 }
 
 func printReport(rep *iobehind.Report) {

@@ -2,8 +2,10 @@
 // experiment in internal/experiments must have a row in the figure↔code
 // table. It scans the package for exported constructors named
 // Fig<Token>Experiment (the registry entries behind `iosweep -figs`) and
-// fails when EXPERIMENTS.md never mentions `experiments.Fig<Token>` — the
-// form the table's code column uses.
+// fails when EXPERIMENTS.md never names the constructor itself,
+// `experiments.Fig<Token>Experiment` — the form the table's code column
+// uses. A bare `experiments.Fig<Token>` does not count, so a stale
+// mention of a deleted function cannot pass for a row.
 //
 //	go run ./cmd/iodocscheck          # from anywhere inside the module
 //	make docs-check
@@ -40,7 +42,7 @@ func main() {
 	}
 	missing := missingEntries(string(doc), tokens)
 	for _, tok := range missing {
-		fmt.Printf("EXPERIMENTS.md: no entry for experiments.%s (constructor %sExperiment)\n", tok, tok)
+		fmt.Printf("EXPERIMENTS.md: no entry for experiments.%sExperiment\n", tok)
 	}
 	if len(missing) > 0 {
 		fmt.Fprintf(os.Stderr, "iodocscheck: %d undocumented experiment(s)\n", len(missing))
@@ -93,12 +95,12 @@ func experimentTokens(dir string) ([]string, error) {
 	return tokens, nil
 }
 
-// missingEntries returns the tokens with no `experiments.<token>` mention
-// in doc, preserving input order.
+// missingEntries returns the tokens with no `experiments.<token>Experiment`
+// mention in doc, preserving input order.
 func missingEntries(doc string, tokens []string) []string {
 	var missing []string
 	for _, tok := range tokens {
-		if !strings.Contains(doc, "experiments."+tok) {
+		if !strings.Contains(doc, "experiments."+tok+"Experiment") {
 			missing = append(missing, tok)
 		}
 	}

@@ -45,12 +45,18 @@ func (T) FigMethodExperiment() {}
 }
 
 func TestMissingEntries(t *testing.T) {
-	doc := "| 1 | `experiments.Fig01` | ... |\n| faults | `experiments.FigFaults` | ... |\n"
+	doc := "| 1 | `experiments.Fig01Experiment` | ... |\n| faults | `experiments.FigFaultsExperiment` | ... |\n"
 	if got := missingEntries(doc, []string{"Fig01", "FigFaults"}); len(got) != 0 {
 		t.Errorf("documented tokens flagged: %v", got)
 	}
 	if got := missingEntries(doc, []string{"Fig01", "FigTrace"}); !reflect.DeepEqual(got, []string{"FigTrace"}) {
 		t.Errorf("missing = %v, want [FigTrace]", got)
+	}
+	// Naming only a function without the constructor suffix (a stale
+	// mention of a deleted serial entry point) is not an entry.
+	stale := "| 1 | `experiments.Fig01` | ... |\n"
+	if got := missingEntries(stale, []string{"Fig01"}); !reflect.DeepEqual(got, []string{"Fig01"}) {
+		t.Errorf("missing = %v, want [Fig01]", got)
 	}
 }
 

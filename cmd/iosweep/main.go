@@ -2,9 +2,10 @@
 // every requested figure decomposes into independent (strategy × rank
 // count) simulation points, iosweep fans all of them across a worker
 // pool, and the figures assemble and print in request order — byte-
-// identical to the serial path, only faster.
+// identical to the serial path (-j 1), only faster.
 //
 //	iosweep                                      # all figures, quick scale
+//	iosweep -figs all -j 1                       # the serial reference path
 //	iosweep -figs 1,5,8 -scale quick -j 8        # selected figures, 8 workers
 //	iosweep -figs all -scale paper -cache .iosweep-cache
 //	iosweep -figs 5 -cpuprofile cpu.out -memprofile mem.out
@@ -87,14 +88,9 @@ func run() int {
 		}
 	}()
 
-	var scale experiments.Scale
-	switch *scaleFlag {
-	case "quick":
-		scale = experiments.Quick
-	case "paper":
-		scale = experiments.Paper
-	default:
-		fmt.Fprintf(os.Stderr, "iosweep: unknown scale %q (want quick or paper)\n", *scaleFlag)
+	scale, err := experiments.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "iosweep:", err)
 		return 2
 	}
 
@@ -115,24 +111,7 @@ func run() int {
 		return 0
 	}
 
-	// Resolve the figure list to distinct experiments, keeping request
-	// order. Figures sharing an experiment (1+2, 5+6) are swept once.
-	var ids []string
-	if *figs == "all" {
-		ids = experiments.FigOrder
-	} else {
-		for _, id := range strings.Split(*figs, ",") {
-			ids = append(ids, strings.TrimSpace(id))
-		}
-	}
-	type figExp struct {
-		id     string // the id the user asked for
-		exp    *experiments.Experiment
-		offset int // index of the experiment's first point in the flat sweep
-	}
-	var sweep []figExp
-	var points []runner.Point
-	var refs []experiments.PointRef
+	var plan *experiments.Plan
 	if *traceFile != "" {
 		// A trace replay replaces the figure sweep: the trace file is the
 		// experiment, and its content hash keys the runner cache, so
@@ -148,23 +127,29 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "iosweep: %s: %v\n", *traceFile, err)
 			return 2
 		}
-		sweep = append(sweep, figExp{id: exp.Fig, exp: exp})
-		points = append(points, exp.Points...)
+		// A one-entry plan without refs: the fabric cannot resolve it.
+		plan = &experiments.Plan{
+			Entries: []experiments.PlanEntry{{ID: exp.Fig, Exp: exp}},
+			Points:  exp.Points,
+		}
 	} else {
-		// The plan is the same enumeration iofabric's self-run and any
-		// attached worker reproduce, so refs resolve identically there.
-		// The fault-scenario seed lands in the point configs (and refs),
-		// so each seed caches separately.
-		plan, err := experiments.BuildPlan(ids, scale, *faultSeed)
+		// Resolve the figure list to distinct experiments, keeping
+		// request order; figures sharing an experiment (1+2, 5+6) are
+		// swept once. The plan is the same enumeration iofabric's
+		// self-run and any attached worker reproduce, so refs resolve
+		// identically there. The fault-scenario seed lands in the point
+		// configs (and refs), so each seed caches separately.
+		var ids []string
+		for _, id := range strings.Split(*figs, ",") {
+			ids = append(ids, strings.TrimSpace(id))
+		}
+		plan, err = experiments.BuildPlan(ids, scale, *faultSeed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iosweep:", err)
 			return 2
 		}
-		for _, e := range plan.Entries {
-			sweep = append(sweep, figExp{id: e.ID, exp: e.Exp, offset: e.Offset})
-		}
-		points, refs = plan.Points, plan.Refs
 	}
+	points := plan.Points
 
 	opts := runner.Options{Workers: *workers}
 	var cacheLabel string
@@ -212,7 +197,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "iosweep: -trace cannot run on the fabric (trace points resolve from file content, not a figure id)")
 			return 2
 		}
-		manifest, err := fabric.ManifestFor(points, refs)
+		manifest, err := fabric.ManifestFor(points, plan.Refs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iosweep:", err)
 			return 1
@@ -237,30 +222,30 @@ func run() int {
 	wall := time.Since(start).Round(time.Millisecond)
 
 	failed := 0
-	for _, fe := range sweep {
-		res, err := fe.exp.Assemble(results[fe.offset : fe.offset+len(fe.exp.Points)])
+	for _, fe := range plan.Entries {
+		res, err := fe.Exp.Assemble(results[fe.Offset : fe.Offset+len(fe.Exp.Points)])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iosweep: figure %s: %v\n", fe.id, err)
+			fmt.Fprintf(os.Stderr, "iosweep: figure %s: %v\n", fe.ID, err)
 			failed++
 			continue
 		}
 		if *checkFaults {
 			if c, ok := res.(interface{ Check() error }); ok {
 				if err := c.Check(); err != nil {
-					fmt.Fprintf(os.Stderr, "iosweep: figure %s: %v\n", fe.id, err)
+					fmt.Fprintf(os.Stderr, "iosweep: figure %s: %v\n", fe.ID, err)
 					failed++
 					continue
 				}
-				fmt.Fprintf(os.Stderr, "iosweep: figure %s: fault invariants hold\n", fe.id)
+				fmt.Fprintf(os.Stderr, "iosweep: figure %s: fault invariants hold\n", fe.ID)
 			}
 		}
 		header := fmt.Sprintf("### Figure %s (%s scale, %d points)\n\n",
-			fe.id, scale, len(fe.exp.Points))
+			fe.ID, scale, len(fe.Exp.Points))
 		body := res.Render()
 		fmt.Print(header)
 		fmt.Println(body)
 		if *outDir != "" {
-			path := filepath.Join(*outDir, "fig"+fe.id+".txt")
+			path := filepath.Join(*outDir, "fig"+fe.ID+".txt")
 			if err := os.WriteFile(path, []byte(header+body+"\n"), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "iosweep:", err)
 				return 1
@@ -272,10 +257,10 @@ func run() int {
 	if fabricStats != nil {
 		fmt.Fprintf(os.Stderr, "iosweep: fabric sweep of %d points (%d computed, %d journal, %d cache, %d redispatched) across %d figures in %v via %s\n",
 			fabricStats.Points, fabricStats.Computed, fabricStats.JournalHits, fabricStats.CacheHits,
-			fabricStats.Redispatches, len(sweep), wall, *fabricAddr)
+			fabricStats.Redispatches, len(plan.Entries), wall, *fabricAddr)
 	} else {
 		fmt.Fprintf(os.Stderr, "iosweep: %d points (%d computed, %d cached) across %d figures in %v with %d workers\n",
-			len(points), len(points)-cached, cached, len(sweep), wall, r.Workers())
+			len(points), len(points)-cached, cached, len(plan.Entries), wall, r.Workers())
 	}
 	if c := r.Cache(); c != nil && fabricStats == nil {
 		fmt.Fprintln(os.Stderr, cacheStatsLine(cacheLabel, c.Stats()))

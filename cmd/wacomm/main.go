@@ -12,29 +12,26 @@ import (
 
 	"iobehind"
 	"iobehind/internal/report"
+	"iobehind/internal/tmio"
 )
 
 func main() {
 	ranks := flag.Int("ranks", 96, "MPI ranks")
 	iterations := flag.Int("iterations", 50, "simulated hours")
 	particles := flag.Int64("particles", 2_000_000, "total particles")
-	strategy := flag.String("strategy", "up-only", "limiting strategy: none, direct, up-only, adaptive")
+	strategy := flag.String("strategy", "up-only", "limiting strategy: none, direct, up-only, adaptive, frequent")
 	tol := flag.Float64("tol", 1.1, "strategy tolerance")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	var strat iobehind.StrategyConfig
-	switch *strategy {
-	case "none":
-	case "direct":
-		strat = iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: *tol}
-	case "up-only", "uponly":
-		strat = iobehind.StrategyConfig{Strategy: iobehind.UpOnly, Tol: *tol}
-	case "adaptive":
-		strat = iobehind.StrategyConfig{Strategy: iobehind.Adaptive, Tol: *tol}
-	default:
-		fmt.Fprintf(os.Stderr, "wacomm: unknown strategy %q\n", *strategy)
+	s, err := tmio.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wacomm:", err)
 		os.Exit(2)
+	}
+	var strat iobehind.StrategyConfig // "none" is the zero config
+	if s != tmio.None {
+		strat = iobehind.StrategyConfig{Strategy: s, Tol: *tol}
 	}
 
 	rep, err := iobehind.RunWacomm(iobehind.Options{

@@ -1,7 +1,8 @@
 // Package experiments reproduces every figure of the paper's evaluation
-// as a parameterized, runnable experiment. Each FigNN function runs the
-// workloads behind the corresponding figure and returns a result whose
-// Render method prints the rows or series the paper reports.
+// as a parameterized, runnable experiment. Each FigNNExperiment
+// constructor enumerates the workloads behind the corresponding figure;
+// RunExperiment runs them and returns a result whose Render method
+// prints the rows or series the paper reports.
 //
 // Two scales are provided: Quick shrinks rank counts and loop counts so
 // the whole suite runs in seconds (used by tests and the default
@@ -10,13 +11,12 @@
 //
 // Every figure is decomposed into independent sweep points — one
 // deterministic simulation per (strategy, rank count) cell — enumerated
-// as an Experiment and executed through internal/runner. FigNN(scale)
-// keeps the historical serial behaviour (one worker, no cache);
-// FigNNWith(ctx, scale, r) fans the same points across r's worker pool
-// and, when r carries a cache, skips points whose configuration already
-// ran. Both paths produce byte-identical rendered output: results are
-// assembled in point-enumeration order regardless of completion order,
-// and each point's simulation is a pure function of its seed and config.
+// as an Experiment and executed through internal/runner. The runner
+// fans the points across its worker pool and, when it carries a cache,
+// skips points whose configuration already ran. Every worker count
+// produces byte-identical rendered output: results are assembled in
+// point-enumeration order regardless of completion order, and each
+// point's simulation is a pure function of its seed and config.
 package experiments
 
 import (
@@ -140,12 +140,9 @@ type Experiment struct {
 	Assemble func(results []runner.Result) (Renderer, error)
 }
 
-// RunExperiment executes exp's points through r (serially when r is nil)
-// and assembles the figure result.
+// RunExperiment executes exp's points through r and assembles the
+// figure result.
 func RunExperiment(ctx context.Context, r *runner.Runner, exp *Experiment) (Renderer, error) {
-	if r == nil {
-		r = runner.Serial()
-	}
 	results, err := r.Run(ctx, exp.Points)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,20 @@ import (
 	"iobehind/internal/tmio"
 )
 
+// runFig executes exp through r and returns the assembled figure as T.
+func runFig[T Renderer](tb testing.TB, r *runner.Runner, exp *Experiment) T {
+	tb.Helper()
+	res, err := RunExperiment(context.Background(), r, exp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v, ok := res.(T)
+	if !ok {
+		tb.Fatalf("figure %s assembled a %T", exp.Fig, res)
+	}
+	return v
+}
+
 func TestScaleString(t *testing.T) {
 	if Quick.String() != "quick" || Paper.String() != "paper" {
 		t.Fatal("scale names")
@@ -51,24 +65,15 @@ func TestByFigRegistry(t *testing.T) {
 }
 
 func TestFig04ParallelMatchesSerial(t *testing.T) {
-	serial, err := Fig04(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Fig04With(context.Background(), Quick, runner.New(runner.Options{Workers: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runFig[*Fig04Result](t, runner.Serial(), Fig04Experiment(Quick))
+	parallel := runFig[*Fig04Result](t, runner.New(runner.Options{Workers: 4}), Fig04Experiment(Quick))
 	if serial.Render() != parallel.Render() {
 		t.Fatal("fig04 parallel render differs from serial")
 	}
 }
 
 func TestFig01QuickShape(t *testing.T) {
-	res, err := Fig01(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*ClusterResult](t, runner.Serial(), Fig01Experiment(Quick))
 	if len(res.Base.Jobs) != 8 || len(res.Limited.Jobs) != 8 {
 		t.Fatalf("jobs: %d/%d", len(res.Base.Jobs), len(res.Limited.Jobs))
 	}
@@ -94,10 +99,7 @@ func TestFig01QuickShape(t *testing.T) {
 }
 
 func TestFig05QuickShape(t *testing.T) {
-	res, err := Fig05(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*HaccRuntimeResult](t, runner.Serial(), Fig05Experiment(Quick))
 	if len(res.Rows) != 8 { // 4 rank counts × 2 runs
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -128,10 +130,7 @@ func TestFig05QuickShape(t *testing.T) {
 }
 
 func TestFig07QuickShape(t *testing.T) {
-	res, err := Fig07(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*WacommDistResult](t, runner.Serial(), Fig07Experiment(Quick))
 	if len(res.Rows) != 12 { // 2 rank counts × 6 runs
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -148,14 +147,8 @@ func TestFig07QuickShape(t *testing.T) {
 }
 
 func TestFig08And09QuickShape(t *testing.T) {
-	burst, err := Fig08(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	limited, err := Fig09(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	burst := runFig[*SeriesResult](t, runner.Serial(), Fig08Experiment(Quick))
+	limited := runFig[*SeriesResult](t, runner.Serial(), Fig09Experiment(Quick))
 	// Fig. 8: unthrottled bursts reach far above the requirement.
 	if burst.T.Max() < 5*burst.Report.RequiredBandwidth {
 		t.Fatalf("burst T peak %v vs required %v", burst.T.Max(), burst.Report.RequiredBandwidth)
@@ -181,10 +174,7 @@ func TestFig08And09QuickShape(t *testing.T) {
 }
 
 func TestFig10QuickShape(t *testing.T) {
-	res, err := Fig10(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*Fig10Result](t, runner.Serial(), Fig10Experiment(Quick))
 	up := res.UpOnly.Report.Distribution().ExploitTotal()
 	none := res.None.Report.Distribution().ExploitTotal()
 	if up <= 2*none {
@@ -196,10 +186,7 @@ func TestFig10QuickShape(t *testing.T) {
 }
 
 func TestFig11QuickShape(t *testing.T) {
-	res, err := Fig11(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*HaccDistResult](t, runner.Serial(), Fig11Experiment(Quick))
 	if len(res.Rows) != 16 { // 2 rank counts × 8 runs
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -215,10 +202,7 @@ func TestFig11QuickShape(t *testing.T) {
 }
 
 func TestFig13QuickShape(t *testing.T) {
-	res, err := Fig13(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*Fig13Result](t, runner.Serial(), Fig13Experiment(Quick))
 	if len(res.Runs) != 4 {
 		t.Fatalf("runs = %d", len(res.Runs))
 	}
@@ -237,10 +221,7 @@ func TestFig13QuickShape(t *testing.T) {
 }
 
 func TestFig14QuickShape(t *testing.T) {
-	res, err := Fig14(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*SeriesResult](t, runner.Serial(), Fig14Experiment(Quick))
 	// The noisy file system causes visible waiting: the paper's point is
 	// that the limit is not reached due to I/O variation.
 	d := res.Report.Distribution()
@@ -253,10 +234,7 @@ func TestFig14QuickShape(t *testing.T) {
 }
 
 func TestFig04WorkedExample(t *testing.T) {
-	res, err := Fig04(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*Fig04Result](t, runner.Serial(), Fig04Experiment(Quick))
 	out := res.Render()
 	// The peak region sums all three ranks: 30+20+50 = 100 MB/s.
 	if !strings.Contains(out, "B = max B_r = 100.00 MB/s") {
@@ -269,10 +247,7 @@ func TestFig04WorkedExample(t *testing.T) {
 }
 
 func TestFig03WindowsTable(t *testing.T) {
-	res, err := Fig03(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*Fig03Result](t, runner.Serial(), Fig03Experiment(Quick))
 	out := res.Render()
 	if !strings.Contains(out, "Δt (required)") || !strings.Contains(out, "Δt° (actual)") {
 		t.Fatalf("render:\n%s", out)

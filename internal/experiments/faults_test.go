@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -13,10 +12,7 @@ import (
 // asserts its built-in invariants: transient errors were retried, fault
 // windows tainted phases, and the limiter recovered once they closed.
 func TestFigFaultsQuick(t *testing.T) {
-	res, err := FigFaults(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*FigFaultsResult](t, runner.Serial(), FigFaultsExperiment(Quick))
 	if err := res.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +23,8 @@ func TestFigFaultsQuick(t *testing.T) {
 }
 
 func TestFigFaultsParallelMatchesSerial(t *testing.T) {
-	serial, err := FigFaults(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := FigFaultsWith(context.Background(), Quick, runner.New(runner.Options{Workers: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runFig[*FigFaultsResult](t, runner.Serial(), FigFaultsExperiment(Quick))
+	parallel := runFig[*FigFaultsResult](t, runner.New(runner.Options{Workers: 4}), FigFaultsExperiment(Quick))
 	if serial.Render() != parallel.Render() {
 		t.Fatal("faults parallel render differs from serial")
 	}

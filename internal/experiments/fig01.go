@@ -23,21 +23,6 @@ type ClusterResult struct {
 	LimitCfg cluster.Config
 }
 
-// Fig01 runs the motivating cluster scenario serially.
-func Fig01(scale Scale) (*ClusterResult, error) {
-	return Fig01With(context.Background(), scale, nil)
-}
-
-// Fig01With runs the scenario's two points (no limit, contention-only
-// limit) through r.
-func Fig01With(ctx context.Context, scale Scale, r *runner.Runner) (*ClusterResult, error) {
-	res, err := RunExperiment(ctx, r, Fig01Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*ClusterResult), nil
-}
-
 // clusterPoint wraps one multi-job scenario run as a cacheable point.
 func clusterPoint(key string, scale Scale, cfg cluster.Config) runner.Point {
 	cfgCopy := cfg

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"iobehind/internal/des"
@@ -24,22 +23,9 @@ type Fig03Result struct {
 	Report *tmio.Report
 }
 
-// Fig03 traces a small phased application on a noisy file system and
+// Fig03Experiment enumerates the (single) traced run behind Fig. 3: a
+// small phased application on a noisy file system, whose assembly
 // tabulates rank 0's windows.
-func Fig03(scale Scale) (*Fig03Result, error) {
-	return Fig03With(context.Background(), scale, nil)
-}
-
-// Fig03With runs the experiment's single point through r.
-func Fig03With(ctx context.Context, scale Scale, r *runner.Runner) (*Fig03Result, error) {
-	res, err := RunExperiment(ctx, r, Fig03Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Fig03Result), nil
-}
-
-// Fig03Experiment enumerates the (single) traced run behind Fig. 3.
 func Fig03Experiment(scale Scale) *Experiment {
 	fs := pfs.Config{
 		WriteCapacity: 4e9,

@@ -28,26 +28,13 @@ type seriesWrap struct {
 	end des.Time
 }
 
-// Fig04 builds the Fig. 4 example. Scale is ignored: the example is fixed.
-func Fig04(scale Scale) (*Fig04Result, error) {
-	return Fig04With(context.Background(), scale, nil)
-}
-
-// Fig04With runs the worked example's single point through r.
-func Fig04With(ctx context.Context, scale Scale, r *runner.Runner) (*Fig04Result, error) {
-	res, err := RunExperiment(ctx, r, Fig04Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Fig04Result), nil
-}
-
 // fig04Payload is the cacheable result of the exact aggregation point.
 type fig04Payload struct {
 	Phases []region.Phase
 }
 
 // Fig04Experiment enumerates the exact Eq. 3 aggregation as one point.
+// Scale is ignored: the worked example is fixed.
 func Fig04Experiment(scale Scale) *Experiment {
 	sec := func(x float64) des.Time { return des.Time(des.DurationOf(x)) }
 	// The figure's layout: B_{1,0} starts first, then B_{2,0}, then

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"iobehind/internal/des"
@@ -26,20 +25,6 @@ type HaccRuntimeRow struct {
 type HaccRuntimeResult struct {
 	Scale Scale
 	Rows  []HaccRuntimeRow
-}
-
-// Fig05 runs the HACC-IO rank sweep behind Figs. 5 and 6 serially.
-func Fig05(scale Scale) (*HaccRuntimeResult, error) {
-	return Fig05With(context.Background(), scale, nil)
-}
-
-// Fig05With fans the sweep's (rank count × run) points across r.
-func Fig05With(ctx context.Context, scale Scale, r *runner.Runner) (*HaccRuntimeResult, error) {
-	res, err := RunExperiment(ctx, r, Fig05Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*HaccRuntimeResult), nil
 }
 
 // haccPoint wraps one traced HACC-IO run as a cacheable point.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"iobehind/internal/mpi"
@@ -36,20 +35,6 @@ type WacommDistRow struct {
 type WacommDistResult struct {
 	Scale Scale
 	Rows  []WacommDistRow
-}
-
-// Fig07 runs the WaComM++ distribution sweep serially.
-func Fig07(scale Scale) (*WacommDistResult, error) {
-	return Fig07With(context.Background(), scale, nil)
-}
-
-// Fig07With fans the sweep's (rank count × run) points across r.
-func Fig07With(ctx context.Context, scale Scale, r *runner.Runner) (*WacommDistResult, error) {
-	res, err := RunExperiment(ctx, r, Fig07Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*WacommDistResult), nil
 }
 
 // wacommPoint wraps one traced WaComM++ run as a cacheable point.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -127,22 +126,8 @@ func wacommSeriesConfig(scale Scale) (ranks int, cfg workloads.WacommConfig) {
 	return 16, workloads.WacommConfig{Particles: 400_000, Iterations: 10}
 }
 
-// Fig08 runs WaComM++ at 96 ranks without a bandwidth limit: the
-// unthrottled bursts reach orders of magnitude above the requirement.
-func Fig08(scale Scale) (*SeriesResult, error) {
-	return Fig08With(context.Background(), scale, nil)
-}
-
-// Fig08With runs the experiment's single point through r.
-func Fig08With(ctx context.Context, scale Scale, r *runner.Runner) (*SeriesResult, error) {
-	res, err := RunExperiment(ctx, r, Fig08Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*SeriesResult), nil
-}
-
-// Fig08Experiment enumerates the unthrottled 96-rank WaComM++ run.
+// Fig08Experiment enumerates the unthrottled 96-rank WaComM++ run: its
+// bursts reach orders of magnitude above the requirement.
 func Fig08Experiment(scale Scale) *Experiment {
 	ranks, cfg := wacommSeriesConfig(scale)
 	strat := tmio.StrategyConfig{}
@@ -150,22 +135,8 @@ func Fig08Experiment(scale Scale) *Experiment {
 	return singleSeriesExperiment("8", "Fig. 8 — WaComM++ 96 ranks, no limit", point, strat)
 }
 
-// Fig09 runs WaComM++ at 96 ranks with the up-only strategy: T follows the
-// previous phase's B_L instead of bursting.
-func Fig09(scale Scale) (*SeriesResult, error) {
-	return Fig09With(context.Background(), scale, nil)
-}
-
-// Fig09With runs the experiment's single point through r.
-func Fig09With(ctx context.Context, scale Scale, r *runner.Runner) (*SeriesResult, error) {
-	res, err := RunExperiment(ctx, r, Fig09Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*SeriesResult), nil
-}
-
-// Fig09Experiment enumerates the up-only 96-rank WaComM++ run.
+// Fig09Experiment enumerates the up-only 96-rank WaComM++ run: T follows
+// the previous phase's B_L instead of bursting.
 func Fig09Experiment(scale Scale) *Experiment {
 	ranks, cfg := wacommSeriesConfig(scale)
 	strat := tmio.StrategyConfig{Strategy: tmio.UpOnly, Tol: 1.1}
@@ -178,20 +149,6 @@ func Fig09Experiment(scale Scale) *Experiment {
 type Fig10Result struct {
 	UpOnly *SeriesResult
 	None   *SeriesResult
-}
-
-// Fig10 runs the large-scale WaComM++ comparison serially.
-func Fig10(scale Scale) (*Fig10Result, error) {
-	return Fig10With(context.Background(), scale, nil)
-}
-
-// Fig10With runs the comparison's two points through r.
-func Fig10With(ctx context.Context, scale Scale, r *runner.Runner) (*Fig10Result, error) {
-	res, err := RunExperiment(ctx, r, Fig10Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Fig10Result), nil
 }
 
 // Fig10Experiment enumerates the up-only and unrestricted runs.

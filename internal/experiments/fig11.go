@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -37,20 +36,6 @@ type HaccDistRow struct {
 type HaccDistResult struct {
 	Scale Scale
 	Rows  []HaccDistRow
-}
-
-// Fig11 runs the HACC-IO distribution sweep serially.
-func Fig11(scale Scale) (*HaccDistResult, error) {
-	return Fig11With(context.Background(), scale, nil)
-}
-
-// Fig11With fans the sweep's (rank count × run) points across r.
-func Fig11With(ctx context.Context, scale Scale, r *runner.Runner) (*HaccDistResult, error) {
-	res, err := RunExperiment(ctx, r, Fig11Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*HaccDistResult), nil
 }
 
 // Fig11Experiment enumerates the eight-run matrix per rank count.
@@ -159,23 +144,9 @@ type Fig13Result struct {
 	Runs []*SeriesResult
 }
 
-// Fig13 runs the large-scale HACC-IO time-series comparison serially.
-// The phase length is fixed at 5 s so ten loops span ≈100 s, matching
-// the x-axes of the paper's Fig. 13.
-func Fig13(scale Scale) (*Fig13Result, error) {
-	return Fig13With(context.Background(), scale, nil)
-}
-
-// Fig13With fans the four strategy runs across r.
-func Fig13With(ctx context.Context, scale Scale, r *runner.Runner) (*Fig13Result, error) {
-	res, err := RunExperiment(ctx, r, Fig13Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Fig13Result), nil
-}
-
-// Fig13Experiment enumerates the four strategy runs.
+// Fig13Experiment enumerates the four strategy runs of the large-scale
+// HACC-IO time series. The phase length is fixed at 5 s so ten loops
+// span ≈100 s, matching the x-axes of the paper's Fig. 13.
 func Fig13Experiment(scale Scale) *Experiment {
 	ranks := 9216
 	// 300k particles per rank (11.4 MB): the aggregate burst occupies the
@@ -231,23 +202,10 @@ func (r *Fig13Result) Render() string {
 	return b.String()
 }
 
-// Fig14 runs HACC-IO at 1536 ranks with the direct strategy on a *noisy*
-// file system: I/O variability keeps the throughput below the applied
-// limit, which causes the short waiting phases the paper discusses.
-func Fig14(scale Scale) (*SeriesResult, error) {
-	return Fig14With(context.Background(), scale, nil)
-}
-
-// Fig14With runs the experiment's single point through r.
-func Fig14With(ctx context.Context, scale Scale, r *runner.Runner) (*SeriesResult, error) {
-	res, err := RunExperiment(ctx, r, Fig14Experiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*SeriesResult), nil
-}
-
-// Fig14Experiment enumerates the noisy-file-system run.
+// Fig14Experiment enumerates HACC-IO at 1536 ranks with the direct
+// strategy on a *noisy* file system: I/O variability keeps the
+// throughput below the applied limit, which causes the short waiting
+// phases the paper discusses.
 func Fig14Experiment(scale Scale) *Experiment {
 	ranks := 1536
 	// 64 GB/s aggregate demand against the 106 GB/s system: the noise

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"iobehind/internal/des"
@@ -51,20 +50,6 @@ type FigFaultsResult struct {
 	Windows []faults.Window
 	Clean   *tmio.Report
 	Faulted *tmio.Report
-}
-
-// FigFaults runs the fault scenario at the default fault seed.
-func FigFaults(scale Scale) (*FigFaultsResult, error) {
-	return FigFaultsWith(context.Background(), scale, nil)
-}
-
-// FigFaultsWith runs the experiment's points through r.
-func FigFaultsWith(ctx context.Context, scale Scale, r *runner.Runner) (*FigFaultsResult, error) {
-	res, err := RunExperiment(ctx, r, FigFaultsExperiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*FigFaultsResult), nil
 }
 
 // FigFaultsExperiment enumerates the fault experiment at fault seed 1.

@@ -168,20 +168,6 @@ type FigTraceResult struct {
 	Points []TracePointResult
 }
 
-// FigTrace runs the trace dogfood experiment serially.
-func FigTrace(scale Scale) (*FigTraceResult, error) {
-	return FigTraceWith(context.Background(), scale, nil)
-}
-
-// FigTraceWith runs the experiment's points through r.
-func FigTraceWith(ctx context.Context, scale Scale, r *runner.Runner) (*FigTraceResult, error) {
-	res, err := RunExperiment(ctx, r, FigTraceExperiment(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*FigTraceResult), nil
-}
-
 // FigTraceExperiment enumerates one emit→replay→compare point per
 // built-in workload. A point fails (returns an error, failing the sweep)
 // when the replayed report is not byte-identical to the original — the

@@ -11,10 +11,7 @@ import (
 )
 
 func TestFigTraceRoundTrips(t *testing.T) {
-	res, err := FigTrace(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFig[*FigTraceResult](t, runner.Serial(), FigTraceExperiment(Quick))
 	if len(res.Points) != 4 {
 		t.Fatalf("points = %d, want 4", len(res.Points))
 	}
@@ -120,7 +117,7 @@ func TestTraceReplayExperimentRendersReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunExperiment(context.Background(), nil, exp)
+	res, err := RunExperiment(context.Background(), runner.Serial(), exp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,11 @@ type sweepState struct {
 	stats  SweepStats
 	done   int
 
-	clientMu sync.Mutex
-	client   net.Conn // nil once the submitter disconnects
+	// clientMu serializes everything written to the submitter and
+	// guards client and delivered. Lock order: clientMu before c.mu.
+	clientMu  sync.Mutex
+	client    net.Conn // nil once the submitter disconnects
+	delivered int      // results handed to the client stream so far
 }
 
 // Coordinator hands manifest points to pull-based workers, re-dispatches
@@ -341,10 +344,22 @@ func (c *Coordinator) reaper() {
 	}
 }
 
-// acceptResult records one completion. The first result for a point
-// wins; later ones are duplicates, verified byte-identical via SHA-256
-// (a mismatch means a determinism violation and is counted loudly).
+// acceptResult records one completion and, if it is the point's first,
+// stores and delivers it. The first result for a point wins; later ones
+// are duplicates, verified byte-identical via SHA-256 (a mismatch means
+// a determinism violation and is counted loudly).
 func (c *Coordinator) acceptResult(worker string, m Msg, held *[]uint64) (dup bool) {
+	sw, idx, first := c.recordResult(worker, m, held)
+	if first {
+		c.deliverResult(sw, worker, idx, m)
+	}
+	return !first
+}
+
+// recordResult resolves a worker's lease and marks the point done under
+// c.mu. It returns the sweep and point index when this is the point's
+// first completion.
+func (c *Coordinator) recordResult(worker string, m Msg, held *[]uint64) (*sweepState, int, bool) {
 	c.mu.Lock()
 	w := c.touchWorker(worker)
 	if _, ok := c.leases[m.Seq]; ok {
@@ -363,13 +378,13 @@ func (c *Coordinator) acceptResult(worker string, m Msg, held *[]uint64) (dup bo
 	if sw == nil {
 		c.mu.Unlock()
 		c.logf("fabric: worker=%s event=orphan-result cachekey=%s", worker, m.CacheKey)
-		return true
+		return nil, 0, false
 	}
 	idx, ok := sw.byKey[m.CacheKey]
 	if !ok {
 		c.mu.Unlock()
 		c.logf("fabric: worker=%s event=orphan-result cachekey=%s", worker, m.CacheKey)
-		return true
+		return nil, 0, false
 	}
 	key := sw.points[idx].Ref.Key
 	if sw.state[idx] == stateDone {
@@ -389,7 +404,7 @@ func (c *Coordinator) acceptResult(worker string, m Msg, held *[]uint64) (dup bo
 			c.logf("fabric: lease seq=%d point=%s worker=%s event=duplicate", m.Seq, key, worker)
 		}
 		c.mu.Unlock()
-		return true
+		return nil, 0, false
 	}
 	sw.state[idx] = stateDone
 	sw.done++
@@ -403,10 +418,14 @@ func (c *Coordinator) acceptResult(worker string, m Msg, held *[]uint64) (dup bo
 		sw.stats.Computed++
 		c.totals.Computed++
 	}
-	finished := sw.done == len(sw.points)
-	stats := sw.stats
 	c.mu.Unlock()
+	return sw, idx, true
+}
 
+// deliverResult stores a first completion (cache and journal) and
+// streams it to the submitting client.
+func (c *Coordinator) deliverResult(sw *sweepState, worker string, idx int, m Msg) {
+	key := sw.points[idx].Ref.Key
 	if m.Err == "" {
 		// Content-addressed write (atomic temp+rename): idempotent under
 		// duplicate completions, and the store resume reads from.
@@ -418,22 +437,39 @@ func (c *Coordinator) acceptResult(worker string, m Msg, held *[]uint64) (dup bo
 	} else {
 		c.logf("fabric: lease seq=%d point=%s worker=%s event=accept-error err=%q", m.Seq, key, worker, m.Err)
 	}
-	c.streamResult(sw, Msg{Kind: KindResult, Index: idx, Bytes: m.Bytes, Err: m.Err})
+	sw.clientMu.Lock()
+	c.deliverLocked(sw, Msg{Kind: KindResult, Index: idx, Bytes: m.Bytes, Err: m.Err})
+	sw.clientMu.Unlock()
 	if c.opts.OnAccept != nil {
 		c.opts.OnAccept(worker, idx, key)
 	}
-	if finished {
-		c.finishSweep(sw, stats)
-	}
-	return false
 }
 
-// streamResult pushes one result to the submitting client, if still
-// connected. A failed write drops the client; the sweep itself proceeds
-// (results are durable in cache+journal, a resubmission resumes them).
-func (c *Coordinator) streamResult(sw *sweepState, m Msg) {
-	sw.clientMu.Lock()
-	defer sw.clientMu.Unlock()
+// deliverLocked streams one point's result to the client and counts it.
+// The delivery that completes the count sends SweepDone with the final
+// stats right behind it, so the client sees every result before the end
+// of the sweep in whatever order concurrent accepters get here. Callers
+// hold sw.clientMu.
+func (c *Coordinator) deliverLocked(sw *sweepState, m Msg) {
+	c.writeClientLocked(sw, m)
+	sw.delivered++
+	if sw.delivered < len(sw.points) {
+		return
+	}
+	c.mu.Lock()
+	stats := sw.stats
+	c.mu.Unlock()
+	c.logf("fabric: sweep done points=%d computed=%d journal=%d cache=%d redispatch=%d dup=%d err=%d",
+		stats.Points, stats.Computed, stats.JournalHits, stats.CacheHits,
+		stats.Redispatches, stats.Duplicates, stats.Errors)
+	c.writeClientLocked(sw, Msg{Kind: KindSweepDone, Stats: &stats})
+}
+
+// writeClientLocked pushes one message to the submitting client, if
+// still connected. A failed write drops the client; the sweep itself
+// proceeds (results are durable in cache+journal, a resubmission resumes
+// them). Callers hold sw.clientMu.
+func (c *Coordinator) writeClientLocked(sw *sweepState, m Msg) {
 	if sw.client == nil {
 		return
 	}
@@ -442,14 +478,6 @@ func (c *Coordinator) streamResult(sw *sweepState, m Msg) {
 		sw.client.Close()
 		sw.client = nil
 	}
-}
-
-// finishSweep sends the final stats to the client.
-func (c *Coordinator) finishSweep(sw *sweepState, stats SweepStats) {
-	c.logf("fabric: sweep done points=%d computed=%d journal=%d cache=%d redispatch=%d dup=%d err=%d",
-		stats.Points, stats.Computed, stats.JournalHits, stats.CacheHits,
-		stats.Redispatches, stats.Duplicates, stats.Errors)
-	c.streamResult(sw, Msg{Kind: KindSweepDone, Stats: &stats})
 }
 
 // serveClient accepts one submission on conn and streams its results.
@@ -477,12 +505,6 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 		keys[mp.CacheKey] = true
 	}
 
-	c.mu.Lock()
-	if c.sweep != nil && c.sweep.done < len(c.sweep.points) {
-		c.mu.Unlock()
-		WriteMsg(conn, Msg{Kind: KindAccepted, Err: "coordinator busy with an active sweep"})
-		return
-	}
 	sw := &sweepState{
 		points: m.Points,
 		byKey:  make(map[string]int, len(m.Points)),
@@ -492,10 +514,20 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 		client: conn,
 	}
 	sw.stats.Points = len(m.Points)
+	// Hold the client stream from before the sweep is published until
+	// the acceptance and the journal and cache hits are written, so no
+	// worker result can overtake them.
+	sw.clientMu.Lock()
+	c.mu.Lock()
+	if c.sweep != nil && c.sweep.done < len(c.sweep.points) {
+		c.mu.Unlock()
+		sw.clientMu.Unlock()
+		WriteMsg(conn, Msg{Kind: KindAccepted, Err: "coordinator busy with an active sweep"})
+		return
+	}
 	type instant struct {
-		idx    int
-		bytes  []byte
-		fromJr bool
+		idx   int
+		bytes []byte
 	}
 	var ready []instant
 	for i, mp := range m.Points {
@@ -512,7 +544,7 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 				sw.done++
 				sw.stats.JournalHits++
 				c.totals.JournalHits++
-				ready = append(ready, instant{idx: i, bytes: data, fromJr: true})
+				ready = append(ready, instant{idx: i, bytes: data})
 				continue
 			}
 		}
@@ -530,20 +562,15 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 	c.sweep = sw
 	stats := sw.stats
 	pending := len(sw.queue)
-	finished := sw.done == len(sw.points)
 	c.mu.Unlock()
 
 	c.logf("fabric: client=%s event=submit points=%d journal=%d cache=%d pending=%d",
 		id, stats.Points, stats.JournalHits, stats.CacheHits, pending)
-	if err := WriteMsg(conn, Msg{Kind: KindAccepted, Stats: &stats}); err != nil {
-		return
-	}
+	c.writeClientLocked(sw, Msg{Kind: KindAccepted, Stats: &stats})
 	for _, r := range ready {
-		c.streamResult(sw, Msg{Kind: KindResult, Index: r.idx, Bytes: r.bytes, Cached: true})
+		c.deliverLocked(sw, Msg{Kind: KindResult, Index: r.idx, Bytes: r.bytes, Cached: true})
 	}
-	if finished {
-		c.finishSweep(sw, stats)
-	}
+	sw.clientMu.Unlock()
 
 	// Block until the client hangs up (or sends anything else, which we
 	// ignore); detach it so worker-side streaming stops cleanly.

@@ -396,3 +396,75 @@ func TestConcurrentWorkersDrainSweep(t *testing.T) {
 	co.Close() // unblock any worker waiting in ReadMsg
 	wg.Wait()
 }
+
+// TestResultsPrecedeSweepDone pins the client stream order when
+// accepters race: two completions are recorded, then delivered in
+// reverse order. The client must see both results before SweepDone,
+// whichever accepter completed the sweep, and SweepDone must carry the
+// final stats.
+func TestResultsPrecedeSweepDone(t *testing.T) {
+	cache, err := runner.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewCoordinator(Options{Cache: cache, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv, cli := net.Pipe()
+	var wg sync.WaitGroup
+	defer func() {
+		cli.Close() // unblocks both goroutines on any exit path
+		wg.Wait()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		co.serveClient(srv, "test-client")
+	}()
+	manifest := syntheticManifest(2)
+	if err := WriteMsg(cli, Msg{Kind: KindSubmit, Points: manifest}); err != nil {
+		t.Fatal(err)
+	}
+	if acc, err := ReadMsg(cli); err != nil || acc.Kind != KindAccepted || acc.Err != "" {
+		t.Fatalf("accept: %v %+v", err, acc)
+	}
+
+	type recorded struct {
+		sw  *sweepState
+		idx int
+		m   Msg
+	}
+	var recs []recorded
+	var held []uint64
+	for _, mp := range manifest {
+		m := Msg{Kind: KindResult, CacheKey: mp.CacheKey, Bytes: []byte(mp.CacheKey)}
+		sw, idx, first := co.recordResult("w", m, &held)
+		if !first {
+			t.Fatalf("point %s: first completion not recorded", mp.Ref.Key)
+		}
+		recs = append(recs, recorded{sw, idx, m})
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := len(recs) - 1; i >= 0; i-- {
+			co.deliverResult(recs[i].sw, "w", recs[i].idx, recs[i].m)
+		}
+	}()
+
+	for _, want := range []int{1, 0} {
+		m, err := ReadMsg(cli)
+		if err != nil || m.Kind != KindResult || m.Index != want {
+			t.Fatalf("got %v %s index %d, want result %d", err, m.Kind, m.Index, want)
+		}
+	}
+	done, err := ReadMsg(cli)
+	if err != nil || done.Kind != KindSweepDone {
+		t.Fatalf("got %v %s, want %s", err, done.Kind, KindSweepDone)
+	}
+	if done.Stats == nil || done.Stats.Computed != 2 {
+		t.Fatalf("final stats %+v, want 2 computed", done.Stats)
+	}
+}

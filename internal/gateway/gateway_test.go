@@ -424,7 +424,13 @@ func TestBackpressureDropsOldest(t *testing.T) {
 		t.Fatalf("sender blocked for %v: reader is gated on the aggregator", elapsed)
 	}
 
-	waitFor(t, "connection close", func() bool { return s.Stats().ConnsActive == 0 })
+	// ConnsActive alone is 0 before Serve has accepted the connection
+	// too; ConnsTotal proves it was accepted, so together they mean the
+	// connection was handled and its queue drained.
+	waitFor(t, "connection close", func() bool {
+		st := s.Stats()
+		return st.ConnsTotal == 1 && st.ConnsActive == 0
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -302,10 +303,56 @@ func TestIncrementalCompactNoop(t *testing.T) {
 	requireExactMatch(t, inc, phases)
 }
 
-// TestOnlineSweepStillWraps: the tracer-facing wrapper keeps its
-// contract (snapshot semantics, Len) on top of the incremental engine.
-func TestOnlineSweepSnapshotIsolation(t *testing.T) {
-	o := NewOnlineSweep("B")
+// TestIncrementalMatchesOfflineMidStream: every mid-run query the
+// tracer's online mode answers agrees with the offline sweep over the
+// phases added so far, degenerate phases are dropped, and a Series
+// snapshot survives later Adds.
+func TestIncrementalMatchesOfflineMidStream(t *testing.T) {
+	o := NewIncrementalSweep("B")
+	if o.Max() != 0 || o.Len() != 0 {
+		t.Fatal("empty sweep state")
+	}
+	sec := func(x float64) des.Time { return des.Time(des.DurationOf(x)) }
+	phases := []Phase{
+		{Rank: 0, Start: sec(0), End: sec(5), Value: 10},
+		{Rank: 1, Start: sec(2), End: sec(7), Value: 20},
+		{Rank: 2, Start: sec(4), End: sec(6), Value: 5},
+		{Rank: 0, Start: sec(10), End: sec(10), Value: 99}, // degenerate: dropped
+	}
+	for i, ph := range phases {
+		o.Add(ph)
+		// Mid-stream queries must reflect everything added so far.
+		want := Sweep("B", phases[:i+1]).Max()
+		if got := o.Max(); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("after %d adds: online max %v, offline %v", i+1, got, want)
+		}
+	}
+	if o.Len() != 3 {
+		t.Fatalf("len = %d, want 3 (degenerate dropped)", o.Len())
+	}
+	// Peak region: [4,5) where all three overlap = 35.
+	if got := o.Max(); math.Abs(got-35) > 1e-9 {
+		t.Fatalf("max = %v, want 35", got)
+	}
+	s := o.Series()
+	if got := s.At(sec(4.5)); math.Abs(got-35) > 1e-9 {
+		t.Fatalf("series at 4.5s = %v", got)
+	}
+	// Snapshot semantics: adding after a query leaves the old snapshot
+	// intact and updates the next one.
+	o.Add(Phase{Rank: 3, Start: sec(4), End: sec(5), Value: 100})
+	if got := s.At(sec(4.5)); math.Abs(got-35) > 1e-9 {
+		t.Fatal("old snapshot mutated")
+	}
+	if got := o.Max(); math.Abs(got-135) > 1e-9 {
+		t.Fatalf("new max = %v", got)
+	}
+}
+
+// TestIncrementalSnapshotIsolation: a Series snapshot's points are not
+// mutated by later Adds, and Len counts accepted phases.
+func TestIncrementalSnapshotIsolation(t *testing.T) {
+	o := NewIncrementalSweep("B")
 	o.Add(Phase{Start: ms(0), End: ms(10), Value: 4e6})
 	snap := o.Series()
 	before := append([]metrics.Point(nil), snap.Points...)

@@ -52,6 +52,20 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy is the inverse of Strategy.String; it also accepts
+// "uponly" for UpOnly.
+func ParseStrategy(name string) (Strategy, error) {
+	if name == "uponly" {
+		return UpOnly, nil
+	}
+	for s := None; s <= Frequent; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return None, fmt.Errorf("tmio: unknown strategy %q (want none, direct, up-only, adaptive or frequent)", name)
+}
+
 // StrategyConfig is a strategy with its tolerance values. The tolerance
 // compensates for effects invisible at the MPI level, such as I/O threads
 // competing with compute threads for resources.

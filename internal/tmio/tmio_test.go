@@ -99,6 +99,11 @@ func TestDirectStrategyAppliesLimit(t *testing.T) {
 	if got := h.tr.Limit(0); math.Abs(got-20e6)/20e6 > 0.05 {
 		t.Fatalf("limit = %v, want ~20e6", got)
 	}
+	// The derived limit reaches the rank's I/O agent, not only the
+	// tracer's bookkeeping.
+	if math.IsInf(h.sys.Agent(0).Limit(), 1) {
+		t.Fatal("no limit installed on the agent")
+	}
 	if rep.FirstLimitAt == 0 {
 		t.Fatal("first-limit time not recorded")
 	}
@@ -174,6 +179,22 @@ func TestAdaptiveTracksTrend(t *testing.T) {
 	// No previous phase: pure level.
 	if got := cfg.NextLimit(0, 10, 0, false); got != 10 {
 		t.Fatalf("adaptive first = %v, want 10", got)
+	}
+}
+
+func TestParseStrategyRoundTrip(t *testing.T) {
+	for s := None; s <= Frequent; s++ {
+		if got, err := ParseStrategy(s.String()); err != nil || got != s {
+			t.Fatalf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if got, err := ParseStrategy("uponly"); err != nil || got != UpOnly {
+		t.Fatalf("uponly alias = %v, %v", got, err)
+	}
+	for _, bad := range []string{"", "Direct", "strategy(42)"} {
+		if _, err := ParseStrategy(bad); err == nil {
+			t.Fatalf("ParseStrategy(%q) accepted", bad)
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ type Tracer struct {
 	ranks   []*rankTracer
 	sink    Sink
 	sinkErr error
-	online  *region.OnlineSweep
+	online  *region.IncrementalSweep
 
 	// Uniform-limit bookkeeping: running sum of the ranks' latest B.
 	uniformSum   float64
@@ -161,7 +161,7 @@ func Attach(sys *mpiio.System, cfg Config) *Tracer {
 	}
 	t := &Tracer{sys: sys, cfg: cfg}
 	if cfg.OnlineAggregation {
-		t.online = region.NewOnlineSweep("B")
+		t.online = region.NewIncrementalSweep("B")
 	}
 	for _, r := range sys.World().Ranks() {
 		t.ranks = append(t.ranks, &rankTracer{

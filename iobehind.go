@@ -25,15 +25,10 @@
 // suite decomposes each paper figure into independent sweep points and
 // fans them across a worker pool with disk-cached results
 // (internal/runner); rendered output is byte-identical to the serial
-// path. Parallel-sweep quickstart:
-//
-//	r := runner.New(runner.Options{Workers: 8, Cache: cache}) // cache optional
-//	res, err := experiments.Fig05With(ctx, experiments.Quick, r)
-//	fmt.Print(res.Render())
-//
-// or, from the command line:
+// path. The suite runs from the command line:
 //
 //	go run ./cmd/iosweep -figs 1,5,8 -scale quick -j 8 -cache .iosweep-cache
+//	go run ./cmd/iosweep -figs all -j 1     # the serial reference path
 //
 // See docs/ARCHITECTURE.md for the package map and docs/TUTORIAL.md for a
 // walk-through.
