@@ -4,13 +4,13 @@
 GO ?= go
 
 # Hot-path benchmark settings shared by bench, bench-json and
-# bench-check: the DES/PFS kernels, the ingest edge (the binary frame
-# codec in tmio and the gateway's two protocol read loops), the
-# incremental sweep engine in region, and the gateway query path. Fixed
-# -benchtime with -count repetitions replaces the old noisy
-# -benchtime=1x: iobenchdiff collapses the repetitions to the per-metric
-# minimum, so one slow run cannot fake a regression.
-BENCH_PKGS      = ./internal/des ./internal/pfs ./internal/tmio ./internal/region ./internal/gateway
+# bench-check: the DES/PFS kernels, adio's throttled sub-request chain,
+# the ingest edge (the binary frame codec in tmio and the gateway's two
+# protocol read loops), the incremental sweep engine in region, and the
+# gateway query path. Fixed -benchtime with -count repetitions replaces
+# the old noisy -benchtime=1x: iobenchdiff collapses the repetitions to
+# the per-metric minimum, so one slow run cannot fake a regression.
+BENCH_PKGS      = ./internal/des ./internal/pfs ./internal/adio ./internal/tmio ./internal/region ./internal/gateway
 BENCH_TIME     ?= 200ms
 BENCH_COUNT    ?= 5
 # The allocs/op comparison is the strict, deterministic half of the
@@ -80,9 +80,14 @@ test:
 # 4-rank replay) under the detector. internal/fabric runs its whole
 # coordinator/worker suite here — lease expiry re-dispatch, duplicate
 # completions, kill/restart resume, and the distributed-vs-serial
-# integration test all race real goroutines over real sockets.
+# integration test all race real goroutines over real sockets. The DES
+# passes control directly from one process goroutine to the next, so the
+# packages whose processes hand off to each other all the time — mpi
+# ranks, mpiio and adio's per-rank I/O agents, the workloads, and the
+# cluster scheduler's jobs and monitor — run under the detector too; the
+# happens-before edges of each handoff must cover every engine access.
 race:
-	$(GO) test -race ./internal/runner/... ./internal/gateway/... ./internal/tmio/... ./internal/faults/... ./internal/des/... ./internal/pfs/... ./internal/region/... ./internal/trace/... ./internal/fabric/...
+	$(GO) test -race ./internal/runner/... ./internal/gateway/... ./internal/tmio/... ./internal/faults/... ./internal/des/... ./internal/pfs/... ./internal/region/... ./internal/trace/... ./internal/fabric/... ./internal/mpi/... ./internal/mpiio/... ./internal/adio/... ./internal/workloads/... ./internal/cluster/...
 
 # Fail when a figure experiment in internal/experiments has no row in
 # EXPERIMENTS.md's figure↔code table (see cmd/iodocscheck).

@@ -76,3 +76,27 @@ func BenchmarkScheduleCancel(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkProcPingPong measures the switch between two processes: they
+// alternate through two Mailboxes, so every resume hands control to the
+// other process and none is a process resuming itself.
+func BenchmarkProcPingPong(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	ping, pong := NewMailbox[int](e), NewMailbox[int](e)
+	e.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Put(i)
+			pong.Get(p)
+		}
+	})
+	e.Spawn("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Put(ping.Get(p))
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

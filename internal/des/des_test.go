@@ -491,3 +491,113 @@ func TestEngineStats(t *testing.T) {
 		t.Fatalf("now = %v", s.Now)
 	}
 }
+
+// TestShutdownUnstartedProc: a process whose start event never fired
+// must be unwound by Shutdown without running its body, and without
+// Shutdown executing any event.
+func TestShutdownUnstartedProc(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	e.SpawnAt(Time(5*Second), "late", func(p *Proc) {
+		ran = true
+		p.Sleep(Second)
+	})
+	e.Schedule(0, PrioNormal, e.Stop)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.Stalled()); n != 1 {
+		t.Fatalf("stalled before Shutdown = %d, want 1", n)
+	}
+	events := e.Stats().EventsRun
+	e.Shutdown()
+	if ran {
+		t.Fatal("Shutdown ran the body of a process that never started")
+	}
+	if s := e.Stalled(); len(s) != 0 {
+		t.Fatalf("Shutdown left stalled procs: %v", s)
+	}
+	if got := e.Stats().EventsRun; got != events {
+		t.Fatalf("Shutdown executed %d events", got-events)
+	}
+}
+
+// TestEventPanicWhileProcParked: a function event that panics while
+// processes are parked (it runs on the goroutine of the process that just
+// parked) becomes Run's error, and Shutdown still reaps every process.
+func TestEventPanicWhileProcParked(t *testing.T) {
+	e := NewEngine(1)
+	box := NewMailbox[int](e)
+	e.Spawn("server", func(p *Proc) { box.Get(p) })
+	resumed := false
+	e.Spawn("client", func(p *Proc) {
+		p.Sleep(Second)
+		resumed = true
+	})
+	e.After(Second/2, func() { panic("boom in event") })
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "boom in event") {
+		t.Fatalf("err = %v, want the event's panic", err)
+	}
+	if resumed {
+		t.Fatal("the run went on past the panicking event")
+	}
+	if n := len(e.Stalled()); n != 2 {
+		t.Fatalf("stalled = %d, want 2", n)
+	}
+	e.Shutdown()
+	if s := e.Stalled(); len(s) != 0 {
+		t.Fatalf("Shutdown left stalled procs: %v", s)
+	}
+}
+
+// TestEventPanicBeforeAnyProc: a function event that panics on Run's own
+// goroutine, before any process has started, is reported the same way;
+// Shutdown then unwinds the unstarted process without running it.
+func TestEventPanicBeforeAnyProc(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	e.SpawnAt(Time(Second), "late", func(p *Proc) { ran = true })
+	e.Schedule(0, PrioNormal, func() { panic("boom at start") })
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "boom at start") {
+		t.Fatalf("err = %v, want the event's panic", err)
+	}
+	e.Shutdown()
+	if ran {
+		t.Fatal("process ran after the run failed")
+	}
+	if s := e.Stalled(); len(s) != 0 {
+		t.Fatalf("Shutdown left stalled procs: %v", s)
+	}
+}
+
+// TestShutdownUnwindsParkInDeferred: a process that parks in a deferred
+// function while Shutdown unwinds it is unwound again at that park, so
+// Shutdown never runs events and the process still finishes.
+func TestShutdownUnwindsParkInDeferred(t *testing.T) {
+	e := NewEngine(1)
+	c := NewCompletion(e)
+	after := false
+	e.Spawn("server", func(p *Proc) {
+		defer func() {
+			p.Sleep(Second)
+			after = true
+		}()
+		c.Wait(p)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	events := e.Stats().EventsRun
+	e.Shutdown()
+	if after {
+		t.Fatal("the deferred park returned during Shutdown")
+	}
+	if got := e.Stats().EventsRun; got != events {
+		t.Fatalf("Shutdown executed %d events", got-events)
+	}
+	if s := e.Stalled(); len(s) != 0 {
+		t.Fatalf("Shutdown left stalled procs: %v", s)
+	}
+}

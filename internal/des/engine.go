@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 )
 
 // Event priorities. Among events scheduled for the same virtual instant,
@@ -15,8 +16,9 @@ const (
 	PrioLate   int32 = 100
 )
 
-// killToken is delivered to a parked process by Engine.Shutdown to make it
-// unwind and exit. Regular wakeups always carry a non-zero token.
+// killToken is delivered by Engine.Shutdown to a parked or not yet started
+// process to make it unwind and exit. Regular wakeups always carry a
+// non-zero token.
 const killToken uint64 = 0
 
 // errKilled is the sentinel panic value used to unwind killed processes.
@@ -24,19 +26,21 @@ type errKilled struct{}
 
 // Engine is a deterministic discrete-event simulation kernel.
 //
-// The engine executes one event at a time. Function events run inline on
-// the engine's goroutine; process events transfer control to the process's
-// goroutine and wait for it to park again (or finish) before the next event
-// is considered. At any moment at most one goroutine owned by the engine is
-// running, so no locking is needed anywhere in the simulation and results
-// are reproducible.
+// The engine executes one event at a time, in (time, priority, sequence)
+// order. The event loop runs on whichever goroutine holds control: the
+// one blocked in Run, or the process that has just parked or exited.
+// Function events run inline on that goroutine. An event that wakes a
+// process passes control straight to that process's goroutine, or costs
+// no switch at all when the process is waking itself. Exactly one
+// goroutine runs simulation code at any instant, so no locking is needed
+// anywhere in the simulation and results are reproducible.
 type Engine struct {
 	now     Time
 	heap    eventHeap
 	free    []*event // recycled event objects (the pool)
 	dead    int      // cancelled events still sitting in the heap
 	seq     uint64
-	handoff chan struct{}
+	handoff chan uint64 // control back to the goroutine blocked in Run or Shutdown
 	procs   []*Proc
 	nextID  int
 	failure error
@@ -62,7 +66,7 @@ const compactThreshold = 64
 // reproducible.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		handoff: make(chan struct{}),
+		handoff: make(chan uint64),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
@@ -193,16 +197,43 @@ func (e *Engine) wakeAt(p *Proc, at Time, prio int32, token uint64) {
 // are retained; Run can be called again to continue.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Run executes events until the queue drains, a process panics, or Stop is
-// called. It returns the first process failure, if any.
+// Run executes events until the queue drains, Stop is called, or the run
+// fails, and returns the first failure: a process or a function event
+// that panicked. A panicking function event becomes this error on
+// whichever goroutine it ran; it never unwinds the caller of Run.
+//
+// Run's own goroutine executes events only up to the first one that
+// wakes a process. From there control passes directly from process to
+// process, and Run blocks until one of them stops the loop.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("des: Run called reentrantly")
 	}
 	e.running = true
 	e.stopped = false
-	defer func() { e.running = false }()
-	for e.heap.len() > 0 && !e.stopped {
+	if p, tok := e.next(); p != nil {
+		e.resume(p, tok)
+		wait(e.handoff)
+	}
+	e.running = false
+	return e.failure
+}
+
+// next executes events in queue order until one wakes a process, and
+// returns that process with the token the event carries. It returns nil
+// once the queue drains, Stop has been called, or the run has failed.
+// next runs on whichever goroutine holds control, so it recovers a
+// panicking function event into the run's failure: the panic must not
+// unwind a process goroutine that merely hosted the event. One deferred
+// recover per call, not per event, keeps the function-event path cheap.
+func (e *Engine) next() (p *Proc, tok uint64) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail(fmt.Errorf("des: event at %v panicked: %v\n%s", e.now, r, debug.Stack()))
+			p, tok = nil, 0
+		}
+	}()
+	for e.failure == nil && !e.stopped && e.heap.len() > 0 {
 		if live := e.heap.len() - e.dead; live > e.maxHeap {
 			e.maxHeap = live
 		}
@@ -220,24 +251,32 @@ func (e *Engine) Run() error {
 		e.now = ev.at
 		e.recycle(ev)
 		e.eventsRun++
-		if fn != nil {
-			fn()
-		} else {
-			e.dispatch(proc, token)
+		if fn == nil {
+			return proc, token
 		}
-		if e.failure != nil {
-			return e.failure
-		}
+		fn()
 	}
-	return nil
+	return nil, 0
 }
 
-// dispatch resumes p with token and blocks until p parks again or exits.
-func (e *Engine) dispatch(p *Proc, token uint64) {
-	//iolint:ignore goroutine coroutine handoff: dispatch is the scheduler's half of the context switch; the engine blocks until the resumed process parks, so execution stays strictly sequential
-	p.wake <- token
-	//iolint:ignore goroutine coroutine handoff: blocking until the process parks is what makes process execution atomic within one event
-	<-e.handoff
+// resume passes control to p with tok, or back to the goroutine blocked
+// in Run or Shutdown when p is nil. The caller must block in wait or exit
+// right after: control is no longer its own.
+func (e *Engine) resume(p *Proc, tok uint64) {
+	ch := e.handoff
+	if p != nil {
+		ch = p.wake
+	}
+	//iolint:ignore goroutine coroutine handoff: control passes to exactly one goroutine blocked in wait, and the sender blocks or exits right after, so one goroutine runs simulation code at any instant
+	ch <- tok
+}
+
+// wait blocks the calling goroutine until resume passes control to it on
+// ch — a process's wake channel, or the engine's handoff in Run and
+// Shutdown — and returns the token that came with it.
+func wait(ch chan uint64) uint64 {
+	//iolint:ignore goroutine coroutine handoff: the goroutine sleeps here until resume passes control to it; nothing else runs it
+	return <-ch
 }
 
 // Stalled returns the processes that are still alive after Run returned:
@@ -254,8 +293,11 @@ func (e *Engine) Stalled() []*Proc {
 }
 
 // Shutdown forcibly unwinds all still-parked processes so their goroutines
-// exit. Call it after Run when the simulation intentionally leaves server
-// processes running. Processes must not park inside deferred functions.
+// exit, including processes that never started: their bodies do not run.
+// Call it after Run when the simulation intentionally leaves server
+// processes running. A process that parks inside a deferred function
+// while it unwinds is unwound again at that park; Shutdown never runs
+// events. Shutdown clears the failure the last Run reported.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("des: Shutdown called while running")
@@ -265,7 +307,8 @@ func (e *Engine) Shutdown() {
 			continue
 		}
 		p.killed = true
-		e.dispatch(p, killToken)
+		e.resume(p, killToken)
+		wait(e.handoff)
 	}
 	e.failure = nil
 }
@@ -304,7 +347,7 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// fail records the first process failure; subsequent failures are dropped.
+// fail records the first failure of the run; later ones are dropped.
 func (e *Engine) fail(err error) {
 	if e.failure == nil {
 		e.failure = err

@@ -6,8 +6,11 @@ import (
 )
 
 // Proc is a simulation process: a goroutine that runs in virtual time under
-// the engine's strict one-at-a-time scheduling. All Proc methods must be
-// called from the process's own goroutine while it is the running process.
+// the engine's strict one-at-a-time scheduling. A parking process runs the
+// event loop itself and hands control straight to the next process due,
+// so it is the only goroutine running simulation code until it blocks.
+// All Proc methods must be called from the process's own goroutine while
+// it is the running process.
 type Proc struct {
 	e        *Engine
 	name     string
@@ -32,27 +35,37 @@ func (e *Engine) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	e.nextID++
 	p := &Proc{e: e, name: name, id: e.nextID, wake: make(chan uint64)}
 	e.procs = append(e.procs, p)
-	//iolint:ignore goroutine coroutine handoff: the new goroutine blocks on wake immediately and only ever runs while the engine is parked, so exactly one goroutine is runnable at any instant
+	//iolint:ignore goroutine coroutine handoff: the new goroutine blocks in wait at once and runs only after control is passed to it, so exactly one goroutine runs simulation code at any instant
 	go p.run(fn)
 	p.waitSeq++
 	e.wakeAt(p, at, PrioNormal, p.waitSeq)
 	return p
 }
 
+// run is the process goroutine. A kill that arrives instead of the first
+// activation unwinds it before fn ever runs.
 func (p *Proc) run(fn func(p *Proc)) {
-	//iolint:ignore goroutine coroutine handoff: unbuffered wake/handoff channels are the context switch itself; the engine is parked whenever this runs
-	<-p.wake // first activation
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(errKilled); !ok {
-				p.e.fail(fmt.Errorf("des: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
-			}
-		}
-		p.finished = true
-		//iolint:ignore goroutine coroutine handoff: the exiting process hands control back to the parked engine; no two goroutines ever run concurrently
-		p.e.handoff <- struct{}{}
-	}()
+	defer p.exit()
+	p.await()
 	fn(p)
+}
+
+// exit ends the process goroutine: it records a panic as the run's
+// failure, marks the process finished and passes control on. A killed
+// process hands it back to Shutdown; any other continues the event loop
+// and resumes the next process due.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		if _, ok := r.(errKilled); !ok {
+			p.e.fail(fmt.Errorf("des: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+		}
+	}
+	p.finished = true
+	if p.killed {
+		p.e.resume(nil, 0)
+		return
+	}
+	p.e.resume(p.e.next())
 }
 
 // Engine returns the engine this process belongs to.
@@ -67,18 +80,32 @@ func (p *Proc) ID() int { return p.id }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// park suspends the process until the engine delivers a wakeup, and returns
-// the token it carried. If the engine is shutting down, park unwinds the
-// goroutine by panicking with the kill sentinel.
+// park suspends the process until an event wakes it, and returns the
+// token that event carried. It runs the event loop on this goroutine: if
+// the next process due is this one, park returns at once with no switch;
+// otherwise it passes control to that process (or back to Run, once the
+// loop stops) and blocks. A process that Shutdown is unwinding is unwound
+// again here instead of running events.
 func (p *Proc) park() uint64 {
-	//iolint:ignore goroutine coroutine handoff: park/wake is the deterministic context switch — the engine resumes exactly one process per event, in heap order
-	p.e.handoff <- struct{}{}
-	//iolint:ignore goroutine coroutine handoff: the process sleeps here until the engine's single dispatch resumes it with a token
-	token := <-p.wake
-	if token == killToken {
+	if p.killed {
 		panic(errKilled{})
 	}
-	return token
+	q, tok := p.e.next()
+	if q == p {
+		return tok
+	}
+	p.e.resume(q, tok)
+	return p.await()
+}
+
+// await blocks until control is passed to the process and returns the wake
+// token; the kill token from Shutdown unwinds the goroutine instead.
+func (p *Proc) await() uint64 {
+	tok := wait(p.wake)
+	if tok == killToken {
+		panic(errKilled{})
+	}
+	return tok
 }
 
 // nextToken returns a fresh wake token for this proc's next blocking wait.

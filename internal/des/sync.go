@@ -107,10 +107,13 @@ func (s *Semaphore) Release() {
 func (s *Semaphore) Available() int { return s.tokens }
 
 // Mailbox is an unbounded FIFO queue with blocking receive, used for
-// client/server schemes such as the per-rank I/O agent.
+// client/server schemes such as the per-rank I/O agent. Its buffer is
+// reused: a mailbox that drains and refills allocates nothing in the
+// steady state.
 type Mailbox[T any] struct {
 	e       *Engine
-	items   []T
+	items   []T // items[head:] are queued; items[:head] are zeroed
+	head    int
 	recv    waiter // at most one receiver may wait at a time
 	waiting bool   // recv holds a parked receiver
 }
@@ -123,6 +126,14 @@ func NewMailbox[T any](e *Engine) *Mailbox[T] {
 // Put enqueues v and wakes the waiting receiver, if any. It never blocks
 // and may be called from function events as well as processes.
 func (m *Mailbox[T]) Put(v T) {
+	if m.head > 0 && len(m.items) == cap(m.items) {
+		// Full but with consumed slots in front: slide the queue down
+		// instead of growing the buffer.
+		n := copy(m.items, m.items[m.head:])
+		clear(m.items[n:])
+		m.items = m.items[:n]
+		m.head = 0
+	}
 	m.items = append(m.items, v)
 	if m.waiting {
 		w := m.recv
@@ -134,7 +145,7 @@ func (m *Mailbox[T]) Put(v T) {
 // Get dequeues the oldest item, blocking the process while the mailbox is
 // empty. Only one process may block on a mailbox at a time.
 func (m *Mailbox[T]) Get(p *Proc) T {
-	for len(m.items) == 0 {
+	for m.Len() == 0 {
 		if m.waiting {
 			panic("des: concurrent Mailbox.Get")
 		}
@@ -143,27 +154,33 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 		m.waiting = true
 		p.block(tok)
 	}
-	v := m.items[0]
-	var zero T
-	m.items[0] = zero
-	m.items = m.items[1:]
-	return v
+	return m.pop()
 }
 
 // TryGet dequeues without blocking; ok reports whether an item was present.
 func (m *Mailbox[T]) TryGet() (v T, ok bool) {
-	if len(m.items) == 0 {
+	if m.Len() == 0 {
 		return v, false
 	}
-	v = m.items[0]
+	return m.pop(), true
+}
+
+// pop removes the oldest item from a non-empty mailbox. Draining the last
+// item rewinds the buffer so the next Put reuses it from the start.
+func (m *Mailbox[T]) pop() T {
+	v := m.items[m.head]
 	var zero T
-	m.items[0] = zero
-	m.items = m.items[1:]
-	return v, true
+	m.items[m.head] = zero
+	m.head++
+	if m.head == len(m.items) {
+		m.items = m.items[:0]
+		m.head = 0
+	}
+	return v
 }
 
 // Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return len(m.items) - m.head }
 
 // Barrier synchronizes a fixed party of n processes repeatedly. All n must
 // arrive before any proceeds; the barrier then resets for the next round.

@@ -468,3 +468,36 @@ func TestResultsPrecedeSweepDone(t *testing.T) {
 		t.Fatalf("final stats %+v, want 2 computed", done.Stats)
 	}
 }
+
+// TestExecuteCancelledDeliversNothing pins the cancel-in-flight fix
+// deterministically: a point whose run the worker's own cancellation
+// interrupted has no outcome to report, so execute yields nothing to
+// deliver (the coordinator re-dispatches the lease on disconnect) instead
+// of an Err result the coordinator would accept as final. The same lease
+// on a live context yields the point's bytes.
+func TestExecuteCancelledDeliversNothing(t *testing.T) {
+	plan, err := experiments.BuildPlan([]string{"5"}, experiments.Quick, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := ManifestFor(plan.Points[:1], plan.Refs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := Msg{Kind: KindLease, Seq: 1, Point: &manifest[0]}
+	ex := &executor{opts: WorkerOptions{Logf: t.Logf}, name: "w/0"}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, ok := ex.execute(cancelled, lease); ok {
+		t.Fatalf("cancelled run delivered %+v, want nothing", res)
+	}
+
+	res, ok := ex.execute(context.Background(), lease)
+	if !ok || res.Err != "" || len(res.Bytes) == 0 {
+		t.Fatalf("live run: ok=%v err=%q bytes=%d, want result bytes", ok, res.Err, len(res.Bytes))
+	}
+	if res.CacheKey != manifest[0].CacheKey || res.Cached {
+		t.Fatalf("live run: key %s cached=%v, want computed %s", res.CacheKey, res.Cached, manifest[0].CacheKey)
+	}
+}

@@ -124,7 +124,12 @@ func (e *executor) run(ctx context.Context) {
 			}
 			sleepCtx(ctx, jitter(retry))
 		case KindLease:
-			res := e.execute(ctx, m)
+			res, ok := e.execute(ctx, m)
+			if !ok {
+				// Cancelled mid-point: the loop ends and the dropped
+				// connection re-dispatches the lease.
+				continue
+			}
 			e.pending = &res
 			if e.deliver(ctx, res) {
 				e.pending = nil
@@ -199,33 +204,36 @@ func (e *executor) deliver(ctx context.Context, res Msg) bool {
 }
 
 // execute resolves and runs one leased point, returning the result
-// message to deliver. Every failure mode — unresolvable ref, cache-key
-// skew, point error, panic — becomes an Err result; the executor never
-// dies on a poisoned lease.
-func (e *executor) execute(ctx context.Context, lease Msg) Msg {
+// message to deliver. Every failure mode of the point itself —
+// unresolvable ref, cache-key skew, point error, panic — becomes an Err
+// result; the executor never dies on a poisoned lease. The second result
+// is false when the executor's own cancellation interrupted the run: that
+// outcome says nothing about the point, so there is nothing to deliver
+// and the lease is re-dispatched like any other dropped one.
+func (e *executor) execute(ctx context.Context, lease Msg) (Msg, bool) {
 	res := Msg{Kind: KindResult, Role: "worker", ID: e.name, Seq: lease.Seq, Index: lease.Index}
 	mp := lease.Point
 	if mp == nil {
 		res.Err = "lease carried no point"
-		return res
+		return res, true
 	}
 	res.CacheKey = mp.CacheKey
 	p, err := experiments.ResolvePoint(mp.Ref)
 	if err != nil {
 		res.Err = err.Error()
-		return res
+		return res, true
 	}
 	ckey, err := runner.CacheKey(p)
 	if err != nil {
 		res.Err = fmt.Sprintf("hash config: %v", err)
-		return res
+		return res, true
 	}
 	if ckey != mp.CacheKey {
 		// Version skew: this binary enumerates a different point than
 		// the submitter hashed. Running it would poison the shared
 		// cache under the submitter's address — refuse instead.
 		res.Err = fmt.Sprintf("cache key skew: submitter %s, worker %s — mismatched binaries?", mp.CacheKey, ckey)
-		return res
+		return res, true
 	}
 
 	// Cache tiers: local disk first, then the shared server, moving raw
@@ -233,7 +241,7 @@ func (e *executor) execute(ctx context.Context, lease Msg) Msg {
 	if e.opts.LocalCache != nil {
 		if data, ok := e.opts.LocalCache.GetBytes(ckey); ok {
 			res.Bytes, res.Cached = data, true
-			return res
+			return res, true
 		}
 	}
 	if e.opts.RemoteCache != nil {
@@ -242,24 +250,28 @@ func (e *executor) execute(ctx context.Context, lease Msg) Msg {
 				e.opts.LocalCache.PutBytes(ckey, data)
 			}
 			res.Bytes, res.Cached = data, true
-			return res
+			return res, true
 		}
 	}
 
 	// Run through a single-worker runner for its panic isolation; no
 	// cache attached because the byte-level tiers above already cover
-	// it and keep the encoding canonical.
+	// it and keep the encoding canonical. Run's error is non-nil only
+	// when ctx was cancelled.
 	start := time.Now()
-	results, _ := runner.New(runner.Options{Workers: 1}).Run(ctx, []runner.Point{p})
+	results, err := runner.New(runner.Options{Workers: 1}).Run(ctx, []runner.Point{p})
+	if err != nil {
+		return Msg{}, false
+	}
 	r := results[0]
 	if r.Err != nil {
 		res.Err = r.Err.Error()
-		return res
+		return res, true
 	}
 	data, err := runner.EncodeEntry(r.Value)
 	if err != nil {
 		res.Err = fmt.Sprintf("encode result: %v", err)
-		return res
+		return res, true
 	}
 	res.Bytes = data
 	e.logf("fabric: worker=%s point=%s computed in %s (%d bytes)", e.name, p.Key, time.Since(start).Round(time.Millisecond), len(data))
@@ -269,7 +281,7 @@ func (e *executor) execute(ctx context.Context, lease Msg) Msg {
 	if e.opts.RemoteCache != nil {
 		e.opts.RemoteCache.PutBytes(ckey, data)
 	}
-	return res
+	return res, true
 }
 
 // sleepCtx sleeps d or until ctx is done.

@@ -12,9 +12,10 @@ import (
 // scheduler race that no seed controls, so results stop being a pure
 // function of config. Concurrency belongs to the exempt layers — the
 // runner's worker pool, the gateway's ingest, the fabric's leases —
-// which sit outside every simulated point. The des engine's own
-// coroutine handoff (exactly one runnable goroutine at any instant) is
-// the one justified exception, suppressed in place with reasons.
+// which sit outside every simulated point. The des kernel's process
+// handoff is the one justified exception, suppressed in place with
+// reasons: control passes directly between process goroutines, and
+// exactly one of them runs simulation code at any instant.
 var goroutineAnalyzer = &Analyzer{
 	Name: "goroutine",
 	Doc: "forbid go statements and channel operations (send, receive, " +
