@@ -34,7 +34,7 @@ ALLOCS_SLACK   ?= 0.05
 # percent of pure noise in ns/op — more than the regression threshold.
 BENCH_FLAGS     = -run xxx -bench=. -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -p 1
 
-.PHONY: all build vet lint lint-self test race bench bench-json bench-check perfbench-check docs-check sweep gateway-smoke faults-smoke fabric-smoke ci clean
+.PHONY: all build vet fmt-check lint lint-self test race bench bench-json bench-check perfbench-check docs-check sweep gateway-smoke faults-smoke fabric-smoke ci clean
 
 all: ci
 
@@ -43,6 +43,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when gofmt would rewrite any tracked Go file. Files under testdata/
+# directories are exempt: iolint's fixtures keep their own layout.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # iolint enforces the determinism and cache-key invariants the sweep
 # cache and online/offline equality rest on. It is a whole-program
@@ -108,9 +114,11 @@ faults-smoke:
 
 # End-to-end distributed-sweep check on loopback: a coordinator, two
 # workers (one killed after the first accepted result so its leases
-# re-dispatch), a shared HTTP cache server, and a submission of every
-# figure at quick scale whose rendered output must be byte-identical to
-# the serial runner's.
+# re-dispatch), and a submission of every figure at quick scale whose
+# rendered output must be byte-identical to the serial runner's. It then
+# requires one cache write per computed point, and a restarted
+# coordinator over the same cache directory that serves a resubmission
+# entirely from the cache with no worker attached.
 fabric-smoke:
 	$(GO) run ./cmd/iofabric -smoke -q
 
@@ -149,7 +157,7 @@ perfbench-check:
 sweep:
 	$(GO) run ./cmd/iosweep -figs all -scale quick -j 0 -cache .iosweep-cache
 
-ci: vet build lint lint-self test race docs-check bench-check perfbench-check fabric-smoke
+ci: vet fmt-check build lint lint-self test race docs-check bench-check perfbench-check fabric-smoke
 
 clean:
 	rm -rf .iosweep-cache

@@ -1,24 +1,29 @@
 // Command iofabric runs the distributed sweep coordinator: it accepts
 // sweep manifests from iosweep -fabric, leases points to attached
 // ioworker processes, re-dispatches leases that expire (straggler
-// speculation — the first byte-identical result wins), journals accepted
-// results so a killed coordinator resumes where it stopped, and serves
-// the shared content-addressed result cache plus /metrics over HTTP.
+// speculation — the first byte-identical result wins), stores each
+// accepted result once in its content-addressed cache, from which a
+// restarted coordinator resumes, and serves that cache plus /metrics
+// over HTTP.
 //
 //	iofabric                                         # defaults: :7777 TCP, :7778 HTTP
-//	iofabric -listen 0.0.0.0:7777 -http 0.0.0.0:7778 -cache .iofabric-cache -journal fabric.jsonl
+//	iofabric -listen 0.0.0.0:7777 -http 0.0.0.0:7778 -cache .iofabric-cache
 //	iofabric -smoke                                  # self-contained distributed-vs-serial check
 //
-// The HTTP endpoint serves GET/PUT /cache/{key} (the shared cache the
-// workers and iosweep -cache-server speak), GET /metrics (Prometheus
-// text exposition: points pending/in-flight/done, re-dispatches,
-// per-worker liveness, cache hit ratio), and GET /healthz.
+// The HTTP endpoint serves GET/PUT /cache/{key} (the shared cache
+// iosweep -cache-server speaks), GET /metrics (Prometheus text
+// exposition: points pending/in-flight/done, re-dispatches, per-worker
+// liveness, cache hit ratio), and GET /healthz.
 //
 // -smoke runs the whole fabric against itself on loopback: a coordinator,
 // two in-process workers, one of which is killed after the first accepted
 // result so its leases re-dispatch, and a submission of every figure at
 // quick scale whose rendered output is compared byte-for-byte against the
-// serial runner. Exit status 0 means the fabric path is sound end to end.
+// serial runner. It then checks that the coordinator wrote one cache
+// entry per computed point, and that a second coordinator over the same
+// cache directory serves a resubmission entirely from the cache with no
+// worker attached. Exit status 0 means the fabric path is sound end to
+// end.
 package main
 
 import (
@@ -46,7 +51,6 @@ func run() int {
 	listen := flag.String("listen", "127.0.0.1:7777", "TCP address for the fabric protocol (workers and submissions)")
 	httpAddr := flag.String("http", "127.0.0.1:7778", "HTTP address for the shared cache, /metrics, and /healthz")
 	cacheDir := flag.String("cache", ".iofabric-cache", "content-addressed result cache directory")
-	journalPath := flag.String("journal", ".iofabric-journal.jsonl", "acceptance journal for crash resume (empty disables)")
 	lease := flag.Duration("lease", 60*time.Second, "lease timeout before a point is re-dispatched")
 	quiet := flag.Bool("q", false, "suppress per-lease logs")
 	smoke := flag.Bool("smoke", false, "run the self-contained distributed-vs-serial smoke check and exit")
@@ -69,7 +73,6 @@ func run() int {
 	}
 	co, err := fabric.NewCoordinator(fabric.Options{
 		Cache:        cache,
-		JournalPath:  *journalPath,
 		LeaseTimeout: *lease,
 		Logf:         logf,
 	})
@@ -93,8 +96,8 @@ func run() int {
 	}()
 	defer httpSrv.Close()
 
-	fmt.Fprintf(os.Stderr, "iofabric: coordinator on %s, cache server on http://%s (cache %s, journal %s)\n",
-		ln.Addr(), *httpAddr, *cacheDir, *journalPath)
+	fmt.Fprintf(os.Stderr, "iofabric: coordinator on %s, cache server on http://%s (cache %s)\n",
+		ln.Addr(), *httpAddr, *cacheDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -106,7 +109,10 @@ func run() int {
 // runSmoke is the end-to-end self-check behind `make fabric-smoke`: a
 // loopback coordinator, two workers, a deterministic kill of one worker
 // after the first accepted result, and a byte-for-byte comparison of
-// every figure's rendered output against the serial runner.
+// every figure's rendered output against the serial runner. Then the
+// two properties of the one result store: each computed point was
+// written to the cache exactly once, and a new coordinator over the same
+// cache directory answers a resubmission from the cache alone.
 func runSmoke(scaleName string, logf func(string, ...any)) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "iofabric: smoke FAIL: "+format+"\n", args...)
@@ -131,6 +137,32 @@ func runSmoke(scaleName string, logf func(string, ...any)) int {
 	serialResults, err := runner.Serial().Run(context.Background(), plan.Points)
 	if err != nil {
 		return fail("serial run: %v", err)
+	}
+	serialRenders := make([]string, len(plan.Entries))
+	for i, e := range plan.Entries {
+		r, err := e.Exp.Assemble(serialResults[e.Offset : e.Offset+len(e.Exp.Points)])
+		if err != nil {
+			return fail("assemble %s (serial): %v", e.ID, err)
+		}
+		serialRenders[i] = r.Render()
+	}
+	// matchesSerial compares every figure a submission assembles with
+	// its serial render.
+	matchesSerial := func(sub *fabric.SubmitResult) error {
+		results, err := fabric.DecodeResults(plan.Points, sub)
+		if err != nil {
+			return err
+		}
+		for i, e := range plan.Entries {
+			r, err := e.Exp.Assemble(results[e.Offset : e.Offset+len(e.Exp.Points)])
+			if err != nil {
+				return fmt.Errorf("assemble %s (fabric): %w", e.ID, err)
+			}
+			if r.Render() != serialRenders[i] {
+				return fmt.Errorf("figure %s: distributed render differs from serial", e.ID)
+			}
+		}
+		return nil
 	}
 
 	tmp, err := os.MkdirTemp("", "iofabric-smoke-*")
@@ -167,14 +199,6 @@ func runSmoke(scaleName string, logf func(string, ...any)) int {
 	}
 	co.Start(ln)
 	defer co.Close()
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail("%v", err)
-	}
-	httpSrv := &http.Server{Handler: co.Handler()}
-	go httpSrv.Serve(httpLn)
-	defer httpSrv.Close()
-	cacheURL := "http://" + httpLn.Addr().String()
 
 	workerCtx2, stopWorker2 := context.WithCancel(context.Background())
 	defer stopWorker2()
@@ -187,7 +211,6 @@ func runSmoke(scaleName string, logf func(string, ...any)) int {
 				Coordinator: co.Addr(),
 				ID:          fmt.Sprintf("w%d", i+1),
 				Executors:   2,
-				RemoteCache: fabric.NewRemoteCache(cacheURL),
 				Logf:        logf,
 				MaxBackoff:  200 * time.Millisecond,
 			})
@@ -203,22 +226,8 @@ func runSmoke(scaleName string, logf func(string, ...any)) int {
 	stopWorker2()
 	wg.Wait()
 
-	fabricResults, err := fabric.DecodeResults(plan.Points, sub)
-	if err != nil {
+	if err := matchesSerial(sub); err != nil {
 		return fail("%v", err)
-	}
-	for _, e := range plan.Entries {
-		serialR, err := e.Exp.Assemble(serialResults[e.Offset : e.Offset+len(e.Exp.Points)])
-		if err != nil {
-			return fail("assemble %s (serial): %v", e.ID, err)
-		}
-		fabricR, err := e.Exp.Assemble(fabricResults[e.Offset : e.Offset+len(e.Exp.Points)])
-		if err != nil {
-			return fail("assemble %s (fabric): %v", e.ID, err)
-		}
-		if fabricR.Render() != serialR.Render() {
-			return fail("figure %s: distributed render differs from serial", e.ID)
-		}
 	}
 	snap := co.Snapshot()
 	fmt.Fprintf(os.Stderr, "iofabric: smoke PASS: %d points byte-identical to serial (computed=%d redispatches=%d duplicates=%d mismatches=%d, %d workers seen)\n",
@@ -226,5 +235,45 @@ func runSmoke(scaleName string, logf func(string, ...any)) int {
 	if snap.Totals.Mismatches != 0 {
 		return fail("duplicate completions disagreed byte-for-byte")
 	}
+	if writes := cache.Stats().Writes; writes != sub.Stats.Computed {
+		return fail("cache written %d times for %d computed points, want once per point", writes, sub.Stats.Computed)
+	}
+
+	// Resume: a new coordinator over the same directory, no worker
+	// attached, must serve every point from the cache.
+	co.Close()
+	cache2, err := runner.OpenCache(tmp)
+	if err != nil {
+		return fail("%v", err)
+	}
+	co2, err := fabric.NewCoordinator(fabric.Options{Cache: cache2, Logf: logf})
+	if err != nil {
+		return fail("%v", err)
+	}
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return fail("%v", err)
+	}
+	co2.Start(ln2)
+	defer co2.Close()
+	resumeCtx, cancelResume := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancelResume()
+	resumed, err := fabric.Submit(resumeCtx, co2.Addr(), "iofabric-smoke-resume", manifest, logf)
+	if err != nil {
+		return fail("resubmit to a restarted coordinator: %v", err)
+	}
+	if resumed.Stats.CacheHits != len(plan.Points) || resumed.Stats.Computed != 0 {
+		return fail("resume stats %+v, want %d cache hits and 0 computed", resumed.Stats, len(plan.Points))
+	}
+	for i, c := range resumed.Cached {
+		if !c {
+			return fail("resumed point %s not served from the cache", plan.Points[i].Key)
+		}
+	}
+	if err := matchesSerial(resumed); err != nil {
+		return fail("resume: %v", err)
+	}
+	fmt.Fprintf(os.Stderr, "iofabric: smoke PASS: one cache write per computed point; a restarted coordinator served all %d points from the cache\n",
+		len(plan.Points))
 	return 0
 }

@@ -153,28 +153,25 @@ func run() int {
 
 	opts := runner.Options{Workers: *workers}
 	var cacheLabel string
-	var pointCache runner.PointCache
+	var local *runner.Cache
 	if *cacheDir != "" {
-		cache, err := runner.OpenCache(*cacheDir)
+		local, err = runner.OpenCache(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iosweep:", err)
 			return 1
 		}
-		pointCache = cache
+		opts.Cache = local
 		cacheLabel = *cacheDir
 	}
 	if *cacheServer != "" {
 		remote := fabric.NewRemoteCache(*cacheServer)
-		if pointCache != nil {
-			pointCache = fabric.NewTieredCache(pointCache, remote)
+		if local != nil {
+			opts.Cache = fabric.NewTieredCache(local, remote)
 			cacheLabel = *cacheDir + "+" + remote.URL()
 		} else {
-			pointCache = remote
+			opts.Cache = remote
 			cacheLabel = remote.URL()
 		}
-	}
-	if pointCache != nil {
-		opts.Cache = pointCache
 	}
 	r := runner.New(opts)
 
@@ -255,8 +252,8 @@ func run() int {
 
 	cached := runner.CachedCount(results)
 	if fabricStats != nil {
-		fmt.Fprintf(os.Stderr, "iosweep: fabric sweep of %d points (%d computed, %d journal, %d cache, %d redispatched) across %d figures in %v via %s\n",
-			fabricStats.Points, fabricStats.Computed, fabricStats.JournalHits, fabricStats.CacheHits,
+		fmt.Fprintf(os.Stderr, "iosweep: fabric sweep of %d points (%d computed, %d cache, %d redispatched) across %d figures in %v via %s\n",
+			fabricStats.Points, fabricStats.Computed, fabricStats.CacheHits,
 			fabricStats.Redispatches, len(plan.Entries), wall, *fabricAddr)
 	} else {
 		fmt.Fprintf(os.Stderr, "iosweep: %d points (%d computed, %d cached) across %d figures in %v with %d workers\n",

@@ -2,12 +2,12 @@
 // pulls leases over TCP, resolves each serialized point ref through the
 // same experiment registry the submitter enumerated (refusing to run on
 // any cache-key skew), executes it through the runner, and streams the
-// result back. Results are also written to the shared cache server (and
-// an optional local disk tier), so a point computed by one worker is a
-// cache hit for every other worker and for later local runs.
+// result back. The worker keeps no cache: the coordinator probes its own
+// before leasing a point and stores the result it accepts, where every
+// later sweep and iosweep -cache-server run finds it.
 //
 //	ioworker -coordinator 127.0.0.1:7777
-//	ioworker -coordinator coord:7777 -cache-server http://coord:7778 -cache .ioworker-cache -j 4
+//	ioworker -coordinator coord:7777 -j 4
 //
 // A worker survives coordinator restarts: connections are retried with
 // jittered exponential backoff, and a result computed while disconnected
@@ -24,7 +24,6 @@ import (
 	"os/signal"
 
 	"iobehind/internal/fabric"
-	"iobehind/internal/runner"
 )
 
 func main() {
@@ -35,8 +34,6 @@ func run() int {
 	coordinator := flag.String("coordinator", "127.0.0.1:7777", "fabric coordinator TCP address")
 	id := flag.String("id", "", "worker name in leases and logs (default: host PID tag)")
 	executors := flag.Int("j", 0, "concurrent point executors (default 1)")
-	cacheDir := flag.String("cache", "", "local disk cache tier (empty disables)")
-	cacheServer := flag.String("cache-server", "", "shared cache server URL (iofabric's HTTP endpoint)")
 	quiet := flag.Bool("q", false, "suppress per-point logs")
 	flag.Parse()
 
@@ -57,17 +54,6 @@ func run() int {
 		ID:          *id,
 		Executors:   *executors,
 		Logf:        logf,
-	}
-	if *cacheDir != "" {
-		cache, err := runner.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ioworker:", err)
-			return 1
-		}
-		opts.LocalCache = cache
-	}
-	if *cacheServer != "" {
-		opts.RemoteCache = fabric.NewRemoteCache(*cacheServer)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -241,7 +241,6 @@ type Agent struct {
 
 	// Totals for introspection and tests.
 	totalBytes     [2]int64
-	totalSlept     des.Duration
 	requestsDone   int
 	hiccups        int
 	retries        int
@@ -341,9 +340,6 @@ func (a *Agent) Close() {
 
 // TotalBytes returns the bytes executed for the class so far.
 func (a *Agent) TotalBytes(class pfs.Class) int64 { return a.totalBytes[class] }
-
-// TotalSlept returns the cumulative throttle sleep time.
-func (a *Agent) TotalSlept() des.Duration { return a.totalSlept }
 
 // RequestsDone returns the number of completed requests.
 func (a *Agent) RequestsDone() int { return a.requestsDone }
@@ -514,7 +510,6 @@ func (a *Agent) execute(p *des.Proc, req *Request) {
 				d := des.DurationOf(sleep)
 				p.Sleep(d)
 				req.Stats.SleptFor += d
-				a.totalSlept += d
 			}
 		} else {
 			// Case B: slower than required; bank the difference.

@@ -228,49 +228,6 @@ func TestCompletionDoubleCompletePanics(t *testing.T) {
 	}
 }
 
-func TestSemaphoreFIFO(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSemaphore(e, 1)
-	var order []string
-	hold := func(name string, work Duration) {
-		e.Spawn(name, func(p *Proc) {
-			s.Acquire(p)
-			order = append(order, name+"+")
-			p.Sleep(work)
-			order = append(order, name+"-")
-			s.Release()
-		})
-	}
-	hold("a", Second)
-	hold("b", Second)
-	hold("c", Second)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "a+,a-,b+,b-,c+,c-"
-	if got := strings.Join(order, ","); got != want {
-		t.Fatalf("order = %q, want %q", got, want)
-	}
-	if s.Available() != 1 {
-		t.Fatalf("tokens = %d, want 1", s.Available())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSemaphore(e, 1)
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire on free semaphore failed")
-	}
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire on empty semaphore succeeded")
-	}
-	s.Release()
-	if s.Available() != 1 {
-		t.Fatalf("tokens = %d, want 1", s.Available())
-	}
-}
-
 func TestMailboxOrdersAndBlocks(t *testing.T) {
 	e := NewEngine(1)
 	m := NewMailbox[int](e)

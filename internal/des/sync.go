@@ -58,54 +58,6 @@ func (c *Completion) Wait(p *Proc) {
 	p.block(tok)
 }
 
-// Semaphore is a counting semaphore in virtual time with FIFO wakeup order.
-type Semaphore struct {
-	e       *Engine
-	tokens  int
-	waiters []waiter
-}
-
-// NewSemaphore returns a semaphore holding n tokens.
-func NewSemaphore(e *Engine, n int) *Semaphore {
-	return &Semaphore{e: e, tokens: n}
-}
-
-// Acquire takes one token, blocking the process until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.tokens > 0 && len(s.waiters) == 0 {
-		s.tokens--
-		return
-	}
-	tok := p.nextToken()
-	s.waiters = append(s.waiters, waiter{p: p, tok: tok})
-	p.block(tok)
-}
-
-// TryAcquire takes a token without blocking; it reports whether it did.
-func (s *Semaphore) TryAcquire() bool {
-	if s.tokens > 0 && len(s.waiters) == 0 {
-		s.tokens--
-		return true
-	}
-	return false
-}
-
-// Release returns one token, waking the longest-waiting process if any.
-// A released token handed to a waiter is consumed immediately.
-func (s *Semaphore) Release() {
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		copy(s.waiters, s.waiters[1:])
-		s.waiters = s.waiters[:len(s.waiters)-1]
-		s.e.wakeAt(w.p, s.e.now, PrioNormal, w.tok)
-		return
-	}
-	s.tokens++
-}
-
-// Available returns the number of free tokens.
-func (s *Semaphore) Available() int { return s.tokens }
-
 // Mailbox is an unbounded FIFO queue with blocking receive, used for
 // client/server schemes such as the per-rank I/O agent. Its buffer is
 // reused: a mailbox that drains and refills allocates nothing in the

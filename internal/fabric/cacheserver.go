@@ -12,8 +12,8 @@ import (
 )
 
 // CacheHandler serves a runner.Cache over HTTP in the existing SHA-256
-// content-addressed scheme, so local runs, remote workers, and resumed
-// sweeps all share hits:
+// content-addressed scheme, so iosweep -cache-server runs and fabric
+// sweeps share hits:
 //
 //	GET /cache/{key}   entry bytes (404 when absent)
 //	PUT /cache/{key}   store entry bytes (204)
@@ -68,7 +68,7 @@ func CacheHandler(c *runner.Cache) http.Handler {
 
 // RemoteCache is a runner.PointCache speaking to a fabric cache server.
 // Every failure — connection refused, timeout, 5xx — degrades to a miss:
-// a worker with a flaky cache server recomputes, it never blocks or
+// a run with a flaky cache server recomputes, it never blocks or
 // corrupts. Safe for concurrent use.
 type RemoteCache struct {
 	base   string // server URL without trailing slash
@@ -183,90 +183,54 @@ func (rc *RemoteCache) count(f func(*runner.CacheStats)) {
 	rc.mu.Unlock()
 }
 
-// bytesCache is the raw-entry surface TieredCache moves bytes across
-// without a decode/re-encode round trip. Both *runner.Cache and
-// *RemoteCache satisfy it.
-type bytesCache interface {
-	GetBytes(key string) ([]byte, bool)
-	PutBytes(key string, data []byte) bool
-}
-
-// TieredCache layers a local cache under a remote one: probe local
-// first, then remote (filling local on a remote hit so the next probe
-// stays on disk), and write through to both. This is the worker's cache:
-// a point computed anywhere in the fabric is a local-latency hit
-// everywhere else after first touch.
+// TieredCache layers a local disk cache under a cache server — iosweep's
+// -cache with -cache-server: probe local first, then remote (filling
+// local byte-for-byte on a remote hit so the next probe stays on disk),
+// and write through to both.
 type TieredCache struct {
-	local  runner.PointCache
-	remote runner.PointCache
+	local  *runner.Cache
+	remote *RemoteCache
 }
 
 var _ runner.PointCache = (*TieredCache)(nil)
 
-// NewTieredCache layers local under remote. Either may be nil, in which
-// case the tier degenerates to the other cache alone.
-func NewTieredCache(local, remote runner.PointCache) *TieredCache {
+// NewTieredCache layers local under remote.
+func NewTieredCache(local *runner.Cache, remote *RemoteCache) *TieredCache {
 	return &TieredCache{local: local, remote: remote}
 }
 
-// Get probes local, then remote. A remote hit is copied into the local
-// tier — byte-for-byte when both tiers speak bytesCache, re-encoded
-// otherwise.
+// Get probes local, then remote, copying a remote hit into the local
+// tier byte-for-byte.
 func (t *TieredCache) Get(key string, alloc func() any) (any, bool) {
-	if t.local != nil {
-		if v, ok := t.local.Get(key, alloc); ok {
-			return v, true
-		}
-	}
-	if t.remote == nil {
-		return nil, false
-	}
-	lb, lok := t.local.(bytesCache)
-	if rb, rok := t.remote.(bytesCache); rok && lok {
-		data, ok := rb.GetBytes(key)
-		if !ok {
-			return nil, false
-		}
-		v, err := runner.DecodeEntry(data, alloc)
-		if err != nil {
-			return nil, false
-		}
-		lb.PutBytes(key, data)
+	if v, ok := t.local.Get(key, alloc); ok {
 		return v, true
 	}
-	v, ok := t.remote.Get(key, alloc)
+	data, ok := t.remote.GetBytes(key)
 	if !ok {
 		return nil, false
 	}
-	if t.local != nil {
-		t.local.Put(key, v)
+	v, err := runner.DecodeEntry(data, alloc)
+	if err != nil {
+		return nil, false
 	}
+	t.local.PutBytes(key, data)
 	return v, true
 }
 
 // Put writes through to both tiers.
 func (t *TieredCache) Put(key string, v any) {
-	if t.local != nil {
-		t.local.Put(key, v)
-	}
-	if t.remote != nil {
-		t.remote.Put(key, v)
-	}
+	t.local.Put(key, v)
+	t.remote.Put(key, v)
 }
 
 // Stats sums both tiers' counters. Hits count wherever they landed;
 // writes count once per tier written, mirroring the real I/O performed.
 func (t *TieredCache) Stats() runner.CacheStats {
-	var sum runner.CacheStats
-	for _, c := range []runner.PointCache{t.local, t.remote} {
-		if c == nil {
-			continue
-		}
-		st := c.Stats()
-		sum.Hits += st.Hits
-		sum.Misses += st.Misses
-		sum.Writes += st.Writes
-		sum.Errors += st.Errors
+	l, r := t.local.Stats(), t.remote.Stats()
+	return runner.CacheStats{
+		Hits:   l.Hits + r.Hits,
+		Misses: l.Misses + r.Misses,
+		Writes: l.Writes + r.Writes,
+		Errors: l.Errors + r.Errors,
 	}
-	return sum
 }

@@ -41,8 +41,8 @@ type SubmitResult struct {
 	Bytes [][]byte
 	// Errs holds per-point failure messages ("" for success).
 	Errs []string
-	// Cached marks points served from the coordinator's journal or cache
-	// without a worker computation this sweep.
+	// Cached marks points served from the coordinator's cache without a
+	// worker computation this sweep.
 	Cached []bool
 	// Stats is the coordinator's final accounting for the sweep.
 	Stats SweepStats
@@ -85,8 +85,8 @@ func Submit(ctx context.Context, addr, id string, manifest []ManifestPoint, logf
 		return nil, fmt.Errorf("fabric: submission rejected: %s", acc.Err)
 	}
 	if acc.Stats != nil {
-		logf("fabric: submitted %d points (%d from journal, %d from cache)",
-			acc.Stats.Points, acc.Stats.JournalHits, acc.Stats.CacheHits)
+		logf("fabric: submitted %d points (%d from cache)",
+			acc.Stats.Points, acc.Stats.CacheHits)
 	}
 
 	out := &SubmitResult{

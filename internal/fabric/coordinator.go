@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net"
 	"net/http"
@@ -15,13 +17,11 @@ import (
 // Options configures a Coordinator.
 type Options struct {
 	// Cache stores accepted results content-addressed by cache key. It
-	// is required: the cache is the fabric's result store (the journal
-	// only records which entries were verified) and doubles as the
-	// backing store of the HTTP cache server in Handler.
+	// is required: the cache is the fabric's only result store — a
+	// coordinator restarted over the same directory resumes from it —
+	// and doubles as the backing store of the HTTP cache server in
+	// Handler.
 	Cache *runner.Cache
-	// JournalPath is the append-only acceptance journal. Empty disables
-	// crash resume (acceptance is then tracked in memory only).
-	JournalPath string
 	// LeaseTimeout is how long a worker may hold a point before the
 	// lease expires and the point is re-dispatched to another worker
 	// (straggler speculation). Default 60s.
@@ -82,12 +82,11 @@ type sweepState struct {
 
 // Coordinator hands manifest points to pull-based workers, re-dispatches
 // expired leases, accepts the first completion of each point (verifying
-// that any duplicate is byte-identical), journals acceptances for crash
-// resume, and streams results back to the submitting client.
+// that any duplicate is byte-identical), stores it in the cache, and
+// streams results back to the submitting client.
 type Coordinator struct {
 	opts  Options
 	cache *runner.Cache
-	jr    *journal
 	logf  func(string, ...any)
 
 	mu      sync.Mutex
@@ -103,7 +102,7 @@ type Coordinator struct {
 	wg   sync.WaitGroup
 }
 
-// NewCoordinator builds a coordinator and loads its journal.
+// NewCoordinator builds a coordinator over opts.Cache.
 func NewCoordinator(opts Options) (*Coordinator, error) {
 	if opts.Cache == nil {
 		return nil, fmt.Errorf("fabric: coordinator requires a cache")
@@ -118,14 +117,9 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	jr, err := openJournal(opts.JournalPath)
-	if err != nil {
-		return nil, err
-	}
 	return &Coordinator{
 		opts:    opts,
 		cache:   opts.Cache,
-		jr:      jr,
 		logf:    logf,
 		leases:  make(map[uint64]*lease),
 		workers: make(map[string]*workerInfo),
@@ -150,8 +144,8 @@ func (c *Coordinator) Addr() string {
 }
 
 // Close stops serving. In-flight worker computations are abandoned to
-// their own fate — acceptance state is already on disk (cache+journal),
-// which is exactly what resume-from-journal relies on.
+// their own fate — every accepted result is already in the cache, which
+// is exactly what a restarted coordinator resumes from.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -165,9 +159,6 @@ func (c *Coordinator) Close() {
 		c.ln.Close()
 	}
 	c.wg.Wait()
-	if err := c.jr.close(); err != nil {
-		c.logf("fabric: %v", err)
-	}
 }
 
 func (c *Coordinator) acceptLoop() {
@@ -422,17 +413,15 @@ func (c *Coordinator) recordResult(worker string, m Msg, held *[]uint64) (*sweep
 	return sw, idx, true
 }
 
-// deliverResult stores a first completion (cache and journal) and
-// streams it to the submitting client.
+// deliverResult stores a first completion in the cache and streams it
+// to the submitting client.
 func (c *Coordinator) deliverResult(sw *sweepState, worker string, idx int, m Msg) {
 	key := sw.points[idx].Ref.Key
 	if m.Err == "" {
-		// Content-addressed write (atomic temp+rename): idempotent under
-		// duplicate completions, and the store resume reads from.
+		// The point's one cache write (atomic temp+rename): duplicates
+		// never reach here, and a resubmission resumes from it. Error
+		// completions are not stored, so a resume retries them.
 		c.cache.PutBytes(m.CacheKey, m.Bytes)
-		if err := c.jr.append(m.CacheKey, key, m.Bytes); err != nil {
-			c.logf("fabric: journal: %v", err)
-		}
 		c.logf("fabric: lease seq=%d point=%s worker=%s event=accept bytes=%d", m.Seq, key, worker, len(m.Bytes))
 	} else {
 		c.logf("fabric: lease seq=%d point=%s worker=%s event=accept-error err=%q", m.Seq, key, worker, m.Err)
@@ -459,15 +448,15 @@ func (c *Coordinator) deliverLocked(sw *sweepState, m Msg) {
 	c.mu.Lock()
 	stats := sw.stats
 	c.mu.Unlock()
-	c.logf("fabric: sweep done points=%d computed=%d journal=%d cache=%d redispatch=%d dup=%d err=%d",
-		stats.Points, stats.Computed, stats.JournalHits, stats.CacheHits,
+	c.logf("fabric: sweep done points=%d computed=%d cache=%d redispatch=%d dup=%d err=%d",
+		stats.Points, stats.Computed, stats.CacheHits,
 		stats.Redispatches, stats.Duplicates, stats.Errors)
 	c.writeClientLocked(sw, Msg{Kind: KindSweepDone, Stats: &stats})
 }
 
 // writeClientLocked pushes one message to the submitting client, if
 // still connected. A failed write drops the client; the sweep itself
-// proceeds (results are durable in cache+journal, a resubmission resumes
+// proceeds (results are durable in the cache, a resubmission resumes
 // them). Callers hold sw.clientMu.
 func (c *Coordinator) writeClientLocked(sw *sweepState, m Msg) {
 	if sw.client == nil {
@@ -515,8 +504,8 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 	}
 	sw.stats.Points = len(m.Points)
 	// Hold the client stream from before the sweep is published until
-	// the acceptance and the journal and cache hits are written, so no
-	// worker result can overtake them.
+	// the acceptance and the cache hits are written, so no worker result
+	// can overtake them.
 	sw.clientMu.Lock()
 	c.mu.Lock()
 	if c.sweep != nil && c.sweep.done < len(c.sweep.points) {
@@ -532,22 +521,10 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 	var ready []instant
 	for i, mp := range m.Points {
 		sw.byKey[mp.CacheKey] = i
-		// Resume and shared-cache probe: a journal entry whose cache
-		// bytes still match is an accepted result from a previous
-		// incarnation; bare cache bytes (written by a worker PUT or a
-		// local cached run) are trusted the same way the local runner
-		// trusts its cache.
-		if sha, ok := c.jr.lookup(mp.CacheKey); ok {
-			if data, ok := c.cache.GetBytes(mp.CacheKey); ok && entrySHA(data) == sha {
-				sw.state[i] = stateDone
-				sw.shas[i] = sha
-				sw.done++
-				sw.stats.JournalHits++
-				c.totals.JournalHits++
-				ready = append(ready, instant{idx: i, bytes: data})
-				continue
-			}
-		}
+		// Resume probe: an entry accepted by this or an earlier
+		// coordinator over the same cache directory, or written by a
+		// local cached run or an iosweep -cache-server upload, is
+		// trusted the same way the local runner trusts its cache.
 		if data, ok := c.cache.GetBytes(mp.CacheKey); ok {
 			sw.state[i] = stateDone
 			sw.shas[i] = entrySHA(data)
@@ -564,8 +541,8 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 	pending := len(sw.queue)
 	c.mu.Unlock()
 
-	c.logf("fabric: client=%s event=submit points=%d journal=%d cache=%d pending=%d",
-		id, stats.Points, stats.JournalHits, stats.CacheHits, pending)
+	c.logf("fabric: client=%s event=submit points=%d cache=%d pending=%d",
+		id, stats.Points, stats.CacheHits, pending)
 	c.writeClientLocked(sw, Msg{Kind: KindAccepted, Stats: &stats})
 	for _, r := range ready {
 		c.deliverLocked(sw, Msg{Kind: KindResult, Index: r.idx, Bytes: r.bytes, Cached: true})
@@ -660,7 +637,6 @@ func (c *Coordinator) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("iofabric_points_inflight", "Points currently leased to workers.", snap.Inflight)
 	gauge("iofabric_points_done", "Points of the current sweep completed.", snap.Done)
 	counter("iofabric_results_computed_total", "Results computed by workers.", snap.Totals.Computed)
-	counter("iofabric_journal_hits_total", "Points resumed from the acceptance journal.", snap.Totals.JournalHits)
 	counter("iofabric_cache_hits_total", "Points served from the shared cache at submit.", snap.Totals.CacheHits)
 	counter("iofabric_redispatches_total", "Leases expired or dropped and re-queued.", snap.Totals.Redispatches)
 	counter("iofabric_duplicate_results_total", "Straggler completions after another worker's.", snap.Totals.Duplicates)
@@ -693,4 +669,10 @@ func (c *Coordinator) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "iofabric_worker_completed_total{worker=%q} %d\n", id, snap.Workers[id].Completed)
 	}
 	w.Write([]byte(b.String()))
+}
+
+// entrySHA hashes entry bytes for the duplicate-completion check.
+func entrySHA(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }

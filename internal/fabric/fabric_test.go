@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -250,21 +249,19 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 	}
 }
 
-// TestCoordinatorResumesFromJournal kills a coordinator after one of two
-// points completed and asserts a new incarnation (same journal, same
-// cache dir) serves the finished point from the journal and only the
+// TestCoordinatorResumesFromCache kills a coordinator after one of two
+// points completed and asserts a new incarnation over the same cache
+// directory serves the finished point from the cache and only the
 // unfinished one is recomputed.
-func TestCoordinatorResumesFromJournal(t *testing.T) {
-	dir := t.TempDir()
-	journalPath := filepath.Join(dir, "journal.jsonl")
-	cacheDir := filepath.Join(dir, "cache")
+func TestCoordinatorResumesFromCache(t *testing.T) {
+	cacheDir := t.TempDir()
 	manifest := syntheticManifest(2)
 
 	cache1, err := runner.OpenCache(cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co1, err := NewCoordinator(Options{Cache: cache1, JournalPath: journalPath, IdleRetry: 5 * time.Millisecond, Logf: t.Logf})
+	co1, err := NewCoordinator(Options{Cache: cache1, IdleRetry: 5 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +280,15 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	if out := <-ch; out.err == nil {
 		t.Fatal("submit survived a coordinator kill")
 	}
+	if w := cache1.Stats().Writes; w != 1 {
+		t.Fatalf("first coordinator wrote %d cache entries for 1 accepted point", w)
+	}
 
 	cache2, err := runner.OpenCache(cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co2, err := NewCoordinator(Options{Cache: cache2, JournalPath: journalPath, IdleRetry: 5 * time.Millisecond, Logf: t.Logf})
+	co2, err := NewCoordinator(Options{Cache: cache2, IdleRetry: 5 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	w2 := dialWorker(t, co2.Addr(), "w2")
 	lease2 := w2.lease()
 	if lease2.Index == doneIndex {
-		t.Fatalf("resumed coordinator re-leased the journaled point %d", doneIndex)
+		t.Fatalf("resumed coordinator re-leased the finished point %d", doneIndex)
 	}
 	w2.finish(lease2, []byte("second-half"))
 
@@ -311,14 +311,22 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	if out.res.Stats.JournalHits != 1 || out.res.Stats.Computed != 1 {
-		t.Fatalf("resume stats %+v, want 1 journal hit + 1 computed", out.res.Stats)
+	if out.res.Stats.CacheHits != 1 || out.res.Stats.Computed != 1 {
+		t.Fatalf("resume stats %+v, want 1 cache hit + 1 computed", out.res.Stats)
 	}
 	if string(out.res.Bytes[doneIndex]) != "first-half" {
-		t.Fatalf("journaled point served %q", out.res.Bytes[doneIndex])
+		t.Fatalf("finished point served %q", out.res.Bytes[doneIndex])
 	}
 	if !out.res.Cached[doneIndex] {
-		t.Fatal("journaled point not marked cached")
+		t.Fatal("finished point not marked cached")
+	}
+	// The sweep is over and the finished point was never queued, so
+	// there is nothing left to lease.
+	if err := WriteMsg(w2.conn, Msg{Kind: KindGet}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := ReadMsg(w2.conn); err != nil || m.Kind != KindIdle {
+		t.Fatalf("after the resumed sweep: %v %s, want %s", err, m.Kind, KindIdle)
 	}
 }
 

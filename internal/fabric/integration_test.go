@@ -16,9 +16,9 @@ import (
 // built-in figure swept through a coordinator and two real workers — one
 // of which is killed mid-sweep so its leases re-dispatch — renders
 // byte-identically to the historical serial run. It also proves the
-// cache sharing is real: a point computed by one worker is a remote
-// cache hit for the other and for a subsequent local run pointed at the
-// same cache server, asserted through CacheStats.
+// cache sharing is real: every accepted point is in the coordinator's
+// cache, served over HTTP, so a subsequent local run pointed at the same
+// cache server recomputes nothing, asserted through CacheStats.
 func TestDistributedMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed integration test")
@@ -43,8 +43,8 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fabric: coordinator with journal + shared cache, served over HTTP
-	// for the workers' remote tier.
+	// Fabric: coordinator with its cache, served over HTTP for the
+	// cache-sharing checks below.
 	sharedCache, err := runner.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -81,22 +81,12 @@ func TestDistributedMatchesSerial(t *testing.T) {
 
 	workerCtx2, stopWorker2 := context.WithCancel(context.Background())
 	defer stopWorker2()
-	local1, err := runner.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	local2, err := runner.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote2 := NewRemoteCache(srv.URL)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		RunWorker(workerCtx1, WorkerOptions{
 			Coordinator: co.Addr(), ID: "w1", Executors: 2,
-			LocalCache: local1, RemoteCache: NewRemoteCache(srv.URL),
 			Logf: t.Logf, MaxBackoff: 100 * time.Millisecond,
 		})
 	}()
@@ -104,7 +94,6 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		defer wg.Done()
 		RunWorker(workerCtx2, WorkerOptions{
 			Coordinator: co.Addr(), ID: "w2", Executors: 2,
-			LocalCache: local2, RemoteCache: remote2,
 			Logf: t.Logf, MaxBackoff: 100 * time.Millisecond,
 		})
 	}()
@@ -143,12 +132,13 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	if got, want := fabricRender.Render(), serialRender.Render(); got != want {
 		t.Fatalf("distributed render differs from serial:\n--- distributed ---\n%s\n--- serial ---\n%s", got, want)
 	}
-	if sub.Stats.Computed+sub.Stats.JournalHits+sub.Stats.CacheHits != len(plan.Points) {
+	if sub.Stats.Computed+sub.Stats.CacheHits != len(plan.Points) {
 		t.Fatalf("stats %+v do not account for all %d points", sub.Stats, len(plan.Points))
 	}
 
-	// Cache sharing, part 1: every point a worker computed was PUT to
-	// the shared server, so a fresh remote client hits all of them.
+	// Cache sharing, part 1: the coordinator stored every point it
+	// accepted (the workers upload nothing), so a fresh remote client of
+	// its cache server hits all of them.
 	probe := NewRemoteCache(srv.URL)
 	for _, mp := range manifest {
 		if _, ok := probe.GetBytes(mp.CacheKey); !ok {

@@ -1,16 +1,16 @@
 // Package fabric turns the single-process sweep runner into a small job
 // fabric: a coordinator that leases manifest points to pull-based
-// workers over TCP, re-dispatches expired leases, journals accepted
-// results for crash resume, and shares completed results through the
-// runner's content-addressed cache served over HTTP.
+// workers over TCP, re-dispatches expired leases, and keeps every
+// accepted result in the runner's content-addressed cache — the one
+// result store, which a restarted coordinator resumes from and which
+// it serves over HTTP.
 //
 // The design leans entirely on one property, enforced by iolint's
 // cachekey/walltime rules: every sweep point is a pure function of its
 // configuration. That is what makes remote execution sound (a worker's
 // result is the submitter's result), duplicate completions benign (the
-// bytes are identical, the content-addressed write is idempotent, first
-// one wins), and cache sharing safe (a hit is indistinguishable from a
-// run).
+// bytes are identical, the first one wins and is the one stored), and
+// cache sharing safe (a hit is indistinguishable from a run).
 //
 // Unlike the simulation packages, fabric legitimately reads the wall
 // clock: lease deadlines, reconnect backoff, and worker liveness are
@@ -54,7 +54,7 @@ const (
 	// KindSubmit (client → coordinator) carries a sweep manifest.
 	KindSubmit
 	// KindAccepted (coordinator → client) acknowledges a submission;
-	// Stats holds the initial journal/cache-hit split.
+	// Stats holds the initial cache-hit count.
 	KindAccepted
 	// KindGet (worker → coordinator) requests one lease.
 	KindGet
@@ -121,8 +121,7 @@ type ManifestPoint struct {
 type SweepStats struct {
 	Points       int // manifest size
 	Computed     int // results produced by workers this sweep
-	JournalHits  int // points resumed from the acceptance journal
-	CacheHits    int // points served from the shared cache without a journal entry
+	CacheHits    int // points served from the cache at submit
 	Redispatches int // leases that expired and were re-queued
 	Duplicates   int // completions that arrived after another worker's
 	Mismatches   int // duplicate completions whose bytes differed (determinism violation)
@@ -145,7 +144,7 @@ type Msg struct {
 	Points   []ManifestPoint // submit: the manifest
 	Bytes    []byte          // result: content-addressed entry bytes
 	Err      string          // result: point error; accepted: rejection reason
-	Cached   bool            // result (to client): served from journal/cache
+	Cached   bool            // result (to client): served from the cache
 	Dup      bool            // ack: duplicate completion
 	RetryMS  int             // idle: backoff hint
 	Stats    *SweepStats     // accepted/sweepdone

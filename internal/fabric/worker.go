@@ -21,12 +21,6 @@ type WorkerOptions struct {
 	// Executors is the number of concurrent point executors, each with
 	// its own coordinator connection. Values < 1 default to 1.
 	Executors int
-	// LocalCache, when non-nil, is the worker's disk tier: probed before
-	// the remote cache, filled byte-for-byte on remote hits and fresh
-	// computations.
-	LocalCache *runner.Cache
-	// RemoteCache, when non-nil, is the shared cache server tier.
-	RemoteCache *RemoteCache
 	// Logf receives progress lines. Nil discards them.
 	Logf func(format string, args ...any)
 	// DialTimeout bounds one connection attempt. Default 5s.
@@ -236,28 +230,10 @@ func (e *executor) execute(ctx context.Context, lease Msg) (Msg, bool) {
 		return res, true
 	}
 
-	// Cache tiers: local disk first, then the shared server, moving raw
-	// bytes so the content address is preserved exactly.
-	if e.opts.LocalCache != nil {
-		if data, ok := e.opts.LocalCache.GetBytes(ckey); ok {
-			res.Bytes, res.Cached = data, true
-			return res, true
-		}
-	}
-	if e.opts.RemoteCache != nil {
-		if data, ok := e.opts.RemoteCache.GetBytes(ckey); ok {
-			if e.opts.LocalCache != nil {
-				e.opts.LocalCache.PutBytes(ckey, data)
-			}
-			res.Bytes, res.Cached = data, true
-			return res, true
-		}
-	}
-
 	// Run through a single-worker runner for its panic isolation; no
-	// cache attached because the byte-level tiers above already cover
-	// it and keep the encoding canonical. Run's error is non-nil only
-	// when ctx was cancelled.
+	// cache attached because the coordinator probed its own before
+	// leasing the point and stores the result it accepts. Run's error
+	// is non-nil only when ctx was cancelled.
 	start := time.Now()
 	results, err := runner.New(runner.Options{Workers: 1}).Run(ctx, []runner.Point{p})
 	if err != nil {
@@ -275,12 +251,6 @@ func (e *executor) execute(ctx context.Context, lease Msg) (Msg, bool) {
 	}
 	res.Bytes = data
 	e.logf("fabric: worker=%s point=%s computed in %s (%d bytes)", e.name, p.Key, time.Since(start).Round(time.Millisecond), len(data))
-	if e.opts.LocalCache != nil {
-		e.opts.LocalCache.PutBytes(ckey, data)
-	}
-	if e.opts.RemoteCache != nil {
-		e.opts.RemoteCache.PutBytes(ckey, data)
-	}
 	return res, true
 }
 

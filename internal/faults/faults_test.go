@@ -137,14 +137,14 @@ func TestOverlapsSemantics(t *testing.T) {
 		from, to des.Time
 		want     bool
 	}{
-		{pfs.Write, 0, sec(1), false},           // half-open: to == Start misses
-		{pfs.Write, sec(1), sec(1.5), true},     // inside
-		{pfs.Write, sec(2), sec(3), false},      // from == End misses
-		{pfs.Write, sec(1.9), sec(4.9), true},   // spans the tail
-		{pfs.Read, sec(1), sec(2), false},       // degrade is class-scoped
-		{pfs.Read, sec(5), sec(5.5), true},      // straggler hits every class
-		{pfs.Write, sec(5.5), sec(7), true},     // straggler, write side
-		{pfs.Write, sec(6), sec(7), false},      // after everything
+		{pfs.Write, 0, sec(1), false},         // half-open: to == Start misses
+		{pfs.Write, sec(1), sec(1.5), true},   // inside
+		{pfs.Write, sec(2), sec(3), false},    // from == End misses
+		{pfs.Write, sec(1.9), sec(4.9), true}, // spans the tail
+		{pfs.Read, sec(1), sec(2), false},     // degrade is class-scoped
+		{pfs.Read, sec(5), sec(5.5), true},    // straggler hits every class
+		{pfs.Write, sec(5.5), sec(7), true},   // straggler, write side
+		{pfs.Write, sec(6), sec(7), false},    // after everything
 	}
 	for _, tc := range cases {
 		if got := inj.Overlaps(tc.class, tc.from, tc.to); got != tc.want {

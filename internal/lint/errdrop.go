@@ -13,10 +13,10 @@ import (
 //     zero value exactly when they return an error; a caller that drops
 //     the error happily processes that zero value as data;
 //   - Close/Flush on files and buffered writers inside internal/fabric
-//     and internal/runner (the journal and cache write paths): an
-//     acceptance journaled but not durably written, or a cache entry
-//     whose final flush failed silently, breaks kill/restart resume and
-//     can poison the shared content-addressed cache.
+//     and internal/runner (the cache write path): a cache entry whose
+//     final flush failed silently breaks kill/restart resume, which
+//     reads accepted results back from the cache, and can poison the
+//     shared content-addressed cache.
 //
 // Unlike the taint rules this applies module-wide, including the exempt
 // packages — the decoders' most important call sites are the gateway and
@@ -27,7 +27,7 @@ var errdropAnalyzer = &Analyzer{
 	Doc: "forbid discarding the error from the fuzz-tested decoders " +
 		"(tmio.DecodeStreamRecord, tmio.DecodeFrame, trace.DecodeRecord, fabric.DecodeMsg) and " +
 		"from Close/Flush on files and buffered writers in the fabric/runner " +
-		"journal and cache write paths",
+		"cache write path",
 	Run: func(prog *Program, p *Package) []Diagnostic {
 		var diags []Diagnostic
 		report := func(pos ast.Node, msg string) {
@@ -48,7 +48,7 @@ var errdropAnalyzer = &Analyzer{
 				return
 			}
 			if closeFlushTarget(p, fn) {
-				report(call, "discarded error from "+dispName(fn)+" in the journal/cache "+
+				report(call, "discarded error from "+dispName(fn)+" in the cache "+
 					"write path; an unchecked "+fn.Name()+" breaks the kill/restart resume guarantee")
 			}
 		}
@@ -82,7 +82,7 @@ var errdropAnalyzer = &Analyzer{
 						report(call, "error from "+name+" assigned to _; the decode contract is "+
 							"zero-value-on-error — a dropped error turns a torn frame into data")
 					} else if closeFlushTarget(p, fn) {
-						report(call, "error from "+dispName(fn)+" assigned to _ in the journal/cache "+
+						report(call, "error from "+dispName(fn)+" assigned to _ in the cache "+
 							"write path; an unchecked "+fn.Name()+" breaks the kill/restart resume guarantee")
 					}
 				}
@@ -132,7 +132,7 @@ func decoderName(fn *types.Func) (string, bool) {
 
 // closeFlushTarget reports whether fn is an error-returning Close or
 // Flush on an *os.File or *bufio.Writer called from inside the fabric or
-// runner packages — the journal and cache write paths.
+// runner packages — the cache write path.
 func closeFlushTarget(p *Package, fn *types.Func) bool {
 	if !pathIs(p.Path, "internal/fabric") && !pathIs(p.Path, "internal/runner") {
 		return false

@@ -96,12 +96,6 @@ type InterferenceModel struct {
 	Exponent float64
 }
 
-// DefaultInterference returns the calibrated model used by the paper-shape
-// experiments.
-func DefaultInterference() InterferenceModel {
-	return InterferenceModel{Kappa: 0.4, RefRate: 2e9, Exponent: 2}
-}
-
 // Penalty returns the compute-time penalty in seconds for a transfer of
 // duration seconds at node-aggregate rate nodeRate (bytes/s).
 func (m InterferenceModel) Penalty(duration, nodeRate float64) float64 {

@@ -141,20 +141,15 @@ func (p *PFS) Transfer(proc *des.Proc, class Class, bytes int64, weight, cap flo
 	return f.Started(), f.Finished()
 }
 
-// SetFaultFactor scales the effective capacity of the class's channel by
-// factor in [0,1] (1 restores full capacity; 0 is an outage, landing on
-// the channel's 1 B/s floor so flows stall but never deadlock). The
-// factor composes multiplicatively with the noise model: effective
-// capacity = base × noise × fault. The fault-injection subsystem
-// (internal/faults) drives this on window boundaries.
-func (p *PFS) SetFaultFactor(class Class, factor float64) {
-	p.chans[class].setFaultFactor(factor)
-}
-
-// SetFaultFactors installs both classes' fault factors at once. With
-// SharedChannels the two classes share one channel and the stricter
-// (smaller) factor applies — an outage on either direction stalls the
-// combined traffic.
+// SetFaultFactors scales the effective capacity of each class's channel
+// by a factor in [0,1] (1 restores full capacity; 0 is an outage,
+// landing on the channel's 1 B/s floor so flows stall but never
+// deadlock). A factor composes multiplicatively with the noise model:
+// effective capacity = base × noise × fault. With SharedChannels the two
+// classes share one channel and the stricter (smaller) factor applies —
+// an outage on either direction stalls the combined traffic. The
+// fault-injection subsystem (internal/faults) drives this on window
+// boundaries.
 func (p *PFS) SetFaultFactors(write, read float64) {
 	if p.chans[Read] == p.chans[Write] {
 		p.chans[Write].setFaultFactor(math.Min(write, read))

@@ -177,14 +177,9 @@ func DialSinkWith(addr string, opts SinkOptions) (*TCPSink, error) {
 	return s, nil
 }
 
-// NewTCPSink wraps an established connection with default options. A
-// wrapped connection cannot be redialled: if it fails, the sink drops
-// records (counted by Dropped) instead of blocking.
-func NewTCPSink(conn net.Conn) *TCPSink {
-	return NewTCPSinkWith(conn, SinkOptions{})
-}
-
-// NewTCPSinkWith wraps an established connection with explicit options.
+// NewTCPSinkWith wraps an established connection. A wrapped connection
+// cannot be redialled: if it fails, the sink drops records (counted by
+// Dropped) instead of blocking.
 func NewTCPSinkWith(conn net.Conn, opts SinkOptions) *TCPSink {
 	s := newSink(conn, opts.withDefaults())
 	s.start()
