@@ -157,7 +157,7 @@ perfbench-check:
 sweep:
 	$(GO) run ./cmd/iosweep -figs all -scale quick -j 0 -cache .iosweep-cache
 
-ci: vet fmt-check build lint lint-self test race docs-check bench-check perfbench-check fabric-smoke
+ci: vet fmt-check build lint lint-self test race docs-check bench-check perfbench-check gateway-smoke faults-smoke fabric-smoke
 
 clean:
 	rm -rf .iosweep-cache

@@ -3,17 +3,17 @@
 // ioworker processes, re-dispatches leases that expire (straggler
 // speculation — the first byte-identical result wins), stores each
 // accepted result once in its content-addressed cache, from which a
-// restarted coordinator resumes, and serves that cache plus /metrics
-// over HTTP.
+// restarted coordinator resumes, and serves /metrics over HTTP.
 //
 //	iofabric                                         # defaults: :7777 TCP, :7778 HTTP
 //	iofabric -listen 0.0.0.0:7777 -http 0.0.0.0:7778 -cache .iofabric-cache
 //	iofabric -smoke                                  # self-contained distributed-vs-serial check
 //
-// The HTTP endpoint serves GET/PUT /cache/{key} (the shared cache
-// iosweep -cache-server speaks), GET /metrics (Prometheus text
+// The HTTP endpoint is read-only: GET /metrics (Prometheus text
 // exposition: points pending/in-flight/done, re-dispatches, per-worker
-// liveness, cache hit ratio), and GET /healthz.
+// liveness, cache hit ratio) and GET /healthz; the coordinator writes
+// the cache only when it accepts a lease's result. Both listeners are
+// bound before the startup line is printed; a taken address exits 1.
 //
 // -smoke runs the whole fabric against itself on loopback: a coordinator,
 // two in-process workers, one of which is killed after the first accepted
@@ -49,7 +49,7 @@ func main() {
 
 func run() int {
 	listen := flag.String("listen", "127.0.0.1:7777", "TCP address for the fabric protocol (workers and submissions)")
-	httpAddr := flag.String("http", "127.0.0.1:7778", "HTTP address for the shared cache, /metrics, and /healthz")
+	httpAddr := flag.String("http", "127.0.0.1:7778", "HTTP address for /metrics and /healthz")
 	cacheDir := flag.String("cache", ".iofabric-cache", "content-addressed result cache directory")
 	lease := flag.Duration("lease", 60*time.Second, "lease timeout before a point is re-dispatched")
 	quiet := flag.Bool("q", false, "suppress per-lease logs")
@@ -85,19 +85,25 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "iofabric:", err)
 		return 1
 	}
+	httpLn, err := net.Listen("tcp", *httpAddr)
+	if err != nil {
+		ln.Close()
+		fmt.Fprintln(os.Stderr, "iofabric:", err)
+		return 1
+	}
 	co.Start(ln)
 	defer co.Close()
 
-	httpSrv := &http.Server{Addr: *httpAddr, Handler: co.Handler()}
+	httpSrv := &http.Server{Handler: co.Handler()}
 	go func() {
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		if err := httpSrv.Serve(httpLn); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "iofabric: http:", err)
 		}
 	}()
 	defer httpSrv.Close()
 
-	fmt.Fprintf(os.Stderr, "iofabric: coordinator on %s, cache server on http://%s (cache %s)\n",
-		ln.Addr(), *httpAddr, *cacheDir)
+	fmt.Fprintf(os.Stderr, "iofabric: coordinator on %s, metrics on http://%s (cache %s)\n",
+		ln.Addr(), httpLn.Addr(), *cacheDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -12,7 +12,9 @@
 // of -retention-tail points), so per-app memory is bounded instead of
 // growing for the life of the run.
 //
-// Traced applications point tmio.DialSink at the -listen address;
+// Both addresses are bound before the startup line is logged; a taken
+// address, or a server failing later, exits 1 (a signal drains and exits
+// 0). Traced applications point tmio.DialSink at the -listen address;
 // schedulers and dashboards query the -http address:
 //
 //	GET /healthz              liveness
@@ -78,20 +80,27 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	web := &http.Server{Addr: *httpAddr, Handler: srv.Handler()}
+	webLn, err := net.Listen("tcp", *httpAddr)
+	if err != nil {
+		ln.Close()
+		logger.Fatal(err)
+	}
+	web := &http.Server{Handler: srv.Handler()}
 
 	errs := make(chan error, 2)
 	go func() { errs <- srv.Serve(ln) }()
-	go func() { errs <- web.ListenAndServe() }()
-	logger.Printf("ingest on %s, HTTP on %s", ln.Addr(), *httpAddr)
+	go func() { errs <- web.Serve(webLn) }()
+	logger.Printf("ingest on %s, HTTP on %s", ln.Addr(), webLn.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	failed := false
 	select {
 	case s := <-sig:
 		logger.Printf("%v: draining", s)
 	case err := <-errs:
 		logger.Printf("server failed: %v", err)
+		failed = true
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -102,6 +111,9 @@ func main() {
 	st := srv.Stats()
 	logger.Printf("done: %d conns, %d records ingested, %d dropped",
 		st.ConnsTotal, st.Ingested, st.Dropped)
+	if failed {
+		os.Exit(1)
+	}
 }
 
 // runSmoke exercises the whole pipeline in-process: gateway on ephemeral

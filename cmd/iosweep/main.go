@@ -12,7 +12,6 @@
 //	iosweep -emit-trace hacc.trace -workload hacc # record a workload's I/O trace
 //	iosweep -trace hacc.trace                     # replay a trace file
 //	iosweep -fabric 127.0.0.1:7777               # submit the sweep to a fabric coordinator
-//	iosweep -cache-server http://127.0.0.1:7778 -cache .iosweep-cache  # shared cache tier
 //
 // With -cache, completed points are memoized on disk keyed by a hash of
 // their full configuration (strategy, tolerances, rank count, file-system
@@ -33,9 +32,9 @@
 // -fabric submits the sweep to an iofabric coordinator instead of running
 // it locally: points execute on whatever ioworker processes are attached,
 // results stream back, and the figures assemble locally — byte-identical
-// to the local run. -cache-server layers a shared HTTP cache (iofabric's
-// /cache endpoint) over the local -cache directory, so points computed
-// anywhere in the fabric are hits here too.
+// to the local run. Points already in the coordinator's cache are served
+// at submit, with no worker needed; a local run reuses them by pointing
+// -cache at the coordinator's cache directory.
 package main
 
 import (
@@ -74,7 +73,6 @@ func run() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the sweep to this file")
 	fabricAddr := flag.String("fabric", "", "submit the sweep to the fabric coordinator at this TCP address instead of running locally")
-	cacheServer := flag.String("cache-server", "", "shared cache server URL (iofabric's HTTP endpoint), layered over -cache")
 	flag.Parse()
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
@@ -152,25 +150,11 @@ func run() int {
 	points := plan.Points
 
 	opts := runner.Options{Workers: *workers}
-	var cacheLabel string
-	var local *runner.Cache
 	if *cacheDir != "" {
-		local, err = runner.OpenCache(*cacheDir)
+		opts.Cache, err = runner.OpenCache(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iosweep:", err)
 			return 1
-		}
-		opts.Cache = local
-		cacheLabel = *cacheDir
-	}
-	if *cacheServer != "" {
-		remote := fabric.NewRemoteCache(*cacheServer)
-		if local != nil {
-			opts.Cache = fabric.NewTieredCache(local, remote)
-			cacheLabel = *cacheDir + "+" + remote.URL()
-		} else {
-			opts.Cache = remote
-			cacheLabel = remote.URL()
 		}
 	}
 	r := runner.New(opts)
@@ -260,7 +244,7 @@ func run() int {
 			len(points), len(points)-cached, cached, len(plan.Entries), wall, r.Workers())
 	}
 	if c := r.Cache(); c != nil && fabricStats == nil {
-		fmt.Fprintln(os.Stderr, cacheStatsLine(cacheLabel, c.Stats()))
+		fmt.Fprintln(os.Stderr, cacheStatsLine(*cacheDir, c.Stats()))
 	}
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "iosweep:", runErr)

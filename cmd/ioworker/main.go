@@ -4,7 +4,8 @@
 // any cache-key skew), executes it through the runner, and streams the
 // result back. The worker keeps no cache: the coordinator probes its own
 // before leasing a point and stores the result it accepts, where every
-// later sweep and iosweep -cache-server run finds it.
+// later sweep, and any local iosweep run whose -cache is the
+// coordinator's directory, finds it.
 //
 //	ioworker -coordinator 127.0.0.1:7777
 //	ioworker -coordinator coord:7777 -j 4

@@ -17,10 +17,9 @@ import (
 // Options configures a Coordinator.
 type Options struct {
 	// Cache stores accepted results content-addressed by cache key. It
-	// is required: the cache is the fabric's only result store — a
-	// coordinator restarted over the same directory resumes from it —
-	// and doubles as the backing store of the HTTP cache server in
-	// Handler.
+	// is required: the cache is the fabric's only result store, written
+	// only when a lease's result is accepted, and a coordinator
+	// restarted over the same directory resumes from it.
 	Cache *runner.Cache
 	// LeaseTimeout is how long a worker may hold a point before the
 	// lease expires and the point is re-dispatched to another worker
@@ -523,8 +522,8 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 		sw.byKey[mp.CacheKey] = i
 		// Resume probe: an entry accepted by this or an earlier
 		// coordinator over the same cache directory, or written by a
-		// local cached run or an iosweep -cache-server upload, is
-		// trusted the same way the local runner trusts its cache.
+		// local iosweep -cache run, is trusted the same way the local
+		// runner trusts its cache.
 		if data, ok := c.cache.GetBytes(mp.CacheKey); ok {
 			sw.state[i] = stateDone
 			sw.shas[i] = entrySHA(data)
@@ -603,16 +602,12 @@ func (c *Coordinator) Snapshot() Snapshot {
 	return s
 }
 
-// Handler returns the coordinator's HTTP surface: the content-addressed
-// cache server plus observability.
+// Handler returns the coordinator's read-only HTTP surface:
 //
 //	GET  /healthz       liveness probe
 //	GET  /metrics       Prometheus text exposition
-//	GET  /cache/{key}   shared cache read
-//	PUT  /cache/{key}   shared cache write
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/cache/", CacheHandler(c.cache))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -637,20 +632,20 @@ func (c *Coordinator) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("iofabric_points_inflight", "Points currently leased to workers.", snap.Inflight)
 	gauge("iofabric_points_done", "Points of the current sweep completed.", snap.Done)
 	counter("iofabric_results_computed_total", "Results computed by workers.", snap.Totals.Computed)
-	counter("iofabric_cache_hits_total", "Points served from the shared cache at submit.", snap.Totals.CacheHits)
+	counter("iofabric_cache_hits_total", "Points served from the result store at submit.", snap.Totals.CacheHits)
 	counter("iofabric_redispatches_total", "Leases expired or dropped and re-queued.", snap.Totals.Redispatches)
 	counter("iofabric_duplicate_results_total", "Straggler completions after another worker's.", snap.Totals.Duplicates)
 	counter("iofabric_result_mismatches_total", "Duplicate completions whose bytes differed (determinism violations).", snap.Totals.Mismatches)
 	counter("iofabric_point_errors_total", "Points completed with an error.", snap.Totals.Errors)
-	counter("iofabric_cache_store_hits_total", "Shared-cache reads served.", cst.Hits)
-	counter("iofabric_cache_store_misses_total", "Shared-cache reads missed.", cst.Misses)
-	counter("iofabric_cache_store_writes_total", "Shared-cache entries written.", cst.Writes)
-	counter("iofabric_cache_store_errors_total", "Shared-cache read/write failures.", cst.Errors)
+	counter("iofabric_cache_store_hits_total", "Result-store reads served.", cst.Hits)
+	counter("iofabric_cache_store_misses_total", "Result-store reads missed.", cst.Misses)
+	counter("iofabric_cache_store_writes_total", "Result-store entries written.", cst.Writes)
+	counter("iofabric_cache_store_errors_total", "Result-store read/write failures.", cst.Errors)
 	ratio := 0.0
 	if cst.Hits+cst.Misses > 0 {
 		ratio = float64(cst.Hits) / float64(cst.Hits+cst.Misses)
 	}
-	fmt.Fprintf(&b, "# HELP iofabric_cache_hit_ratio Fraction of shared-cache reads served.\n# TYPE iofabric_cache_hit_ratio gauge\niofabric_cache_hit_ratio %.4f\n", ratio)
+	fmt.Fprintf(&b, "# HELP iofabric_cache_hit_ratio Fraction of result-store reads served.\n# TYPE iofabric_cache_hit_ratio gauge\niofabric_cache_hit_ratio %.4f\n", ratio)
 	ids := make([]string, 0, len(snap.Workers))
 	for id := range snap.Workers {
 		ids = append(ids, id)

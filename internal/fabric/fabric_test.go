@@ -3,7 +3,10 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -252,7 +255,8 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 // TestCoordinatorResumesFromCache kills a coordinator after one of two
 // points completed and asserts a new incarnation over the same cache
 // directory serves the finished point from the cache and only the
-// unfinished one is recomputed.
+// unfinished one is recomputed. The new incarnation's HTTP surface must
+// report that resume and must not let a request write the cache.
 func TestCoordinatorResumesFromCache(t *testing.T) {
 	cacheDir := t.TempDir()
 	manifest := syntheticManifest(2)
@@ -327,6 +331,54 @@ func TestCoordinatorResumesFromCache(t *testing.T) {
 	}
 	if m, err := ReadMsg(w2.conn); err != nil || m.Kind != KindIdle {
 		t.Fatalf("after the resumed sweep: %v %s, want %s", err, m.Kind, KindIdle)
+	}
+
+	// The HTTP surface reports the resume and cannot write the store:
+	// a result enters it only through lease acceptance.
+	srv := httptest.NewServer(co2.Handler())
+	defer srv.Close()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	get("/healthz")
+	metrics := get("/metrics")
+	for _, line := range []string{
+		"iofabric_cache_hits_total 1",
+		"iofabric_results_computed_total 1",
+		"iofabric_cache_store_writes_total 1",
+	} {
+		if !strings.Contains(metrics, "\n"+line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	writes := cache2.Stats().Writes
+	req, err := http.NewRequest(http.MethodPut, srv.URL+"/cache/"+manifest[doneIndex].CacheKey, strings.NewReader("forged"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("PUT /cache/{key}: status %d, want 404 or 405", resp.StatusCode)
+	}
+	if got := cache2.Stats().Writes; got != writes {
+		t.Errorf("PUT over HTTP wrote the store: %d writes, want %d", got, writes)
+	}
+	if data, ok := cache2.GetBytes(manifest[doneIndex].CacheKey); !ok || string(data) != "first-half" {
+		t.Errorf("finished point's entry is %q (%v), want %q", data, ok, "first-half")
 	}
 }
 

@@ -3,7 +3,6 @@ package fabric
 import (
 	"context"
 	"net"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -17,8 +16,8 @@ import (
 // of which is killed mid-sweep so its leases re-dispatch — renders
 // byte-identically to the historical serial run. It also proves the
 // cache sharing is real: every accepted point is in the coordinator's
-// cache, served over HTTP, so a subsequent local run pointed at the same
-// cache server recomputes nothing, asserted through CacheStats.
+// cache, so a subsequent local run over that cache recomputes nothing,
+// asserted through CacheStats.
 func TestDistributedMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed integration test")
@@ -43,7 +42,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fabric: coordinator with its cache, served over HTTP for the
+	// Fabric: coordinator with its cache, probed directly by the
 	// cache-sharing checks below.
 	sharedCache, err := runner.OpenCache(t.TempDir())
 	if err != nil {
@@ -76,8 +75,6 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	}
 	co.Start(ln)
 	defer co.Close()
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
 
 	workerCtx2, stopWorker2 := context.WithCancel(context.Background())
 	defer stopWorker2()
@@ -137,27 +134,22 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	}
 
 	// Cache sharing, part 1: the coordinator stored every point it
-	// accepted (the workers upload nothing), so a fresh remote client of
-	// its cache server hits all of them.
-	probe := NewRemoteCache(srv.URL)
+	// accepted (the workers upload nothing), so probing its cache hits
+	// all of them.
+	before := sharedCache.Stats()
 	for _, mp := range manifest {
-		if _, ok := probe.GetBytes(mp.CacheKey); !ok {
+		if _, ok := sharedCache.GetBytes(mp.CacheKey); !ok {
 			t.Fatalf("point %s not in the shared cache after the sweep", mp.Ref.Key)
 		}
 	}
-	st := probe.Stats()
-	if st.Hits != len(manifest) || st.Misses != 0 {
-		t.Fatalf("probe stats %+v, want %d hits", st, len(manifest))
+	after := sharedCache.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != len(manifest) || misses != 0 {
+		t.Fatalf("probe: %d hits, %d misses, want %d hits", hits, misses, len(manifest))
 	}
 
-	// Cache sharing, part 2: a local run layered over the same server
-	// (iosweep -cache-server's configuration) recomputes nothing.
-	localDisk, err := runner.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier := NewTieredCache(localDisk, NewRemoteCache(srv.URL))
-	localRun := runner.New(runner.Options{Workers: 2, Cache: tier})
+	// Cache sharing, part 2: a local run over the coordinator's cache
+	// (iosweep -cache pointed at its directory) recomputes nothing.
+	localRun := runner.New(runner.Options{Workers: 2, Cache: sharedCache})
 	// Re-enumerate so no state leaks from the earlier plan.
 	plan2, err := experiments.BuildPlan([]string{"5"}, experiments.Quick, 0)
 	if err != nil {

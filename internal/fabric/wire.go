@@ -2,8 +2,7 @@
 // fabric: a coordinator that leases manifest points to pull-based
 // workers over TCP, re-dispatches expired leases, and keeps every
 // accepted result in the runner's content-addressed cache — the one
-// result store, which a restarted coordinator resumes from and which
-// it serves over HTTP.
+// result store, which a restarted coordinator resumes from.
 //
 // The design leans entirely on one property, enforced by iolint's
 // cachekey/walltime rules: every sweep point is a pure function of its

@@ -224,8 +224,8 @@ func (e *executor) execute(ctx context.Context, lease Msg) (Msg, bool) {
 	}
 	if ckey != mp.CacheKey {
 		// Version skew: this binary enumerates a different point than
-		// the submitter hashed. Running it would poison the shared
-		// cache under the submitter's address — refuse instead.
+		// the submitter hashed. Running it would poison the result
+		// store under the submitter's address — refuse instead.
 		res.Err = fmt.Sprintf("cache key skew: submitter %s, worker %s — mismatched binaries?", mp.CacheKey, ckey)
 		return res, true
 	}

@@ -28,22 +28,6 @@ import (
 // differ from v3 entries.
 const cacheVersion = "iobehind-runner-v4"
 
-// PointCache is the memoization surface a Runner probes before running a
-// point and fills after. *Cache is the local-disk implementation; the
-// fabric adds an HTTP-backed remote cache and a local-under-remote tier
-// that satisfy the same contract. Implementations must be safe for
-// concurrent use and must treat every failure as a miss — a cache can
-// only ever cost a recomputation, never change a result.
-type PointCache interface {
-	// Get loads the entry for key into a fresh value from alloc,
-	// reporting whether the load succeeded.
-	Get(key string, alloc func() any) (any, bool)
-	// Put stores v under key. Failures are absorbed (recorded in Stats).
-	Put(key string, v any)
-	// Stats returns a point-in-time counter snapshot.
-	Stats() CacheStats
-}
-
 // Cache memoizes completed sweep points on disk. Entries are gob files
 // named by a SHA-256 over (cache version, point key, canonical JSON of
 // the point's config), so any configuration change — strategy,
@@ -65,9 +49,6 @@ type Cache struct {
 	writes int
 	errs   int
 }
-
-// Cache implements PointCache.
-var _ PointCache = (*Cache)(nil)
 
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
@@ -123,8 +104,9 @@ func CacheKey(p Point) (string, error) {
 }
 
 // ValidCacheKey reports whether key has the exact shape CacheKey
-// produces: 64 lowercase hex characters. The fabric's cache server uses
-// it to reject anything that could escape the cache directory.
+// produces: 64 lowercase hex characters. The fabric coordinator checks
+// every submitted key with it, so no manifest point can name a path
+// outside the cache directory.
 func ValidCacheKey(key string) bool {
 	if len(key) != sha256.Size*2 {
 		return false
@@ -166,8 +148,8 @@ func (c *Cache) path(key string) string {
 }
 
 // GetBytes loads the raw entry bytes for key; absence or a read error is
-// a miss. No decode happens here — callers moving entries between caches
-// (the fabric's cache server) forward the bytes untouched.
+// a miss. No decode happens here — the fabric coordinator streams the
+// bytes to its submitter untouched.
 func (c *Cache) GetBytes(key string) ([]byte, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {

@@ -35,9 +35,10 @@ func TestOpenCacheSweepsStaleTempFiles(t *testing.T) {
 	}
 }
 
-// TestCacheBytesRoundTrip pins the raw-entry surface the fabric's cache
-// server is built on: PutBytes/GetBytes move entry bytes untouched, and
-// the bytes interoperate with the typed Get path.
+// TestCacheBytesRoundTrip pins the raw-entry surface the fabric
+// coordinator stores and serves results through: PutBytes/GetBytes move
+// entry bytes untouched, and the bytes interoperate with the typed Get
+// path.
 func TestCacheBytesRoundTrip(t *testing.T) {
 	cache, err := runner.OpenCache(t.TempDir())
 	if err != nil {
@@ -74,8 +75,9 @@ func TestCacheBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestValidCacheKey pins the shape guard the fabric's HTTP cache server
-// uses to keep request paths inside the cache directory.
+// TestValidCacheKey pins the shape guard the fabric coordinator applies
+// to submitted cache keys, keeping entry paths inside the cache
+// directory.
 func TestValidCacheKey(t *testing.T) {
 	key, err := runner.CacheKey(runner.Point{Key: "p", Config: 1})
 	if err != nil {

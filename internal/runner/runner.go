@@ -71,18 +71,15 @@ func (e *PanicError) Error() string {
 type Options struct {
 	// Workers is the pool size. Values < 1 default to GOMAXPROCS.
 	Workers int
-	// Cache, when non-nil, memoizes completed points: the local disk
-	// *Cache, the fabric's HTTP-backed remote cache, or a tier of both.
-	// It must be nil (not a typed-nil pointer in an interface) to
-	// disable caching.
-	Cache PointCache
+	// Cache, when non-nil, memoizes completed points on disk.
+	Cache *Cache
 }
 
 // Runner executes sweeps. A Runner is safe for concurrent use; each Run
 // call gets its own worker pool.
 type Runner struct {
 	workers int
-	cache   PointCache
+	cache   *Cache
 }
 
 // New builds a runner from opts.
@@ -102,7 +99,7 @@ func Serial() *Runner { return New(Options{Workers: 1}) }
 func (r *Runner) Workers() int { return r.workers }
 
 // Cache returns the attached cache (nil when uncached).
-func (r *Runner) Cache() PointCache { return r.cache }
+func (r *Runner) Cache() *Cache { return r.cache }
 
 // Run executes all points and returns one Result per point, in input
 // order. Point failures (errors and panics) are reported per Result, not
