@@ -11,24 +11,26 @@ import (
 	"iobehind/internal/adio"
 	"iobehind/internal/des"
 	"iobehind/internal/ftio"
+	"iobehind/internal/gateway"
 	"iobehind/internal/mpi"
 	"iobehind/internal/mpiio"
 	"iobehind/internal/pfs"
+	"iobehind/internal/region"
 	"iobehind/internal/tmio"
 	"iobehind/internal/workloads"
 )
 
 // TestEndToEndKitchenSink runs one application with nearly every feature
-// enabled at once: per-class limits with the frequent strategy, online
-// aggregation, storm latencies, hiccups, injection caps, overhead model,
-// streaming sink — and checks they compose.
+// enabled at once: per-class limits with the frequent strategy, storm
+// latencies, hiccups, overhead model, streaming sink — and checks they
+// compose, including that the gateway's online sweep over the streamed
+// records agrees with the offline report.
 func TestEndToEndKitchenSink(t *testing.T) {
 	e := des.NewEngine(4)
 	w := mpi.NewWorld(e, mpi.Config{Size: 16, RanksPerNode: 8})
 	fs := pfs.New(e, pfs.Config{
 		WriteCapacity: 10e9,
 		ReadCapacity:  10e9,
-		InjectionCap:  4e9,
 	})
 	sys := mpiio.NewSystem(w, fs, adio.Config{
 		HiccupProb:           1e-3,
@@ -37,9 +39,8 @@ func TestEndToEndKitchenSink(t *testing.T) {
 		SubmitLatencyPerFlow: 20 * des.Microsecond,
 	})
 	tr := tmio.Attach(sys, tmio.Config{
-		Strategy:          tmio.StrategyConfig{Strategy: tmio.Frequent, Tol: 1.2},
-		PerClassLimits:    true,
-		OnlineAggregation: true,
+		Strategy:       tmio.StrategyConfig{Strategy: tmio.Frequent, Tol: 1.2},
+		PerClassLimits: true,
 	})
 	sink := &tmio.CollectSink{}
 	tr.SetSink(sink)
@@ -56,14 +57,19 @@ func TestEndToEndKitchenSink(t *testing.T) {
 	if rep.RequiredBandwidth <= 0 {
 		t.Fatal("no required bandwidth")
 	}
-	if tr.OnlineB() <= 0 {
-		t.Fatal("online aggregation dead")
-	}
-	if math.Abs(tr.OnlineB()-rep.RequiredBandwidth)/rep.RequiredBandwidth > 0.01 {
-		t.Fatalf("online %v vs offline %v", tr.OnlineB(), rep.RequiredBandwidth)
-	}
 	if sink.Len() == 0 {
 		t.Fatal("sink empty")
+	}
+	// The online Eq. 3 sweep the gateway serves, fed the streamed records.
+	online := region.NewIncrementalSweep("B")
+	for _, rec := range sink.Records {
+		online.Add(gateway.RecordPhase(rec))
+	}
+	if online.Max() <= 0 {
+		t.Fatal("online sweep empty")
+	}
+	if math.Abs(online.Max()-rep.RequiredBandwidth)/rep.RequiredBandwidth > 0.01 {
+		t.Fatalf("online %v vs offline %v", online.Max(), rep.RequiredBandwidth)
 	}
 	if rep.FirstLimitAt == 0 {
 		t.Fatal("frequent strategy never limited")
@@ -188,7 +194,7 @@ func TestDeterminismAcrossFeatures(t *testing.T) {
 		e := des.NewEngine(11)
 		w := mpi.NewWorld(e, mpi.Config{Size: 8})
 		fs := pfs.New(e, pfs.Config{
-			WriteCapacity: 5e9, ReadCapacity: 5e9, InjectionCap: 2e9,
+			WriteCapacity: 5e9, ReadCapacity: 5e9,
 			Noise: &pfs.NoiseConfig{Interval: des.Second, Amplitude: 0.4},
 		})
 		sys := mpiio.NewSystem(w, fs, adio.Config{
@@ -213,8 +219,8 @@ func TestDeterminismAcrossFeatures(t *testing.T) {
 }
 
 // TestSoakLargeMixed is a heavier end-to-end soak (skipped with -short):
-// 512 ranks, hierarchical WaComM++, storm models, injection caps, noise,
-// per-class frequent-strategy limiting — the whole stack at once.
+// 512 ranks, WaComM++, storm models, noise, per-class frequent-strategy
+// limiting — the whole stack at once.
 func TestSoakLargeMixed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -223,22 +229,19 @@ func TestSoakLargeMixed(t *testing.T) {
 	w := mpi.NewWorld(e, mpi.Config{Size: 512, RanksPerNode: 64})
 	fs := pfs.New(e, pfs.Config{
 		WriteCapacity: 50e9, ReadCapacity: 50e9,
-		InjectionCap: 20e9,
-		Noise:        &pfs.NoiseConfig{Interval: des.Second, Amplitude: 0.2},
+		Noise: &pfs.NoiseConfig{Interval: des.Second, Amplitude: 0.2},
 	})
 	sys := mpiio.NewSystem(w, fs, adio.Config{
 		HiccupProb:          1e-4,
 		QueueLatencyPerFlow: 5 * des.Microsecond,
 	})
 	tr := tmio.Attach(sys, tmio.Config{
-		Strategy:          tmio.StrategyConfig{Strategy: tmio.Frequent, Tol: 1.2},
-		PerClassLimits:    true,
-		OnlineAggregation: true,
+		Strategy:       tmio.StrategyConfig{Strategy: tmio.Frequent, Tol: 1.2},
+		PerClassLimits: true,
 	})
 	if err := w.Run(workloads.WacommMain(sys, workloads.WacommConfig{
-		Particles:    1_000_000,
-		Iterations:   25,
-		Hierarchical: true,
+		Particles:  1_000_000,
+		Iterations: 25,
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +253,7 @@ func TestSoakLargeMixed(t *testing.T) {
 	if d.AsyncWriteLost > 5 {
 		t.Fatalf("soak lost = %v%%", d.AsyncWriteLost)
 	}
-	if rep.RequiredBandwidth <= 0 || tr.OnlineB() <= 0 {
+	if rep.RequiredBandwidth <= 0 {
 		t.Fatal("metrics missing")
 	}
 	if stalled := e.Stalled(); len(stalled) != 0 {

@@ -48,9 +48,6 @@ type Config struct {
 	// RanksPerNode scales a rank's transfer rate to the node-aggregate
 	// rate the interference model expects. Defaults to 96.
 	RanksPerNode int
-	// FlowWeight is the fair-share weight of this agent's transfers on
-	// the file system. Defaults to 1.
-	FlowWeight float64
 	// Tag identifies this agent's flows to file-system observers.
 	Tag pfs.Tag
 	// CarryDeficit keeps the Case-B overrun accumulator across requests
@@ -129,9 +126,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RanksPerNode <= 0 {
 		c.RanksPerNode = 96
-	}
-	if c.FlowWeight <= 0 {
-		c.FlowWeight = 1
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = 4
@@ -259,7 +253,7 @@ func NewAgent(e *des.Engine, fs *pfs.PFS, host Host, cfg Config) *Agent {
 		limit: [2]float64{pfs.Unlimited, pfs.Unlimited},
 	}
 	if cfg.BurstBuffer != nil {
-		a.bb = pfs.NewBurstBuffer(e, fs, *cfg.BurstBuffer, cfg.FlowWeight, cfg.Tag)
+		a.bb = pfs.NewBurstBuffer(e, fs, *cfg.BurstBuffer, cfg.Tag)
 	}
 	a.proc = e.Spawn(fmt.Sprintf("ioagent-j%dr%d", cfg.Tag.Job, cfg.Tag.Rank), a.serve)
 	return a
@@ -445,7 +439,7 @@ func (a *Agent) execute(p *des.Proc, req *Request) {
 		}
 		// Step 3: the sub-request itself is a blocking transfer at full
 		// speed; throttling happens through the duty cycle.
-		start, end := a.fs.Transfer(p, req.Stats.Class, chunk, a.cfg.FlowWeight, pfs.Unlimited, a.cfg.Tag)
+		start, end := a.fs.Transfer(p, req.Stats.Class, chunk, pfs.Unlimited, a.cfg.Tag)
 		if a.faults != nil {
 			// A straggler node moves its bytes at channel speed but hands
 			// them over late: the sub-request stretches by the slowdown.

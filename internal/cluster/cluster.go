@@ -52,7 +52,8 @@ const (
 
 // JobSpec describes one batch job.
 type JobSpec struct {
-	// Nodes the job occupies; also its fair-share weight on the PFS.
+	// Nodes the job occupies. With one rank, and so one flow, per node,
+	// the job's fair share of the PFS grows with its node count.
 	Nodes int
 	// Async marks the job as using asynchronous MPI-IO (the paper's job 4).
 	Async bool
@@ -99,8 +100,6 @@ type Config struct {
 	// MonitorInterval is the contention monitor's polling period.
 	// Defaults to 100 ms.
 	MonitorInterval des.Duration
-	// Scheduler selects the queueing discipline. Defaults to FCFS.
-	Scheduler SchedulerPolicy
 	// Forecasts, when set, supplies burst forecasts for synchronous jobs
 	// from an external source — e.g. a telemetry gateway's
 	// /apps/{id}/predict endpoint (internal/gateway.PredictClient) —
@@ -116,22 +115,7 @@ type Config struct {
 	// Pure data: it participates in sweep cache keys, and the runtime
 	// injector is constructed per run from it.
 	Faults *faults.Config `json:",omitempty"`
-	// Debug prints monitor decisions.
-	Debug bool
 }
-
-// SchedulerPolicy selects how queued jobs are started.
-type SchedulerPolicy int
-
-const (
-	// FCFS starts jobs strictly in arrival order; a large job at the head
-	// blocks smaller jobs behind it (conservative, no backfilling).
-	FCFS SchedulerPolicy = iota
-	// Backfill lets any queued job start when it fits in the free nodes,
-	// skipping over a blocked head (relaxed backfilling without
-	// reservations — small jobs can leapfrog).
-	Backfill
-)
 
 // JobResult reports one job's outcome.
 type JobResult struct {
@@ -287,35 +271,18 @@ func (s *simulation) submit(id int, spec JobSpec) {
 	})
 }
 
-// tryStart launches queued jobs while nodes are available, following the
-// configured scheduler policy.
+// tryStart launches queued jobs in arrival order (FCFS) while nodes are
+// available; a job at the head that does not fit blocks the jobs behind
+// it.
 func (s *simulation) tryStart() {
-	switch s.cfg.Scheduler {
-	case Backfill:
-		// Scan the whole queue; start every job that fits.
-		for i := 0; i < len(s.queue); {
-			id := s.queue[i]
-			j := s.jobs[id]
-			if j.spec.Nodes > s.free {
-				i++
-				continue
-			}
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			s.free -= j.spec.Nodes
-			s.start(j)
-			i = 0 // free-node count changed: rescan from the head
+	for len(s.queue) > 0 {
+		j := s.jobs[s.queue[0]]
+		if j.spec.Nodes > s.free {
+			return
 		}
-	default: // FCFS
-		for len(s.queue) > 0 {
-			id := s.queue[0]
-			j := s.jobs[id]
-			if j.spec.Nodes > s.free {
-				return
-			}
-			s.queue = s.queue[1:]
-			s.free -= j.spec.Nodes
-			s.start(j)
-		}
+		s.queue = s.queue[1:]
+		s.free -= j.spec.Nodes
+		s.start(j)
 	}
 }
 
@@ -330,7 +297,6 @@ func (s *simulation) start(j *job) {
 	j.world = mpi.NewWorld(s.e, mpi.Config{Size: j.spec.Nodes, RanksPerNode: 1})
 	j.sys = mpiio.NewSystem(j.world, s.fs, adio.Config{
 		Tag:          pfs.Tag{Job: id},
-		FlowWeight:   1, // one rank per node ⇒ job weight = node count
 		RanksPerNode: 1,
 	})
 	tcfg := tmio.Config{DisableOverhead: true}
@@ -482,10 +448,7 @@ func (s *simulation) startMonitor() {
 			} else {
 				s.arbiter.Reallocate()
 			}
-			if after := s.arbiter.Toggles(); after != before {
-				s.res.LimitToggles += after - before
-				s.debugf("arbiter toggled caps (total %d)", after)
-			}
+			s.res.LimitToggles += s.arbiter.Toggles() - before
 			p.Sleep(s.cfg.MonitorInterval)
 		}
 	})
@@ -517,13 +480,6 @@ func DefaultScenario(policy LimitPolicy) Config {
 	jobs[4].BytesPerNode = 3 << 29 // 1.5 GiB
 	jobs[4].Compute = 15 * des.Second
 	return Config{Nodes: 500, Jobs: jobs, Policy: policy}
-}
-
-// debugf prints monitor activity when Config.Debug is set.
-func (s *simulation) debugf(format string, args ...any) {
-	if s.cfg.Debug {
-		fmt.Printf("[%v] "+format+"\n", append([]any{s.e.Now()}, args...)...)
-	}
 }
 
 // refreshForecasts runs FTIO period detection over each synchronous job's

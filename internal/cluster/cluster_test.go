@@ -166,39 +166,25 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestBackfillLetsSmallJobsLeapfrog(t *testing.T) {
+func TestFCFSHeadJobBlocksSmallerJob(t *testing.T) {
 	fs := pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9}
 	jobs := []JobSpec{
 		{Nodes: 8, Loops: 2, BytesPerNode: 1 << 28, Compute: 2 * des.Second},
-		// Arrives second, needs the whole cluster: blocks under FCFS.
+		// Arrives second and does not fit beside job 0: it blocks the
+		// head of the queue.
 		{Nodes: 8, Loops: 2, BytesPerNode: 1 << 28, Compute: 2 * des.Second,
 			Arrival: des.Time(des.Second)},
-		// Small job arriving third: with 12 cluster nodes, 4 are free
-		// while job 0 runs, so backfill can start it immediately even
-		// though the 8-node job 1 is stuck at the head of the queue.
+		// Arrives third: 4 of the 12 nodes are free while job 0 runs, but
+		// FCFS keeps it behind the blocked 8-node job 1.
 		{Nodes: 4, Loops: 2, BytesPerNode: 1 << 28, Compute: 2 * des.Second,
 			Arrival: des.Time(2 * des.Second)},
 	}
-	run := func(pol SchedulerPolicy) *Result {
-		res, err := Run(Config{Nodes: 12, FS: &fs, Jobs: jobs, Scheduler: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := Run(Config{Nodes: 12, FS: &fs, Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fcfs := run(FCFS)
-	back := run(Backfill)
-	// FCFS: job 2 waits behind the blocked 8-node job 1.
-	if fcfs.Jobs[2].Started < fcfs.Jobs[1].Started {
-		t.Fatalf("FCFS let job 2 leapfrog: %+v", fcfs.Jobs)
-	}
-	// Backfill: job 2 starts immediately at arrival (4 nodes are free).
-	if back.Jobs[2].Started != back.Jobs[2].Arrival {
-		t.Fatalf("backfill did not start job 2 at arrival: %+v", back.Jobs[2])
-	}
-	if back.Jobs[2].Started >= back.Jobs[1].Started {
-		t.Fatalf("backfill did not leapfrog: job2 %v vs job1 %v",
-			back.Jobs[2].Started, back.Jobs[1].Started)
+	if res.Jobs[2].Started < res.Jobs[1].Started {
+		t.Fatalf("FCFS let job 2 leapfrog: %+v", res.Jobs)
 	}
 }
 
@@ -301,13 +287,13 @@ func TestPredictivePolicyCapsAroundBursts(t *testing.T) {
 	}
 }
 
-func TestBackfillWithPredictivePolicy(t *testing.T) {
-	// Queueing, backfill, and the predictive arbiter together.
+func TestQueueingWithPredictivePolicy(t *testing.T) {
+	// Queueing and the predictive arbiter together.
 	fs := pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9}
 	jobs := []JobSpec{
 		{Nodes: 8, Loops: 8, BytesPerNode: 1 << 29, Compute: 3 * des.Second},
-		// Needs the whole cluster: queues behind job 0 under FCFS; with
-		// backfill the small async job leapfrogs it.
+		// Needs the whole cluster: queues behind job 0, and the small
+		// async job queues behind it.
 		{Nodes: 12, Loops: 4, BytesPerNode: 1 << 29, Compute: 3 * des.Second,
 			Arrival: des.Time(des.Second)},
 		{Nodes: 4, Async: true, Loops: 6, BytesPerNode: 1 << 27,
@@ -315,15 +301,14 @@ func TestBackfillWithPredictivePolicy(t *testing.T) {
 	}
 	res, err := Run(Config{
 		Nodes: 12, FS: &fs, Jobs: jobs,
-		Policy:    LimitPredictive,
-		Scheduler: Backfill,
+		Policy: LimitPredictive,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The async job backfilled ahead of the blocked 12-node job.
-	if res.Jobs[2].Started >= res.Jobs[1].Started {
-		t.Fatalf("async job did not backfill: %+v", res.Jobs)
+	// FCFS: the async job starts only once the 12-node job has finished.
+	if res.Jobs[2].Started < res.Jobs[1].Ended {
+		t.Fatalf("async job started before the blocking 12-node job ended: %+v", res.Jobs)
 	}
 	for _, j := range res.Jobs {
 		if j.Ended <= j.Started {

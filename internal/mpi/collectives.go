@@ -22,22 +22,6 @@ func (r *Rank) Bcast(root int, bytes int64) {
 	r.w.barrier.Await(r.proc, r.w.cfg.Cost.bcast(r.w.cfg.Size, bytes))
 }
 
-// Reduce combines bytes from all ranks at root.
-func (r *Rank) Reduce(root int, bytes int64) {
-	_ = root
-	r.w.barrier.Await(r.proc, r.w.cfg.Cost.reduce(r.w.cfg.Size, bytes))
-}
-
-// Allreduce combines bytes across all ranks and distributes the result.
-func (r *Rank) Allreduce(bytes int64) {
-	r.w.barrier.Await(r.proc, r.w.cfg.Cost.allreduce(r.w.cfg.Size, bytes))
-}
-
-// Allgather collects bytesPerRank from every rank on every rank.
-func (r *Rank) Allgather(bytesPerRank int64) {
-	r.w.barrier.Await(r.proc, r.w.cfg.Cost.allgather(r.w.cfg.Size, bytesPerRank))
-}
-
 // Gather collects bytesPerRank from every rank at root.
 func (r *Rank) Gather(root int, bytesPerRank int64) {
 	_ = root

@@ -45,24 +45,6 @@ func (c CostModel) bcast(n int, bytes int64) des.Duration {
 	return des.Duration(log2ceil(n)) * c.pointToPoint(bytes)
 }
 
-// reduce matches bcast's tree shape.
-func (c CostModel) reduce(n int, bytes int64) des.Duration {
-	return c.bcast(n, bytes)
-}
-
-// allreduce is a reduce followed by a bcast.
-func (c CostModel) allreduce(n int, bytes int64) des.Duration {
-	return 2 * c.bcast(n, bytes)
-}
-
-// allgather: log₂ n latency rounds, each rank ends up moving (n−1)/n of
-// the aggregate payload (recursive doubling).
-func (c CostModel) allgather(n int, bytesPerRank int64) des.Duration {
-	lat := des.Duration(log2ceil(n)) * c.Alpha
-	vol := des.DurationOf(float64(bytesPerRank) * float64(n-1) * c.BetaPerByte)
-	return lat + vol
-}
-
 // gather: the root receives (n−1) messages up a binomial tree.
 func (c CostModel) gather(n int, bytesPerRank int64) des.Duration {
 	lat := des.Duration(log2ceil(n)) * c.Alpha

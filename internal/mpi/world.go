@@ -1,11 +1,10 @@
 // Package mpi provides an in-process, virtual-time MPI-like runtime.
 //
 // Ranks are simulation processes (see internal/des) that synchronize
-// through collectives and point-to-point messages with an α–β network cost
-// model. The package deliberately mirrors the MPI surface the paper's
-// workloads use — Barrier, Bcast, Allreduce, Send/Recv, requests with
-// Wait/Test, generalized requests, Finalize — so the workload models read
-// like the MPI codes they stand in for.
+// through collectives with an α–β network cost model. The package mirrors
+// only the MPI surface the paper's workloads use — Barrier, Bcast, Gather
+// and Finalize — so the workload models read like the MPI codes they
+// stand in for.
 package mpi
 
 import (
@@ -21,7 +20,7 @@ type Config struct {
 	// RanksPerNode is the process-per-node count (96 on Lichtenberg). It
 	// feeds the node-aggregate interference model. Defaults to 96.
 	RanksPerNode int
-	// Cost is the network cost model for collectives and messages.
+	// Cost is the network cost model for collectives.
 	Cost CostModel
 }
 
@@ -43,12 +42,10 @@ type World struct {
 	cfg      Config
 	ranks    []*Rank
 	barrier  *des.Barrier
-	mailbox  map[p2pKey]*des.Mailbox[message]
 	finished int
 	allDone  *des.Completion
 	finHooks []func(*Rank)
 	launched bool
-	split    *splitState
 }
 
 // NewWorld creates a world on engine e. Ranks are created immediately but
@@ -59,7 +56,6 @@ func NewWorld(e *des.Engine, cfg Config) *World {
 		e:       e,
 		cfg:     cfg,
 		barrier: des.NewBarrier(e, cfg.Size),
-		mailbox: make(map[p2pKey]*des.Mailbox[message]),
 		allDone: des.NewCompletion(e),
 	}
 	for i := 0; i < cfg.Size; i++ {

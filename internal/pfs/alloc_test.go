@@ -9,10 +9,9 @@ import (
 // churnSetup builds a channel with a standing mixed-cap flow population
 // (off both allocator fast paths) and warms every scratch buffer and the
 // engine's event pool far enough that free-list growth has flattened out.
-func churnSetup(injectionCap float64) *channel {
+func churnSetup() *channel {
 	e := des.NewEngine(1)
 	c := newChannel(e, "test", 100)
-	c.injectionCap = injectionCap
 	for i := 0; i < 24; i++ {
 		capv := Unlimited
 		if i%2 == 0 {
@@ -20,7 +19,6 @@ func churnSetup(injectionCap float64) *channel {
 		}
 		c.flows = append(c.flows, &Flow{
 			tag:       Tag{Job: i % 2, Node: i % 5, Rank: i},
-			weight:    float64(1 + i%3),
 			cap:       capv,
 			remaining: 1e12,
 			done:      des.NewCompletion(e),
@@ -41,7 +39,7 @@ func churnSetup(injectionCap float64) *channel {
 // not allocate. This is what keeps thousand-rank-phase sweeps off the
 // garbage collector.
 func TestRecomputeSteadyStateAllocs(t *testing.T) {
-	c := churnSetup(0)
+	c := churnSetup()
 	avg := testing.AllocsPerRun(500, func() { c.recompute() })
 	if avg != 0 {
 		t.Fatalf("recompute = %v allocs/op, want 0", avg)
@@ -51,22 +49,11 @@ func TestRecomputeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRecomputeGroupedSteadyStateAllocs covers the injection-cap path:
-// group map, member lists, and pooled super-flows must all come from
-// per-channel scratch.
-func TestRecomputeGroupedSteadyStateAllocs(t *testing.T) {
-	c := churnSetup(25)
-	avg := testing.AllocsPerRun(500, func() { c.recompute() })
-	if avg != 0 {
-		t.Fatalf("grouped recompute = %v allocs/op, want 0", avg)
-	}
-}
-
 // TestSetCapChurnSteadyStateAllocs drives the public-API version of the
 // cancel-churn pattern (BenchmarkCancelChurn) through SetCap and pins it
 // to the flow-set bookkeeping only.
 func TestSetCapChurnSteadyStateAllocs(t *testing.T) {
-	c := churnSetup(0)
+	c := churnSetup()
 	i := 0
 	avg := testing.AllocsPerRun(500, func() {
 		f := c.flows[i%len(c.flows)]

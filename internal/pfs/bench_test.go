@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"fmt"
 	"testing"
 
 	"iobehind/internal/des"
@@ -14,7 +15,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 	p := New(e, Config{WriteCapacity: 1e9, ReadCapacity: 1e9})
 	e.Spawn("w", func(proc *des.Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Transfer(proc, Write, 1<<20, 1, Unlimited, Tag{})
+			p.Transfer(proc, Write, 1<<20, Unlimited, Tag{})
 		}
 	})
 	b.ResetTimer()
@@ -34,7 +35,7 @@ func BenchmarkConcurrentFlows(b *testing.B) {
 		for j := 0; j < flows; j++ {
 			j := j
 			e.Spawn("w", func(proc *des.Proc) {
-				p.Transfer(proc, Write, 64<<20, 1, Unlimited, Tag{Rank: j})
+				p.Transfer(proc, Write, 64<<20, Unlimited, Tag{Rank: j})
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -57,7 +58,7 @@ func BenchmarkCancelChurn(b *testing.B) {
 	for i := range fs {
 		// Large enough that no flow completes during the benchmark; the
 		// mixed caps keep the allocator off its uniform fast path.
-		fs[i] = p.StartFlow(Write, 1<<40, float64(1+i%3), 1e7*float64(1+i%5), Tag{Rank: i})
+		fs[i] = p.StartFlow(Write, 1<<40, 1e7*float64(1+i%5), Tag{Rank: i})
 	}
 	e.Spawn("churn", func(proc *des.Proc) {
 		for i := 0; i < b.N; i++ {
@@ -71,23 +72,28 @@ func BenchmarkCancelChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupedAllocation measures the two-level injection-cap
-// allocator under the same burst.
-func BenchmarkGroupedAllocation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := des.NewEngine(1)
-		p := New(e, Config{WriteCapacity: 100e9, ReadCapacity: 100e9, InjectionCap: 25e9})
-		const flows = 4096
-		for j := 0; j < flows; j++ {
-			j := j
-			e.Spawn("w", func(proc *des.Proc) {
-				p.Transfer(proc, Write, 64<<20, 1, Unlimited,
-					Tag{Rank: j, Node: j / 96})
-			})
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkStaggeredFlows measures the shape every figure drives: n
+// uncapped flows that start at distinct instants and overlap, so every
+// start and every finish is its own recompute over the active set. One
+// process starts all the flows, so the time is the channel's rather than
+// process spawns'.
+func BenchmarkStaggeredFlows(b *testing.B) {
+	for _, n := range []int{256, 1024, 4096} {
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := des.NewEngine(1)
+				p := New(e, Config{WriteCapacity: 100e9, ReadCapacity: 100e9})
+				e.Spawn("starter", func(proc *des.Proc) {
+					for j := 0; j < n; j++ {
+						p.StartFlow(Write, 64<<20, Unlimited, Tag{Rank: j})
+						proc.Sleep(des.Microsecond)
+					}
+				})
+				if err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

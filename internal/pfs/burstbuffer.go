@@ -77,7 +77,6 @@ type BurstBuffer struct {
 	fs      *PFS
 	cfg     BurstBufferConfig
 	tag     Tag
-	weight  float64
 	level   int64 // bytes currently buffered (including in-drain chunk)
 	drainer *des.Proc
 	work    *des.Completion // fired when data arrives for an idle drainer
@@ -86,16 +85,15 @@ type BurstBuffer struct {
 	closed  bool
 }
 
-// NewBurstBuffer creates a buffer draining to fs with the given fair-share
-// weight and flow tag. The drainer process starts immediately and runs
-// until Close.
-func NewBurstBuffer(e *des.Engine, fs *PFS, cfg BurstBufferConfig, weight float64, tag Tag) *BurstBuffer {
+// NewBurstBuffer creates a buffer draining to fs under the given flow tag.
+// The drainer process starts immediately and runs until Close.
+func NewBurstBuffer(e *des.Engine, fs *PFS, cfg BurstBufferConfig, tag Tag) *BurstBuffer {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
 	cfg.applyDefaults()
 	bb := &BurstBuffer{
-		e: e, fs: fs, cfg: cfg, tag: tag, weight: weight,
+		e: e, fs: fs, cfg: cfg, tag: tag,
 		work: des.NewCompletion(e),
 	}
 	bb.drainer = e.Spawn(fmt.Sprintf("bb-drainer-j%dr%d", tag.Job, tag.Rank), bb.drain)
@@ -163,7 +161,7 @@ func (bb *BurstBuffer) drain(p *des.Proc) {
 		if chunk > bb.level {
 			chunk = bb.level
 		}
-		bb.fs.Transfer(p, Write, chunk, bb.weight, bb.cfg.DrainRate, bb.tag)
+		bb.fs.Transfer(p, Write, chunk, bb.cfg.DrainRate, bb.tag)
 		bb.level -= chunk
 		bb.drained += chunk
 		// Space freed: release blocked writers (they re-check room).

@@ -10,7 +10,7 @@ import (
 func bbSetup(cfg BurstBufferConfig) (*des.Engine, *PFS, *BurstBuffer) {
 	e := des.NewEngine(1)
 	fs := New(e, Config{WriteCapacity: 1e9, ReadCapacity: 1e9})
-	bb := NewBurstBuffer(e, fs, cfg, 1, Tag{})
+	bb := NewBurstBuffer(e, fs, cfg, Tag{})
 	return e, fs, bb
 }
 
@@ -146,7 +146,7 @@ func TestBurstBufferSteadyStatePeriodic(t *testing.T) {
 	bb := NewBurstBuffer(e, fs, BurstBufferConfig{
 		Capacity: capacity, WriteRate: writeRate, DrainRate: drainRate,
 		DrainChunk: chunk,
-	}, 1, Tag{})
+	}, Tag{})
 	absorbTimes := make([]float64, 0, 8)
 	e.Spawn("app", func(p *des.Proc) {
 		for i := 0; i < 8; i++ {

@@ -8,7 +8,7 @@ import (
 )
 
 // channel is one direction (read or write) of the file system: a capacity
-// shared by flows under weighted max–min fairness with per-flow caps.
+// shared by flows under max–min fairness with per-flow caps.
 //
 // The fluid model is advanced lazily: whenever the flow set, a cap, or the
 // capacity changes, progress since the previous change is integrated at the
@@ -16,20 +16,19 @@ import (
 // scheduled at the earliest projected flow completion. Keeping one pending
 // event (instead of one per flow) bounds the cost of a change to O(flows).
 type channel struct {
-	e            *des.Engine
-	name         string
-	base         float64 // configured peak capacity, bytes/s
-	capacity     float64 // current effective capacity (noise and faults applied)
-	noiseFactor  float64 // stationary noise scaling, (0,1]
-	faultFactor  float64 // fault-injection scaling, [0,1]
-	flows        []*Flow
-	last         des.Time   // time progress was last integrated
-	cancel       des.Handle // pending completion event, if any
-	dirty        bool       // a recompute event is queued
-	observer     func(now des.Time, flows []*Flow)
-	noise        *NoiseConfig
-	noiseOn      bool
-	injectionCap float64 // per-node NIC cap, 0 = disabled
+	e           *des.Engine
+	name        string
+	base        float64 // configured peak capacity, bytes/s
+	capacity    float64 // current effective capacity (noise and faults applied)
+	noiseFactor float64 // stationary noise scaling, (0,1]
+	faultFactor float64 // fault-injection scaling, [0,1]
+	flows       []*Flow
+	last        des.Time   // time progress was last integrated
+	cancel      des.Handle // pending completion event, if any
+	dirty       bool       // a recompute event is queued
+	observer    func(now des.Time, flows []*Flow)
+	noise       *NoiseConfig
+	noiseOn     bool
 
 	// dirtyFn and recomputeFn are the two event callbacks the channel
 	// schedules on every recompute cycle, bound once at construction so
@@ -37,17 +36,12 @@ type channel struct {
 	dirtyFn     func()
 	recomputeFn func()
 
-	// Scratch buffers reused across recomputes so the steady-state
-	// water-filling path allocates nothing: order backs the sorted view
-	// inside allocate, sorter is its sort.Stable adapter, and the
-	// group* / members / supers set backs allocateGrouped's two-level
-	// decomposition. They are plain scratch — valid only within one
-	// allocation pass, never across events.
-	order    []*Flow
-	sorter   flowSorter
-	groupIdx map[nodeKey]int
-	members  [][]*Flow
-	supers   []*Flow
+	// Scratch reused across recomputes so the steady-state water-filling
+	// path allocates nothing: order backs the sorted view inside
+	// allocate, and sorter is its sort.Stable adapter. Valid only within
+	// one allocation pass, never across events.
+	order  []*Flow
+	sorter flowSorter
 
 	// recent tracks operation submissions inside the storm window for the
 	// burst-storm latency model; head indexes the oldest live entry.
@@ -106,7 +100,6 @@ type Flow struct {
 	tag       Tag
 	total     float64
 	remaining float64
-	weight    float64
 	cap       float64
 	rate      float64
 	finishAt  des.Time // projected completion under current rates
@@ -144,13 +137,12 @@ func (f *Flow) SetCap(cap float64) {
 	f.ch.markDirty()
 }
 
-func (c *channel) start(bytes, weight, cap float64, tag Tag) *Flow {
+func (c *channel) start(bytes, cap float64, tag Tag) *Flow {
 	f := &Flow{
 		ch:        c,
 		tag:       tag,
 		total:     bytes,
 		remaining: bytes,
-		weight:    weight,
 		cap:       cap,
 		started:   c.e.Now(),
 		done:      des.NewCompletion(c.e),
@@ -279,20 +271,15 @@ func (c *channel) recompute() {
 	}
 }
 
-// waterfill assigns weighted max–min fair rates honouring per-flow caps
-// (and, when configured, per-node injection caps), recomputes each flow's
-// projected finish time, and returns the earliest one (zero when no flow
-// will finish on its own) so the caller needs no second pass.
+// waterfill assigns max–min fair rates honouring per-flow caps,
+// recomputes each flow's projected finish time, and returns the earliest
+// one (zero when no flow will finish on its own) so the caller needs no
+// second pass.
 func (c *channel) waterfill() des.Time {
-	n := len(c.flows)
-	if n == 0 {
+	if len(c.flows) == 0 {
 		return 0
 	}
-	if c.injectionCap > 0 {
-		c.allocateGrouped()
-	} else {
-		c.allocate(c.capacity, c.flows)
-	}
+	c.allocate()
 	now := c.e.Now()
 	var next des.Time
 	for _, f := range c.flows {
@@ -304,17 +291,16 @@ func (c *channel) waterfill() des.Time {
 	return next
 }
 
-// flowOrderLess is the water-filling visit order: ascending cap/weight,
-// with ties broken by the flow's tag. The tag tie-break makes the order
-// total over distinct flows, so tied rate classes resolve identically no
-// matter how the input happens to be arranged — determinism by
-// construction rather than by accident of sort.Slice's pivot choices.
+// flowOrderLess is the water-filling visit order: ascending cap, with
+// ties broken by the flow's tag. The tag tie-break makes the order total
+// over distinct flows, so tied caps resolve identically no matter how the
+// input happens to be arranged — determinism by construction rather than
+// by accident of sort.Slice's pivot choices.
 func flowOrderLess(a, b *Flow) bool {
-	ra, rb := a.cap/a.weight, b.cap/b.weight
-	if ra < rb {
+	if a.cap < b.cap {
 		return true
 	}
-	if ra > rb {
+	if a.cap > b.cap {
 		return false
 	}
 	if a.tag.Job != b.tag.Job {
@@ -360,15 +346,10 @@ func (c *channel) sortFlows(order []*Flow) {
 	c.sorter.flows = nil
 }
 
-// allocate assigns weighted max–min fair rates to flows under capacity,
-// honouring per-flow caps. It only sets f.rate. The sorted view lives in
-// the channel's scratch buffer; calls must not nest (allocateGrouped's
-// sequential super- and member-level calls are fine).
-func (c *channel) allocate(capacity float64, flows []*Flow) {
-	n := len(flows)
-	if n == 0 {
-		return
-	}
+// allocate assigns max–min fair rates to the channel's flows, honouring
+// per-flow caps. It only sets f.rate.
+func (c *channel) allocate() {
+	flows := c.flows
 
 	// Fast path: total demand fits; everyone gets its cap.
 	total := 0.0
@@ -380,135 +361,50 @@ func (c *channel) allocate(capacity float64, flows []*Flow) {
 		}
 		total += f.cap
 	}
-	if capped && total <= capacity {
+	if capped && total <= c.capacity {
 		for _, f := range flows {
 			f.rate = f.cap
 		}
 		return
 	}
 
-	// Fast path: no caps and uniform weights (the common case of a
-	// synchronized burst) — everyone gets an equal share, no sort needed.
-	uniform := true
+	// Fast path: no caps (the common case of a synchronized burst) —
+	// everyone gets an equal share, no sort needed.
+	uncapped := true
 	for _, f := range flows {
-		if !math.IsInf(f.cap, 1) || f.weight != flows[0].weight {
-			uniform = false
+		if !math.IsInf(f.cap, 1) {
+			uncapped = false
 			break
 		}
 	}
-	if uniform {
-		rate := capacity / float64(n)
+	if uncapped {
+		rate := c.capacity / float64(len(flows))
 		for _, f := range flows {
 			f.rate = rate
 		}
 		return
 	}
 
-	// Water-filling: visit flows by ascending cap/weight. A flow whose cap
-	// is below its proportional share keeps the cap and donates the rest.
-	// Sorting a scratch copy (rather than the caller's slice) preserves
-	// the flow set's insertion order for observers.
+	// Water-filling: visit flows by ascending cap. A flow whose cap is
+	// below the equal share of what is left keeps the cap and donates the
+	// rest. Sorting a scratch copy (rather than c.flows) preserves the
+	// flow set's insertion order for observers.
 	order := append(c.order[:0], flows...)
 	c.order = order
 	c.sortFlows(order)
-	remaining := capacity
-	weight := 0.0
-	for _, f := range order {
-		weight += f.weight
-	}
-	for _, f := range order {
-		fair := remaining * f.weight / weight
-		rate := fair
-		if f.cap < fair {
+	remaining := c.capacity
+	for i, f := range order {
+		rate := remaining / float64(len(order)-i)
+		if f.cap < rate {
 			rate = f.cap
 		}
 		f.rate = rate
 		remaining -= rate
-		weight -= f.weight
 	}
 	// Drop the flow references so an idle channel's scratch does not pin
 	// completed flows for the GC.
 	for i := range order {
 		order[i] = nil
-	}
-}
-
-// nodeKey groups flows sharing one node's NIC.
-type nodeKey struct {
-	job, node int
-}
-
-// allocateGrouped performs the two-level hierarchical allocation: the
-// channel capacity is divided across node groups by weighted max–min with
-// each group capped at the injection bandwidth, then each group's rate is
-// divided across its member flows. Groups are assembled in first-
-// appearance order over c.flows — not by ranging over a map — so the
-// super-flow ordering (and with it every downstream float accumulation)
-// is identical on every run. All grouping state lives in per-channel
-// scratch reused across recomputes.
-func (c *channel) allocateGrouped() {
-	if c.groupIdx == nil {
-		c.groupIdx = make(map[nodeKey]int)
-	} else {
-		clear(c.groupIdx)
-	}
-	c.members = c.members[:0]
-	for _, f := range c.flows {
-		k := nodeKey{job: f.tag.Job, node: f.tag.Node}
-		gi, ok := c.groupIdx[k]
-		if !ok {
-			gi = len(c.members)
-			c.groupIdx[k] = gi
-			if gi < cap(c.members) {
-				// Reuse the retired member slice's backing array.
-				c.members = c.members[:gi+1]
-				c.members[gi] = c.members[gi][:0]
-			} else {
-				c.members = append(c.members, nil)
-			}
-		}
-		c.members[gi] = append(c.members[gi], f)
-	}
-	// Build one pooled super-flow per group. Its cap is the injection
-	// bandwidth, tightened further when every member is individually
-	// capped below it; its tag is the group identity, which gives the
-	// water-filling tie-break a total order over supers too.
-	for len(c.supers) < len(c.members) {
-		c.supers = append(c.supers, &Flow{})
-	}
-	supers := c.supers[:len(c.members)]
-	for i, flows := range c.members {
-		weight, caps := 0.0, 0.0
-		uncapped := false
-		for _, f := range flows {
-			weight += f.weight
-			if math.IsInf(f.cap, 1) {
-				uncapped = true
-			} else {
-				caps += f.cap
-			}
-		}
-		gcap := c.injectionCap
-		if !uncapped && caps < gcap {
-			gcap = caps
-		}
-		*supers[i] = Flow{
-			weight: weight,
-			cap:    gcap,
-			tag:    Tag{Job: flows[0].tag.Job, Node: flows[0].tag.Node},
-		}
-	}
-	c.allocate(c.capacity, supers)
-	for i, flows := range c.members {
-		c.allocate(supers[i].rate, flows)
-	}
-	// As with allocate's order scratch: release member references so the
-	// scratch never outlives the flows it grouped.
-	for i, m := range c.members {
-		for j := range m {
-			m[j] = nil
-		}
-		c.members[i] = m[:0]
 	}
 }
 

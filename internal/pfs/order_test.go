@@ -12,37 +12,40 @@ var permute4 = [][]int{
 	{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}, {0, 2, 1, 3}, {3, 0, 2, 1},
 }
 
-// TestAllocateTiedCapsDeterministic pins the water-filling tie-break:
-// flows with identical cap/weight ratios used to be ordered by
-// sort.Slice, whose placement of ties depends on incidental input order,
-// so tied flows' float rate accumulations (and thus their projected
-// completions) could differ between otherwise identical runs. With the
-// stable (cap/weight, tag) total order, every input permutation must
-// produce bit-identical rates per flow.
+// TestAllocateTiedCapsDeterministic pins the water-filling tie-break.
+// Flows with equal caps above their share each take the equal share of
+// what is left when they are visited, and those quotients differ in the
+// low bits from one visit position to the next. Ties used to be ordered
+// by sort.Slice, whose placement depends on incidental input order, so a
+// flow's rate (and thus its projected completion) could differ between
+// otherwise identical runs. With the stable (cap, tag) total order, every
+// input permutation must produce bit-identical rates per flow.
 func TestAllocateTiedCapsDeterministic(t *testing.T) {
-	// Deliberately non-representable ratio so any ordering difference
-	// shows up in the low bits of the accumulated remaining capacity.
-	const r = 7.3
+	// One flow capped below its share forces the water-fill path; the
+	// 92.7 B/s it leaves does not divide evenly among the four tied flows.
 	build := func() []*Flow {
 		return []*Flow{
-			{tag: Tag{Rank: 0}, weight: 1, cap: r * 1, remaining: 1e6},
-			{tag: Tag{Rank: 1}, weight: 3, cap: r * 3, remaining: 1e6},
-			{tag: Tag{Rank: 2}, weight: 7, cap: r * 7, remaining: 1e6},
-			{tag: Tag{Rank: 3}, weight: 2, cap: Unlimited, remaining: 1e6},
+			{tag: Tag{Rank: 0}, cap: 50, remaining: 1e6},
+			{tag: Tag{Rank: 1}, cap: 50, remaining: 1e6},
+			{tag: Tag{Rank: 2}, cap: 50, remaining: 1e6},
+			{tag: Tag{Rank: 3}, cap: 50, remaining: 1e6},
 		}
 	}
 	var want [4]float64
+	distinct := false
 	for pi, perm := range permute4 {
 		c := newChannel(des.NewEngine(1), "test", 100)
+		c.flows = append(c.flows, &Flow{tag: Tag{Rank: 4}, cap: 7.3, remaining: 1e6})
 		flows := build()
 		for _, i := range perm {
 			c.flows = append(c.flows, flows[i])
 		}
-		c.allocate(c.capacity, c.flows)
+		c.allocate()
 		for _, f := range flows {
 			got := f.rate
 			if pi == 0 {
 				want[f.tag.Rank] = got
+				distinct = distinct || got != want[0]
 				continue
 			}
 			if got != want[f.tag.Rank] {
@@ -51,53 +54,22 @@ func TestAllocateTiedCapsDeterministic(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestGroupedAllocationDeterministic does the same for the two-level
-// injection-cap path, whose groups were previously assembled by ranging
-// over a map: node-group ordering (and the float accumulation that
-// follows it) must not depend on flow arrival order.
-func TestGroupedAllocationDeterministic(t *testing.T) {
-	build := func() []*Flow {
-		return []*Flow{
-			{tag: Tag{Job: 1, Node: 0, Rank: 0}, weight: 1.3, cap: Unlimited, remaining: 1e6},
-			{tag: Tag{Job: 1, Node: 0, Rank: 1}, weight: 2.1, cap: 11.7, remaining: 1e6},
-			{tag: Tag{Job: 1, Node: 1, Rank: 2}, weight: 1.9, cap: Unlimited, remaining: 1e6},
-			{tag: Tag{Job: 2, Node: 0, Rank: 3}, weight: 0.7, cap: 5.3, remaining: 1e6},
-		}
-	}
-	var want [4]float64
-	for pi, perm := range permute4 {
-		c := newChannel(des.NewEngine(1), "test", 40)
-		c.injectionCap = 17
-		flows := build()
-		for _, i := range perm {
-			c.flows = append(c.flows, flows[i])
-		}
-		c.allocateGrouped()
-		for _, f := range flows {
-			if pi == 0 {
-				want[f.tag.Rank] = f.rate
-				continue
-			}
-			if f.rate != want[f.tag.Rank] {
-				t.Fatalf("perm %v: rank %d rate = %v, want %v", perm, f.tag.Rank, f.rate, want[f.tag.Rank])
-			}
-		}
+	if !distinct {
+		t.Fatal("tied flows got bit-identical rates, so the tie-break went untested")
 	}
 }
 
 // TestSortFlowsTotalOrder checks both sort implementations (insertion
 // sort for small sets, sort.Stable above insertionSortMax) produce the
-// tag-ordered arrangement for tied ratios, at sizes straddling the
+// tag-ordered arrangement for tied caps, at sizes straddling the
 // cutover.
 func TestSortFlowsTotalOrder(t *testing.T) {
 	c := newChannel(des.NewEngine(1), "test", 100)
 	for _, n := range []int{2, insertionSortMax, insertionSortMax + 1, 4 * insertionSortMax} {
 		flows := make([]*Flow, n)
 		for i := range flows {
-			// Two tied rate classes interleaved over descending ranks.
-			flows[i] = &Flow{tag: Tag{Rank: n - 1 - i}, weight: 1, cap: float64(2 + i%2)}
+			// Two tied caps interleaved over descending ranks.
+			flows[i] = &Flow{tag: Tag{Rank: n - 1 - i}, cap: float64(2 + i%2)}
 		}
 		c.sortFlows(flows)
 		for i := 1; i < n; i++ {
@@ -121,7 +93,7 @@ func TestWaterfillRatesUnchangedByScratchReuse(t *testing.T) {
 			capv = float64(10 * (i + 1))
 		}
 		c.flows = append(c.flows, &Flow{
-			tag: Tag{Rank: i}, weight: float64(1 + i%3), cap: capv, remaining: 1e9,
+			tag: Tag{Rank: i}, cap: capv, remaining: 1e9,
 		})
 	}
 	c.waterfill()

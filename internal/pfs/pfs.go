@@ -2,12 +2,14 @@
 //
 // Bandwidth on each channel (one for writes, one for reads, mirroring the
 // separate peak figures of IBM Spectrum Scale on the Lichtenberg cluster) is
-// divided among concurrent flows by weighted max–min fairness: every flow
-// receives its fair share of the remaining capacity in proportion to its
-// weight, unless a per-flow cap (a bandwidth limit) entitles it to less, in
-// which case the spare capacity cascades to the other flows. This is the
-// behaviour the paper exploits: a throttled asynchronous job returns its
-// spare bandwidth to the synchronous jobs competing for the file system.
+// divided among concurrent flows by max–min fairness: every flow receives an
+// equal share of the remaining capacity, unless a per-flow cap entitles it
+// to less, in which case the spare capacity cascades to the other flows. A
+// job's share therefore grows with its flow count (one per rank). The
+// paper's bandwidth limit is not a file-system cap: the ADIO agents pace
+// their own sub-requests (internal/adio), so a throttled asynchronous job
+// holds fewer flows open and the synchronous jobs competing for the file
+// system take the spare bandwidth.
 package pfs
 
 import (
@@ -47,18 +49,6 @@ type Config struct {
 	// Noise, if non-nil, perturbs the effective capacity over time to model
 	// external interference (other users, network congestion).
 	Noise *NoiseConfig
-	// SharedChannels makes reads and writes compete for one capacity
-	// (WriteCapacity) instead of the default independent channels —
-	// appropriate for systems whose peak figures are not direction-
-	// independent.
-	SharedChannels bool
-	// InjectionCap, when positive, limits the aggregate rate of each
-	// node's flows (grouped by Tag.Job and Tag.Node) to the node's NIC
-	// bandwidth in bytes/s. Allocation becomes two-level hierarchical
-	// max–min: capacity is shared fairly across nodes first, then within
-	// each node across its flows. A single node can then never draw the
-	// whole file-system bandwidth, however many ranks it hosts.
-	InjectionCap float64
 }
 
 // LichtenbergConfig returns the file system parameters of the paper's
@@ -85,13 +75,7 @@ func New(e *des.Engine, cfg Config) *PFS {
 	}
 	p := &PFS{e: e}
 	p.chans[Write] = newChannel(e, "write", cfg.WriteCapacity)
-	if cfg.SharedChannels {
-		p.chans[Read] = p.chans[Write]
-	} else {
-		p.chans[Read] = newChannel(e, "read", cfg.ReadCapacity)
-	}
-	p.chans[Write].injectionCap = cfg.InjectionCap
-	p.chans[Read].injectionCap = cfg.InjectionCap
+	p.chans[Read] = newChannel(e, "read", cfg.ReadCapacity)
 	if cfg.Noise != nil {
 		cfg.Noise.validate()
 		p.chans[Write].noise = cfg.Noise
@@ -111,32 +95,23 @@ func (p *PFS) Capacity(c Class) float64 { return p.chans[c].base }
 // the cluster simulator to record bandwidth distribution over time.
 func (p *PFS) SetObserver(fn func(now des.Time, class Class, flows []*Flow)) {
 	p.chans[Write].observer = func(now des.Time, flows []*Flow) { fn(now, Write, flows) }
-	if p.chans[Read] == p.chans[Write] {
-		// Shared channels: one channel, one observer; callbacks carry
-		// Write as the class label for the combined traffic.
-		return
-	}
 	p.chans[Read].observer = func(now des.Time, flows []*Flow) { fn(now, Read, flows) }
 }
 
 // StartFlow begins transferring bytes on the class channel and returns
-// immediately. weight sets the flow's fair-share weight (e.g. the job's
-// node count); cap limits the flow's rate in bytes/s (Unlimited for none).
+// immediately. cap limits the flow's rate in bytes/s (Unlimited for none).
 // Zero-byte flows complete at the current instant.
-func (p *PFS) StartFlow(class Class, bytes int64, weight, cap float64, tag Tag) *Flow {
+func (p *PFS) StartFlow(class Class, bytes int64, cap float64, tag Tag) *Flow {
 	if bytes < 0 {
 		panic("pfs: negative transfer size")
 	}
-	if weight <= 0 {
-		panic("pfs: flow weight must be positive")
-	}
-	return p.chans[class].start(float64(bytes), weight, cap, tag)
+	return p.chans[class].start(float64(bytes), cap, tag)
 }
 
 // Transfer runs a blocking transfer: it starts a flow and parks proc until
 // the last byte has moved. It returns the transfer's start and end times.
-func (p *PFS) Transfer(proc *des.Proc, class Class, bytes int64, weight, cap float64, tag Tag) (start, end des.Time) {
-	f := p.StartFlow(class, bytes, weight, cap, tag)
+func (p *PFS) Transfer(proc *des.Proc, class Class, bytes int64, cap float64, tag Tag) (start, end des.Time) {
+	f := p.StartFlow(class, bytes, cap, tag)
 	f.Wait(proc)
 	return f.Started(), f.Finished()
 }
@@ -145,16 +120,9 @@ func (p *PFS) Transfer(proc *des.Proc, class Class, bytes int64, weight, cap flo
 // by a factor in [0,1] (1 restores full capacity; 0 is an outage,
 // landing on the channel's 1 B/s floor so flows stall but never
 // deadlock). A factor composes multiplicatively with the noise model:
-// effective capacity = base × noise × fault. With SharedChannels the two
-// classes share one channel and the stricter (smaller) factor applies —
-// an outage on either direction stalls the combined traffic. The
-// fault-injection subsystem (internal/faults) drives this on window
-// boundaries.
+// effective capacity = base × noise × fault. The fault-injection
+// subsystem (internal/faults) drives this on window boundaries.
 func (p *PFS) SetFaultFactors(write, read float64) {
-	if p.chans[Read] == p.chans[Write] {
-		p.chans[Write].setFaultFactor(math.Min(write, read))
-		return
-	}
 	p.chans[Write].setFaultFactor(write)
 	p.chans[Read].setFaultFactor(read)
 }
@@ -166,22 +134,6 @@ func (p *PFS) FaultFactor(class Class) float64 { return p.chans[class].faultFact
 // ActiveFlows returns the number of in-flight flows on the class channel.
 func (p *PFS) ActiveFlows(c Class) int { return len(p.chans[c].flows) }
 
-// Demand returns the sum of the rates all active flows on the channel
-// would like (cap, or the channel capacity for unlimited flows). The
-// cluster simulator uses it to detect contention.
-func (p *PFS) Demand(c Class) float64 {
-	ch := p.chans[c]
-	var d float64
-	for _, f := range ch.flows {
-		want := f.cap
-		if math.IsInf(want, 1) || want > ch.capacity {
-			want = ch.capacity
-		}
-		d += want
-	}
-	return d
-}
-
 // NoteOp records an operation submission on the class channel and returns
 // the burst concurrency: the number of operations (including this one)
 // submitted within the last second. The MPI-IO layer calls it per
@@ -191,7 +143,7 @@ func (p *PFS) NoteOp(c Class) int { return p.chans[c].noteOp() }
 // RecentOps returns the burst concurrency without recording an operation.
 func (p *PFS) RecentOps(c Class) int { return p.chans[c].recentOps() }
 
-// Tag identifies a flow for observers and for the injection-cap grouping:
+// Tag identifies a flow for observers and for the allocation tie-break:
 // which job, rank, and node it belongs to.
 type Tag struct {
 	Job  int

@@ -26,7 +26,7 @@ func TestSingleFlowFullCapacity(t *testing.T) {
 	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 200})
 	var start, end des.Time
 	e.Spawn("w", func(proc *des.Proc) {
-		start, end = p.Transfer(proc, Write, 1000, 1, Unlimited, Tag{})
+		start, end = p.Transfer(proc, Write, 1000, Unlimited, Tag{})
 	})
 	runAll(t, e)
 	if start != 0 {
@@ -42,10 +42,10 @@ func TestReadAndWriteChannelsIndependent(t *testing.T) {
 	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 100})
 	var wEnd, rEnd des.Time
 	e.Spawn("w", func(proc *des.Proc) {
-		_, wEnd = p.Transfer(proc, Write, 1000, 1, Unlimited, Tag{})
+		_, wEnd = p.Transfer(proc, Write, 1000, Unlimited, Tag{})
 	})
 	e.Spawn("r", func(proc *des.Proc) {
-		_, rEnd = p.Transfer(proc, Read, 1000, 1, Unlimited, Tag{})
+		_, rEnd = p.Transfer(proc, Read, 1000, Unlimited, Tag{})
 	})
 	runAll(t, e)
 	// No cross-channel contention: both take ~10s, not 20.
@@ -62,7 +62,7 @@ func TestEqualSharing(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		e.Spawn("w", func(proc *des.Proc) {
-			_, ends[i] = p.Transfer(proc, Write, 1000, 1, Unlimited, Tag{Rank: i})
+			_, ends[i] = p.Transfer(proc, Write, 1000, Unlimited, Tag{Rank: i})
 		})
 	}
 	runAll(t, e)
@@ -74,36 +74,14 @@ func TestEqualSharing(t *testing.T) {
 	}
 }
 
-func TestWeightedSharing(t *testing.T) {
-	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 100})
-	ends := make([]des.Time, 2)
-	weights := []float64{3, 1}
-	for i := 0; i < 2; i++ {
-		i := i
-		e.Spawn("w", func(proc *des.Proc) {
-			_, ends[i] = p.Transfer(proc, Write, 1500, weights[i], Unlimited, Tag{Rank: i})
-		})
-	}
-	runAll(t, e)
-	// Heavy flow: 75 B/s → 1500/75 = 20s. After it finishes, the light
-	// flow had 25 B/s for 20s (500 bytes done), then 100 B/s for the
-	// remaining 1000 → 20 + 10 = 30s.
-	if got := ends[0].Seconds(); math.Abs(got-20) > 1e-6 {
-		t.Fatalf("heavy end = %v, want 20s", got)
-	}
-	if got := ends[1].Seconds(); math.Abs(got-30) > 1e-6 {
-		t.Fatalf("light end = %v, want 30s", got)
-	}
-}
-
 func TestCapSparesBandwidthForOthers(t *testing.T) {
 	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 100})
 	var cappedEnd, freeEnd des.Time
 	e.Spawn("capped", func(proc *des.Proc) {
-		_, cappedEnd = p.Transfer(proc, Write, 200, 1, 10, Tag{Rank: 0})
+		_, cappedEnd = p.Transfer(proc, Write, 200, 10, Tag{Rank: 0})
 	})
 	e.Spawn("free", func(proc *des.Proc) {
-		_, freeEnd = p.Transfer(proc, Write, 900, 1, Unlimited, Tag{Rank: 1})
+		_, freeEnd = p.Transfer(proc, Write, 900, Unlimited, Tag{Rank: 1})
 	})
 	runAll(t, e)
 	// Capped: 10 B/s → 20s. Free: 90 B/s for 10s (900 done)... it
@@ -120,7 +98,7 @@ func TestSetCapMidFlight(t *testing.T) {
 	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 100})
 	var end des.Time
 	e.Spawn("w", func(proc *des.Proc) {
-		f := p.StartFlow(Write, 1000, 1, 100, Tag{})
+		f := p.StartFlow(Write, 1000, 100, Tag{})
 		proc.Sleep(5 * des.Second) // 500 bytes done
 		f.SetCap(10)               // rest at 10 B/s → 50s more
 		f.Wait(proc)
@@ -135,7 +113,7 @@ func TestSetCapMidFlight(t *testing.T) {
 func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 100})
 	e.Spawn("w", func(proc *des.Proc) {
-		start, end := p.Transfer(proc, Write, 0, 1, Unlimited, Tag{})
+		start, end := p.Transfer(proc, Write, 0, Unlimited, Tag{})
 		if start != end || proc.Now() != 0 {
 			t.Errorf("zero-byte transfer took time: %v..%v", start, end)
 		}
@@ -147,11 +125,11 @@ func TestStaggeredArrivalSharing(t *testing.T) {
 	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 100})
 	var aEnd, bEnd des.Time
 	e.Spawn("a", func(proc *des.Proc) {
-		_, aEnd = p.Transfer(proc, Write, 1000, 1, Unlimited, Tag{Rank: 0})
+		_, aEnd = p.Transfer(proc, Write, 1000, Unlimited, Tag{Rank: 0})
 	})
 	e.Spawn("b", func(proc *des.Proc) {
 		proc.Sleep(5 * des.Second)
-		_, bEnd = p.Transfer(proc, Write, 1000, 1, Unlimited, Tag{Rank: 1})
+		_, bEnd = p.Transfer(proc, Write, 1000, Unlimited, Tag{Rank: 1})
 	})
 	runAll(t, e)
 	// a: 5s alone (500 done), then shares 50/50: 500 more at 50 B/s → 15s.
@@ -164,18 +142,14 @@ func TestStaggeredArrivalSharing(t *testing.T) {
 	}
 }
 
-func TestDemandAndActiveFlows(t *testing.T) {
+func TestActiveFlows(t *testing.T) {
 	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 100})
 	e.Spawn("w", func(proc *des.Proc) {
-		f1 := p.StartFlow(Write, 1000, 1, 30, Tag{})
-		f2 := p.StartFlow(Write, 1000, 1, Unlimited, Tag{})
+		f1 := p.StartFlow(Write, 1000, 30, Tag{})
+		f2 := p.StartFlow(Write, 1000, Unlimited, Tag{})
 		proc.Yield()
 		if got := p.ActiveFlows(Write); got != 2 {
 			t.Errorf("active = %d, want 2", got)
-		}
-		// Demand: 30 (cap) + 100 (unlimited counts as capacity).
-		if got := p.Demand(Write); math.Abs(got-130) > 1e-9 {
-			t.Errorf("demand = %v, want 130", got)
 		}
 		f1.Wait(proc)
 		f2.Wait(proc)
@@ -198,8 +172,8 @@ func TestObserverSeesRates(t *testing.T) {
 		}
 	})
 	e.Spawn("w", func(proc *des.Proc) {
-		f1 := p.StartFlow(Write, 1000, 1, Unlimited, Tag{})
-		f2 := p.StartFlow(Write, 500, 1, Unlimited, Tag{})
+		f1 := p.StartFlow(Write, 1000, Unlimited, Tag{})
+		f2 := p.StartFlow(Write, 500, Unlimited, Tag{})
 		f2.Wait(proc)
 		f1.Wait(proc)
 	})
@@ -221,7 +195,7 @@ func TestNoiseVariesCompletionAndStops(t *testing.T) {
 	p := New(e, cfg)
 	var end des.Time
 	e.Spawn("w", func(proc *des.Proc) {
-		_, end = p.Transfer(proc, Write, 1000, 1, Unlimited, Tag{})
+		_, end = p.Transfer(proc, Write, 1000, Unlimited, Tag{})
 	})
 	runAll(t, e) // must terminate: noise parks when the channel drains
 	if end.Seconds() <= 10 {
@@ -245,8 +219,7 @@ func TestValidation(t *testing.T) {
 	}
 	mustPanic("zero capacity", func() { New(e, Config{WriteCapacity: 0, ReadCapacity: 1}) })
 	p := New(e, Config{WriteCapacity: 1, ReadCapacity: 1})
-	mustPanic("negative bytes", func() { p.StartFlow(Write, -1, 1, Unlimited, Tag{}) })
-	mustPanic("zero weight", func() { p.StartFlow(Write, 1, 0, Unlimited, Tag{}) })
+	mustPanic("negative bytes", func() { p.StartFlow(Write, -1, Unlimited, Tag{}) })
 	mustPanic("bad noise", func() {
 		New(des.NewEngine(1), Config{WriteCapacity: 1, ReadCapacity: 1,
 			Noise: &NoiseConfig{Interval: 0}})
@@ -266,26 +239,20 @@ func TestLichtenbergConfig(t *testing.T) {
 // TestWaterfillProperties checks the allocation invariants on random flow
 // sets: rates respect caps, never exceed capacity, work conservation holds
 // (full capacity used unless all flows are capped below it), and max–min
-// fairness (an uncapped flow's rate per weight is at least every other
-// flow's).
+// fairness (a flow below its cap gets at least every other flow's rate).
 func TestWaterfillProperties(t *testing.T) {
-	f := func(caps []uint16, weights []uint8, capacity uint16) bool {
-		n := len(caps)
-		if len(weights) < n {
-			n = len(weights)
-		}
-		if n == 0 {
+	f := func(caps []uint16, capacity uint16) bool {
+		if len(caps) == 0 {
 			return true
 		}
 		c := newChannel(des.NewEngine(1), "test", float64(capacity%1000)+1)
-		for i := 0; i < n; i++ {
-			capv := float64(caps[i]%500) + 0.5
-			if caps[i]%7 == 0 {
+		for _, cr := range caps {
+			capv := float64(cr%500) + 0.5
+			if cr%7 == 0 {
 				capv = math.Inf(1)
 			}
 			c.flows = append(c.flows, &Flow{
 				remaining: 100,
-				weight:    float64(weights[i]%9) + 1,
 				cap:       capv,
 				done:      des.NewCompletion(c.e),
 			})
@@ -317,13 +284,13 @@ func TestWaterfillProperties(t *testing.T) {
 			return false
 		}
 		// Max–min fairness: any flow below its cap must have at least the
-		// weighted rate of every other flow (within tolerance).
+		// rate of every other flow (within tolerance).
 		for _, a := range c.flows {
 			if a.rate >= a.cap-1e-9 {
 				continue // at cap: entitled to no more
 			}
 			for _, b := range c.flows {
-				if a.rate/a.weight < b.rate/b.weight-1e-6 {
+				if a.rate < b.rate-1e-6 {
 					return false
 				}
 			}
@@ -338,7 +305,7 @@ func TestWaterfillProperties(t *testing.T) {
 
 // TestFluidConservationProperty: with random flows and no caps, total bytes
 // delivered equals total bytes requested, and completion order follows
-// size/weight.
+// size.
 func TestFluidConservationProperty(t *testing.T) {
 	f := func(sizes []uint16, seed int64) bool {
 		if len(sizes) == 0 || len(sizes) > 20 {
@@ -350,7 +317,7 @@ func TestFluidConservationProperty(t *testing.T) {
 		for i, s := range sizes {
 			i, bytes := i, int64(s%5000)+1
 			e.Spawn("w", func(proc *des.Proc) {
-				_, ends[i] = p.Transfer(proc, Write, bytes, 1, Unlimited, Tag{Rank: i})
+				_, ends[i] = p.Transfer(proc, Write, bytes, Unlimited, Tag{Rank: i})
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -359,7 +326,7 @@ func TestFluidConservationProperty(t *testing.T) {
 		for i, s := range sizes {
 			for j, s2 := range sizes {
 				if s%5000 < s2%5000 && ends[i] > ends[j] {
-					return false // smaller equal-weight flow must not finish later
+					return false // a smaller flow must not finish later
 				}
 			}
 		}
@@ -371,198 +338,20 @@ func TestFluidConservationProperty(t *testing.T) {
 	}
 }
 
-func TestInjectionCapLimitsNodeAggregate(t *testing.T) {
-	e := des.NewEngine(1)
-	p := New(e, Config{WriteCapacity: 100, ReadCapacity: 100, InjectionCap: 30})
-	// Node 0 hosts three flows, node 1 hosts one. Without the cap, node 0
-	// would take 75 of 100; with a 30 B/s NIC it takes 30 and node 1 gets
-	// its own 30 (NIC-bound too).
-	var ends [4]des.Time
-	for i := 0; i < 4; i++ {
-		i := i
-		node := 0
-		if i == 3 {
-			node = 1
-		}
-		e.Spawn("w", func(proc *des.Proc) {
-			_, ends[i] = p.Transfer(proc, Write, 300, 1, Unlimited,
-				Tag{Rank: i, Node: node})
-		})
-	}
-	runAll(t, e)
-	// Node 0: 3×300 bytes over a 30 B/s NIC = 30 s. Node 1: 300 bytes at
-	// its NIC cap 30 B/s = 10 s.
-	for i := 0; i < 3; i++ {
-		if got := ends[i].Seconds(); math.Abs(got-30) > 0.1 {
-			t.Fatalf("node-0 flow %d ended at %v, want 30s", i, got)
-		}
-	}
-	if got := ends[3].Seconds(); math.Abs(got-10) > 0.1 {
-		t.Fatalf("node-1 flow ended at %v, want 10s", got)
-	}
-}
-
-func TestInjectionCapSharesFairlyAcrossNodes(t *testing.T) {
-	e := des.NewEngine(1)
-	// Capacity below the sum of NIC caps: nodes share max–min fairly.
-	p := New(e, Config{WriteCapacity: 40, ReadCapacity: 40, InjectionCap: 30})
-	var ends [2]des.Time
-	for i := 0; i < 2; i++ {
-		i := i
-		e.Spawn("w", func(proc *des.Proc) {
-			_, ends[i] = p.Transfer(proc, Write, 200, 1, Unlimited,
-				Tag{Rank: i, Node: i})
-		})
-	}
-	runAll(t, e)
-	// Two nodes split 40 B/s evenly (20 each, below the 30 NIC cap):
-	// 200/20 = 10 s each.
-	for i, end := range ends {
-		if got := end.Seconds(); math.Abs(got-10) > 0.1 {
-			t.Fatalf("node %d ended at %v, want 10s", i, got)
-		}
-	}
-}
-
-func TestInjectionCapRespectsFlowCaps(t *testing.T) {
-	e := des.NewEngine(1)
-	p := New(e, Config{WriteCapacity: 100, ReadCapacity: 100, InjectionCap: 50})
-	var capped, free des.Time
-	e.Spawn("capped", func(proc *des.Proc) {
-		_, capped = p.Transfer(proc, Write, 100, 1, 10, Tag{Node: 0})
-	})
-	e.Spawn("free", func(proc *des.Proc) {
-		_, free = p.Transfer(proc, Write, 400, 1, Unlimited, Tag{Node: 0, Rank: 1})
-	})
-	runAll(t, e)
-	// Same node: 50 B/s NIC; the capped flow takes its 10, the free one
-	// the remaining 40 → finishes 400/40 = 10 s. Capped: 100/10 = 10 s.
-	if math.Abs(capped.Seconds()-10) > 0.1 || math.Abs(free.Seconds()-10) > 0.1 {
-		t.Fatalf("ends: capped=%v free=%v, want 10s each", capped, free)
-	}
-}
-
-func TestSharedChannels(t *testing.T) {
-	e := des.NewEngine(1)
-	p := New(e, Config{WriteCapacity: 100, ReadCapacity: 100, SharedChannels: true})
-	var wEnd, rEnd des.Time
-	e.Spawn("w", func(proc *des.Proc) {
-		_, wEnd = p.Transfer(proc, Write, 1000, 1, Unlimited, Tag{Rank: 0})
-	})
-	e.Spawn("r", func(proc *des.Proc) {
-		_, rEnd = p.Transfer(proc, Read, 1000, 1, Unlimited, Tag{Rank: 1})
-	})
-	runAll(t, e)
-	// Read and write share the single 100 B/s channel: 20 s each, not 10.
-	for _, end := range []des.Time{wEnd, rEnd} {
-		if got := end.Seconds(); math.Abs(got-20) > 1e-6 {
-			t.Fatalf("end = %v, want ~20s (shared capacity)", got)
-		}
-	}
-}
-
-// TestGroupedAllocationProperties checks the two-level hierarchical
-// allocation invariants on random flow populations: total ≤ capacity,
-// per-node aggregate ≤ injection cap, per-flow rate ≤ flow cap, and work
-// conservation (either the capacity is exhausted or every node is bound
-// by its cap or demand).
-func TestGroupedAllocationProperties(t *testing.T) {
-	f := func(nodesRaw []uint8, capacity uint16, injCap uint16) bool {
-		e := des.NewEngine(1)
-		c := newChannel(e, "test", float64(capacity%500)+50)
-		c.injectionCap = float64(injCap%200) + 10
-		n := len(nodesRaw)
-		if n > 40 {
-			n = 40
-		}
-		for i := 0; i < n; i++ {
-			capv := Unlimited
-			if nodesRaw[i]%3 == 0 {
-				capv = float64(nodesRaw[i]%50) + 1
-			}
-			c.flows = append(c.flows, &Flow{
-				remaining: 1000,
-				weight:    float64(nodesRaw[i]%4) + 1,
-				cap:       capv,
-				tag:       Tag{Node: int(nodesRaw[i] % 5)},
-				done:      des.NewCompletion(e),
-			})
-		}
-		if len(c.flows) == 0 {
-			return true
-		}
-		c.waterfill()
-		total := 0.0
-		perNode := map[int]float64{}
-		for _, fl := range c.flows {
-			if fl.rate < -1e-9 || fl.rate > fl.cap+1e-9 {
-				return false
-			}
-			total += fl.rate
-			perNode[fl.tag.Node] += fl.rate
-		}
-		if total > c.capacity+1e-6 {
-			return false
-		}
-		for _, agg := range perNode {
-			if agg > c.injectionCap+1e-6 {
-				return false
-			}
-		}
-		// Work conservation: if the total is below capacity, every node
-		// must be limited by its injection cap or its members' caps.
-		if total < c.capacity-1e-6 {
-			for node, agg := range perNode {
-				if agg >= c.injectionCap-1e-6 {
-					continue // NIC-bound
-				}
-				capSum := 0.0
-				bound := true
-				for _, fl := range c.flows {
-					if fl.tag.Node != node {
-						continue
-					}
-					if math.IsInf(fl.cap, 1) {
-						bound = false
-						break
-					}
-					capSum += fl.cap
-				}
-				if !bound || agg < capSum-1e-6 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(31))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInjectionCapWithNoiseAndFlowCaps(t *testing.T) {
-	// All three constraint layers at once: channel noise, node injection
-	// caps, and a per-flow cap. The run must terminate deterministically
-	// with every constraint respected at the observer snapshots.
+// TestFlowCapHoldsUnderNoise: a per-flow cap holds at every observer
+// snapshot while noise varies the channel capacity, and the run
+// terminates.
+func TestFlowCapHoldsUnderNoise(t *testing.T) {
 	e := des.NewEngine(5)
 	p := New(e, Config{
 		WriteCapacity: 1000, ReadCapacity: 1000,
-		InjectionCap: 300,
-		Noise:        &NoiseConfig{Interval: des.Second, Amplitude: 0.3},
+		Noise: &NoiseConfig{Interval: des.Second, Amplitude: 0.3},
 	})
 	violated := false
 	p.SetObserver(func(now des.Time, class Class, flows []*Flow) {
-		perNode := map[int]float64{}
 		for _, f := range flows {
-			perNode[f.Tag().Node] += f.Rate()
 			if f.Rate() > 50+1e-9 && f.Tag().Rank == 0 {
 				violated = true // flow cap 50 exceeded
-			}
-		}
-		for _, agg := range perNode {
-			if agg > 300+1e-9 {
-				violated = true
 			}
 		}
 	})
@@ -573,11 +362,11 @@ func TestInjectionCapWithNoiseAndFlowCaps(t *testing.T) {
 			capv = 50
 		}
 		e.Spawn("w", func(proc *des.Proc) {
-			p.Transfer(proc, Write, 2000, 1, capv, Tag{Rank: i, Node: i / 3})
+			p.Transfer(proc, Write, 2000, capv, Tag{Rank: i, Node: i / 3})
 		})
 	}
 	runAll(t, e)
 	if violated {
-		t.Fatal("constraint violated under combined noise/injection/flow caps")
+		t.Fatal("flow cap exceeded under noise")
 	}
 }

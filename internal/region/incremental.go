@@ -52,9 +52,9 @@ func newChunk() *chunk {
 // Series is a straight walk over the boundary chunks — no O(n log n)
 // recompute per query, which is what made the gateway's /metrics scrape
 // cost grow with every phase ever seen. It is also the paper's online
-// aggregation mode inside a run (tmio's Config.OnlineAggregation): an
-// I/O scheduler can poll Max for the application-level requirement
-// while the application still runs.
+// aggregation mode: the gateway folds in each phase a running
+// application streams, so an I/O scheduler can poll Max for the
+// application-level requirement while the application still runs.
 //
 // The structure is a chunked sorted array of boundary deltas (+Value at
 // Start, -Value at End) in (time, delta) order, the same canonical order

@@ -304,7 +304,7 @@ func TestIncrementalCompactNoop(t *testing.T) {
 }
 
 // TestIncrementalMatchesOfflineMidStream: every mid-run query the
-// tracer's online mode answers agrees with the offline sweep over the
+// gateway's online sweep answers agrees with the offline sweep over the
 // phases added so far, degenerate phases are dropped, and a Series
 // snapshot survives later Adds.
 func TestIncrementalMatchesOfflineMidStream(t *testing.T) {

@@ -80,9 +80,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats returns a snapshot of the hit/miss/write counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -516,44 +516,6 @@ func TestFrequentStrategyLabel(t *testing.T) {
 	}
 }
 
-func TestOnlineAggregationDuringRun(t *testing.T) {
-	h := newHarness(2, Config{DisableOverhead: true, OnlineAggregation: true})
-	var midRun float64
-	h.run(t, func(r *mpi.Rank, f *mpiio.File) {
-		var req *mpiio.Request
-		for j := 0; j < 6; j++ {
-			if req != nil {
-				req.Wait()
-			}
-			req = f.IwriteAt(0, 10e6)
-			r.Compute(des.Second)
-			if j == 4 && r.ID() == 0 {
-				midRun = h.tr.OnlineB() // queried while the app still runs
-			}
-		}
-		req.Wait()
-	})
-	if midRun <= 0 {
-		t.Fatal("online B unavailable mid-run")
-	}
-	// The mid-run value is already the right magnitude: 2 ranks × 10 MB/s.
-	if midRun < 10e6 || midRun > 25e6 {
-		t.Fatalf("online B = %v, want ≈2×10e6", midRun)
-	}
-	// Offline report agrees with the final online value.
-	rep := h.tr.Report()
-	if math.Abs(h.tr.OnlineB()-rep.RequiredBandwidth)/rep.RequiredBandwidth > 0.01 {
-		t.Fatalf("online %v vs offline %v", h.tr.OnlineB(), rep.RequiredBandwidth)
-	}
-}
-
-func TestOnlineBWithoutFlag(t *testing.T) {
-	h := newHarness(1, Config{DisableOverhead: true})
-	if h.tr.OnlineB() != 0 {
-		t.Fatal("OnlineB without the flag should be 0")
-	}
-}
-
 func TestPerClassLimitsIndependent(t *testing.T) {
 	h := newHarness(1, Config{
 		Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.1},

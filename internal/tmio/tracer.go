@@ -18,7 +18,6 @@ import (
 	"iobehind/internal/mpi"
 	"iobehind/internal/mpiio"
 	"iobehind/internal/pfs"
-	"iobehind/internal/region"
 )
 
 // PhaseEndRule selects when a multi-request I/O phase's required-bandwidth
@@ -91,10 +90,6 @@ type Config struct {
 	// at zero simulated cost instead.
 	Overhead        OverheadModel
 	DisableOverhead bool
-	// SkipFinalizeWrite skips the root's report write to the file system
-	// during Finalize (the paper notes this overhead "can be discarded if
-	// the collected metrics are not saved", e.g. when streaming via TCP).
-	SkipFinalizeWrite bool
 	// UniformLimit applies the application-level aggregate instead of each
 	// rank's own measurement: every rank is capped at tol × (Σ_i B_i)/n,
 	// the alternative Sec. IV-B sketches ("aggregating B_ij over all
@@ -109,11 +104,6 @@ type Config struct {
 	// window the longer compute block); per-class limits keep the two
 	// control loops independent.
 	PerClassLimits bool
-	// OnlineAggregation maintains the application-level B sweep during
-	// the run (the paper's online mode): Tracer.OnlineB answers mid-run
-	// queries, e.g. from an I/O scheduler deciding how much bandwidth to
-	// reserve for this application.
-	OnlineAggregation bool
 	// StreamID identifies this application/run in streamed records (the
 	// App field), so a collector can demultiplex several concurrent runs
 	// on one listener. A sink-level AppID (SinkOptions) wins over an
@@ -144,7 +134,6 @@ type Tracer struct {
 	ranks   []*rankTracer
 	sink    Sink
 	sinkErr error
-	online  *region.IncrementalSweep
 
 	// Uniform-limit bookkeeping: running sum of the ranks' latest B.
 	uniformSum   float64
@@ -160,9 +149,6 @@ func Attach(sys *mpiio.System, cfg Config) *Tracer {
 		cfg.MinWindow = des.Millisecond
 	}
 	t := &Tracer{sys: sys, cfg: cfg}
-	if cfg.OnlineAggregation {
-		t.online = region.NewIncrementalSweep("B")
-	}
 	for _, r := range sys.World().Ranks() {
 		t.ranks = append(t.ranks, &rankTracer{
 			t: t, rank: r,
@@ -403,12 +389,6 @@ func (rt *rankTracer) closePhase(te des.Time, applyLimit bool) {
 	}
 	rt.phases = append(rt.phases, rec)
 	rt.open = rt.open[:0]
-	if rt.t.online != nil {
-		rt.t.online.Add(region.Phase{
-			Rank: rt.rank.ID(), Index: rec.index,
-			Start: rec.ts, End: rec.te, Value: rec.b,
-		})
-	}
 	rt.t.emitPhase(rt.rank.ID(), rec)
 }
 
@@ -422,16 +402,6 @@ func (t *Tracer) uniformLimit(rt *rankTracer, b float64) float64 {
 	t.uniformSum += b - rt.uniformB
 	rt.uniformB = b
 	return t.cfg.Strategy.WithDefaults().Tol * t.uniformSum / float64(t.uniformCount)
-}
-
-// OnlineB returns the application-level required bandwidth aggregated so
-// far, available while the run is still in progress. It returns 0 unless
-// Config.OnlineAggregation is set.
-func (t *Tracer) OnlineB() float64 {
-	if t.online == nil {
-		return 0
-	}
-	return t.online.Max()
 }
 
 // finalize is the MPI_Finalize hook: the post-runtime aggregation. Every
@@ -453,11 +423,9 @@ func (t *Tracer) finalize(r *mpi.Rank) {
 	if r.ID() == 0 {
 		n := r.World().Size()
 		r.Sleep(m.FinalizeBase + des.Duration(n)*m.FinalizePerRank)
-		if !t.cfg.SkipFinalizeWrite {
-			t.sys.FS().Transfer(r.Proc(), pfs.Write,
-				int64(n)*m.PayloadPerRank, 1, pfs.Unlimited,
-				pfs.Tag{Job: -1, Rank: -1})
-		}
+		t.sys.FS().Transfer(r.Proc(), pfs.Write,
+			int64(n)*m.PayloadPerRank, pfs.Unlimited,
+			pfs.Tag{Job: -1, Rank: -1})
 	}
 	rt.post = r.Now().Sub(start)
 }

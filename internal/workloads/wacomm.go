@@ -43,14 +43,6 @@ type WacommConfig struct {
 	// JitterFraction stretches each rank's compute by a uniform random
 	// fraction. Default 0.05.
 	JitterFraction float64
-	// Hierarchical uses the two-level distribution the real WaComM++ is
-	// designed around ("hierarchical and heterogeneous computation"): the
-	// master scatters to one leader per node, and leaders scatter within
-	// their node over the node communicator. The serial per-rank cost at
-	// the master becomes a per-node cost, so large runs scale much
-	// better. Default off (the flat master/worker model calibrated to the
-	// paper's numbers).
-	Hierarchical bool
 }
 
 // WithDefaults fills zero fields.
@@ -100,28 +92,12 @@ func (c WacommConfig) BytesPerRank(n int) int64 {
 }
 
 // IterationDuration returns the modelled iteration length for n ranks,
-// before jitter: particle work (parallel) + the distribution cost + fixed
-// overhead. The flat model pays rank-0's serial per-rank cost; the
-// hierarchical model pays one level of per-node cost at the master plus
-// one level of per-rank cost inside the (ranksPerNode-wide) node.
+// before jitter: particle work (parallel) + rank 0's serial per-rank
+// distribution cost + fixed overhead.
 func (c WacommConfig) IterationDuration(n int) des.Duration {
-	return c.iterationDuration(n, 96)
-}
-
-func (c WacommConfig) iterationDuration(n, ranksPerNode int) des.Duration {
 	d := c.WithDefaults()
 	particleWork := des.Duration(d.Particles / int64(n) * int64(d.PerParticleCost))
-	var distribution des.Duration
-	if d.Hierarchical {
-		nodes := (n + ranksPerNode - 1) / ranksPerNode
-		within := n
-		if within > ranksPerNode {
-			within = ranksPerNode
-		}
-		distribution = des.Duration(int64(nodes+within) * int64(d.DistributionPerRank))
-	} else {
-		distribution = des.Duration(int64(n) * int64(d.DistributionPerRank))
-	}
+	distribution := des.Duration(int64(n) * int64(d.DistributionPerRank))
 	return particleWork + distribution + d.FixedIteration
 }
 
@@ -133,11 +109,7 @@ func WacommMain(sys *mpiio.System, cfg WacommConfig) func(*mpi.Rank) {
 	return func(r *mpi.Rank) {
 		n := r.World().Size()
 		perRank := cfg.BytesPerRank(n)
-		iter := cfg.iterationDuration(n, r.World().Config().RanksPerNode)
-		var nodeComm *mpi.Comm
-		if cfg.Hierarchical {
-			nodeComm = r.NodeComm()
-		}
+		iter := cfg.IterationDuration(n)
 		f := sys.Open(r, fmt.Sprintf("wacomm-%06d.nc", r.ID()))
 
 		// Rank 0 reads the initial particle restart file synchronously.
@@ -152,12 +124,8 @@ func WacommMain(sys *mpiio.System, cfg WacommConfig) func(*mpi.Rank) {
 				// New particles arrive: rank 0 reads them in.
 				f.ReadAt(0, cfg.TotalBytes()/8)
 			}
-			// Hourly synchronization: the master redistributes particles
-			// (flat), or master → node leaders → node ranks (hierarchical).
+			// Hourly synchronization: the master redistributes particles.
 			r.Barrier()
-			if nodeComm != nil {
-				nodeComm.Barrier(r)
-			}
 
 			// The Lagrangian transport step, with per-rank jitter.
 			d := iter

@@ -343,40 +343,3 @@ func TestIorAsyncOverlap(t *testing.T) {
 		t.Fatalf("async ops = %d", rep.AsyncOps)
 	}
 }
-
-func TestWacommHierarchicalScalesBetter(t *testing.T) {
-	cfg := WacommConfig{}
-	flat := cfg.IterationDuration(9216)
-	h := cfg
-	h.Hierarchical = true
-	hier := h.IterationDuration(9216)
-	// Flat: 9216 serial per-rank steps at the master. Hierarchical:
-	// 96 per-node steps + 96 in-node steps — ~48× less distribution cost.
-	if hier >= flat/2 {
-		t.Fatalf("hierarchical %v not much below flat %v", hier, flat)
-	}
-	// At one node the two models are within one distribution step of each
-	// other (nodes=1 adds a single extra hop).
-	d := h.IterationDuration(48) - cfg.IterationDuration(48)
-	if d < 0 || d > h.WithDefaults().DistributionPerRank {
-		t.Fatalf("one-node difference = %v", d)
-	}
-}
-
-func TestWacommHierarchicalRuns(t *testing.T) {
-	e := des.NewEngine(7)
-	w := mpi.NewWorld(e, mpi.Config{Size: 8, RanksPerNode: 4})
-	fs := pfs.New(e, pfs.LichtenbergConfig())
-	sys := mpiio.NewSystem(w, fs, adio.Config{})
-	tr := tmio.Attach(sys, tmio.Config{DisableOverhead: true})
-	cfg := WacommConfig{
-		Particles: 80_000, Iterations: 4, Hierarchical: true, JitterFraction: -1,
-	}
-	if err := w.Run(WacommMain(sys, cfg)); err != nil {
-		t.Fatal(err)
-	}
-	rep := tr.Report()
-	if rep.AsyncOps != 8*4 {
-		t.Fatalf("async ops = %d", rep.AsyncOps)
-	}
-}
