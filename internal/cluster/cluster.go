@@ -368,30 +368,35 @@ func (s *simulation) jobMain(j *job) func(*mpi.Rank) {
 }
 
 // observe is the PFS observer: it maintains per-job write-rate series and
-// activity counters for the contention monitor.
+// activity counters for the contention monitor. A write-channel call sums
+// the flows' rates into s.rates in flow order, so it allocates nothing.
 func (s *simulation) observe(now des.Time, class pfs.Class, flows []*pfs.Flow) {
+	write := class == pfs.Write
 	for i := range s.active {
 		s.active[i] = 0
 	}
-	sums := make(map[int]float64, len(s.jobs))
+	if write {
+		for i := range s.rates {
+			s.rates[i] = 0
+		}
+	}
 	for _, f := range flows {
 		id := f.Tag().Job
 		if id < 0 || id >= len(s.jobs) {
 			continue
 		}
 		s.active[id]++
-		if class == pfs.Write {
-			sums[id] += f.Rate()
+		if write {
+			s.rates[id] += f.Rate()
 		}
 	}
-	if class != pfs.Write {
+	if !write {
 		return
 	}
 	var total float64
 	for id := range s.jobs {
-		s.rates[id] = sums[id]
-		s.res.Bandwidth[id].Append(now, sums[id])
-		total += sums[id]
+		s.res.Bandwidth[id].Append(now, s.rates[id])
+		total += s.rates[id]
 	}
 	s.res.Utilization.Append(now, total/s.fs.Capacity(pfs.Write))
 }

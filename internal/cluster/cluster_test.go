@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"iobehind/internal/des"
+	"iobehind/internal/metrics"
 	"iobehind/internal/pfs"
 	"iobehind/internal/sched"
 )
@@ -383,6 +384,35 @@ func TestExternalForecastsDrivePredictivePolicy(t *testing.T) {
 	for _, j := range res.Jobs {
 		if j.Ended <= j.Started {
 			t.Fatalf("fallback run: job %d incomplete", j.Job)
+		}
+	}
+}
+
+// TestObserveSteadyStateAllocs pins the PFS observer to zero allocations.
+// It runs after every write-channel reallocation, so a per-call map or
+// slice would be paid on every flow start and finish of a Figs. 1/2 run.
+func TestObserveSteadyStateAllocs(t *testing.T) {
+	e := des.NewEngine(1)
+	fs := pfs.New(e, pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9})
+	const jobs = 8
+	s := &simulation{
+		e: e, fs: fs,
+		res:    &Result{Utilization: &metrics.Series{Name: "utilization"}},
+		rates:  make([]float64, jobs),
+		active: make([]int, jobs),
+	}
+	for id := 0; id < jobs; id++ {
+		s.jobs = append(s.jobs, &job{id: id})
+		s.res.Bandwidth = append(s.res.Bandwidth, &metrics.Series{})
+	}
+	var flows []*pfs.Flow
+	for i := 0; i < 64; i++ {
+		flows = append(flows, fs.StartFlow(pfs.Write, 1<<30, pfs.Unlimited, pfs.Tag{Job: i % jobs, Rank: i}))
+	}
+	for _, class := range []pfs.Class{pfs.Write, pfs.Read} {
+		avg := testing.AllocsPerRun(100, func() { s.observe(e.Now(), class, flows) })
+		if avg != 0 {
+			t.Fatalf("observe(%v) = %v allocs/op, want 0", class, avg)
 		}
 	}
 }

@@ -34,8 +34,8 @@ func Example() {
 	// 3.000s: got item 2
 }
 
-// Blocking transfers on a shared resource: two flows on a 100 B/s channel
-// finish according to weighted max–min fair sharing.
+// A callback scheduled at an absolute virtual instant runs when the
+// engine's clock reaches it.
 func ExampleEngine_Schedule() {
 	e := des.NewEngine(1)
 	e.Schedule(des.Time(2*des.Second), des.PrioNormal, func() {

@@ -6,23 +6,21 @@ import (
 	"iobehind/internal/des"
 )
 
-// churnSetup builds a channel with a standing mixed-cap flow population
-// (off both allocator fast paths) and warms every scratch buffer and the
-// engine's event pool far enough that free-list growth has flattened out.
-func churnSetup() *channel {
+// churnSetup builds a file system whose write channel carries a standing
+// population of 24 flows — every other one capped when mixed, so the
+// capped water-fill runs next to the heap — and warms every buffer and
+// the engine's event pool far enough that free-list growth has flattened
+// out.
+func churnSetup(mixed bool) (*PFS, *channel) {
 	e := des.NewEngine(1)
-	c := newChannel(e, "test", 100)
+	p := New(e, Config{WriteCapacity: 100, ReadCapacity: 100})
+	c := p.chans[Write]
 	for i := 0; i < 24; i++ {
 		capv := Unlimited
-		if i%2 == 0 {
+		if mixed && i%2 == 0 {
 			capv = float64(3 + i)
 		}
-		c.flows = append(c.flows, &Flow{
-			tag:       Tag{Job: i % 2, Node: i % 5, Rank: i},
-			cap:       capv,
-			remaining: 1e12,
-			done:      des.NewCompletion(e),
-		})
+		c.start(1e12, capv, Tag{Job: i % 2, Node: i % 5, Rank: i})
 	}
 	// Warm-up: enough recomputes to grow the heap, the event free list
 	// (through several dead-event compactions), and the channel scratch
@@ -30,38 +28,40 @@ func churnSetup() *channel {
 	for i := 0; i < 512; i++ {
 		c.recompute()
 	}
-	return c
+	return p, c
 }
 
 // TestRecomputeSteadyStateAllocs is the channel-side allocation guard:
-// once scratch and pool are warm, a full recompute — integrate, water-
-// fill with the sorted visit order, completion-event reschedule — must
-// not allocate. This is what keeps thousand-rank-phase sweeps off the
-// garbage collector.
+// once buffers and pool are warm, a full recompute — integrate, heap
+// check, capped water-fill, completion-event reschedule — must not
+// allocate, on an uncapped-only channel and on a mixed one. This is what
+// keeps thousand-rank-phase sweeps off the garbage collector.
 func TestRecomputeSteadyStateAllocs(t *testing.T) {
-	c := churnSetup()
-	avg := testing.AllocsPerRun(500, func() { c.recompute() })
-	if avg != 0 {
-		t.Fatalf("recompute = %v allocs/op, want 0", avg)
-	}
-	if c.e.Stats().DeadCompactions == 0 {
-		t.Fatal("guard never exercised the dead-event compaction path")
+	for _, mixed := range []bool{false, true} {
+		_, c := churnSetup(mixed)
+		avg := testing.AllocsPerRun(500, func() { c.recompute() })
+		if avg != 0 {
+			t.Fatalf("mixed=%v: recompute = %v allocs/op, want 0", mixed, avg)
+		}
+		if c.e.Stats().DeadCompactions == 0 {
+			t.Fatalf("mixed=%v: guard never exercised the dead-event compaction path", mixed)
+		}
 	}
 }
 
-// TestSetCapChurnSteadyStateAllocs drives the public-API version of the
-// cancel-churn pattern (BenchmarkCancelChurn) through SetCap and pins it
-// to the flow-set bookkeeping only.
-func TestSetCapChurnSteadyStateAllocs(t *testing.T) {
-	c := churnSetup()
+// TestFaultChurnSteadyStateAllocs drives the public-API version of the
+// cancel-churn pattern (BenchmarkCancelChurn) through SetFaultFactors,
+// the production path that changes a channel mid-flight, and pins it to
+// the flow-set bookkeeping only.
+func TestFaultChurnSteadyStateAllocs(t *testing.T) {
+	p, c := churnSetup(true)
 	i := 0
 	avg := testing.AllocsPerRun(500, func() {
-		f := c.flows[i%len(c.flows)]
-		f.cap = float64(3 + i%11)
+		p.SetFaultFactors(0.1*float64(1+i%9), 1)
 		i++
 		c.recompute()
 	})
 	if avg != 0 {
-		t.Fatalf("SetCap churn = %v allocs/op, want 0", avg)
+		t.Fatalf("fault churn = %v allocs/op, want 0", avg)
 	}
 }

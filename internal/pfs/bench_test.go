@@ -24,8 +24,8 @@ func BenchmarkFlowChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentFlows measures the allocator under a synchronized
-// burst of many equal flows (the uniform fast path).
+// BenchmarkConcurrentFlows measures a synchronized burst of many equal
+// uncapped flows, which all finish in one instant.
 func BenchmarkConcurrentFlows(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -44,25 +44,26 @@ func BenchmarkConcurrentFlows(b *testing.B) {
 	}
 }
 
-// BenchmarkCancelChurn measures repeated cap changes against a standing
-// flow population: every SetCap forces a recompute, which cancels the
-// pending completion event and schedules a replacement. This is the
-// cancel-heavy pattern that strands dead events in the engine queue and
-// re-runs the water-filling allocator without any flow completing.
+// BenchmarkCancelChurn measures repeated capacity changes against a
+// standing capped flow population: every SetFaultFactors call forces a
+// recompute, which cancels the pending completion event and schedules a
+// replacement. This is the cancel-heavy pattern that strands dead events
+// in the engine queue and re-runs the water-filling allocator without any
+// flow completing.
 func BenchmarkCancelChurn(b *testing.B) {
 	b.ReportAllocs()
 	e := des.NewEngine(1)
 	p := New(e, Config{WriteCapacity: 1e9, ReadCapacity: 1e9})
 	const flows = 64
-	fs := make([]*Flow, flows)
-	for i := range fs {
+	for i := 0; i < flows; i++ {
 		// Large enough that no flow completes during the benchmark; the
-		// mixed caps keep the allocator off its uniform fast path.
-		fs[i] = p.StartFlow(Write, 1<<40, 1e7*float64(1+i%5), Tag{Rank: i})
+		// mixed caps, summing past every capacity below, keep the
+		// water-fill binding.
+		p.StartFlow(Write, 1<<40, 1e7*float64(1+i%5), Tag{Rank: i})
 	}
 	e.Spawn("churn", func(proc *des.Proc) {
 		for i := 0; i < b.N; i++ {
-			fs[i%flows].SetCap(1e6 * float64(1+i%9))
+			p.SetFaultFactors(0.1*float64(1+i%9), 1)
 			proc.Sleep(des.Millisecond)
 		}
 	})
@@ -74,9 +75,10 @@ func BenchmarkCancelChurn(b *testing.B) {
 
 // BenchmarkStaggeredFlows measures the shape every figure drives: n
 // uncapped flows that start at distinct instants and overlap, so every
-// start and every finish is its own recompute over the active set. One
-// process starts all the flows, so the time is the channel's rather than
-// process spawns'.
+// start and every finish is its own recompute. One process starts all the
+// flows, so the time is the channel's rather than process spawns'. Its
+// ns/op grows about linearly in n; a return to O(flows) work per event
+// shows up as quadratic growth.
 func BenchmarkStaggeredFlows(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {

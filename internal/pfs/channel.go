@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"math"
-	"sort"
 
 	"iobehind/internal/des"
 )
@@ -10,19 +9,35 @@ import (
 // channel is one direction (read or write) of the file system: a capacity
 // shared by flows under max–min fairness with per-flow caps.
 //
-// The fluid model is advanced lazily: whenever the flow set, a cap, or the
-// capacity changes, progress since the previous change is integrated at the
-// old rates, rates are recomputed by water-filling, and a single event is
-// scheduled at the earliest projected flow completion. Keeping one pending
-// event (instead of one per flow) bounds the cost of a change to O(flows).
+// Flows fall into two sets. Capped flows (only the burst-buffer drainer
+// sets a cap) keep their own remaining bytes in a slice held in
+// (cap, tag) order and water-fill first. Every uncapped flow then runs at
+// one rate, the level: the capacity the capped flows leave, split evenly.
+// So a single counter, served (the bytes each uncapped flow has moved
+// since the channel last ran out of them), describes all their progress:
+// a flow that starts when served is s with b bytes finishes when served
+// reaches its virtual finish s+b, and a min-heap on virtual finish yields
+// the next completion. This is the virtual-time construction of fluid fair
+// queueing (Parekh and Gallager's GPS): an uncapped start or finish costs
+// O(log n), a capacity change O(1), and only the few capped flows are
+// scanned.
+//
+// The fluid model is advanced lazily: whenever the flow set or the
+// capacity changes, progress since the previous change is integrated at
+// the old rates, rates are recomputed, and a single event is scheduled at
+// the earliest projected flow completion.
 type channel struct {
 	e           *des.Engine
 	name        string
-	base        float64 // configured peak capacity, bytes/s
-	capacity    float64 // current effective capacity (noise and faults applied)
-	noiseFactor float64 // stationary noise scaling, (0,1]
-	faultFactor float64 // fault-injection scaling, [0,1]
-	flows       []*Flow
+	base        float64    // configured peak capacity, bytes/s
+	capacity    float64    // current effective capacity (noise and faults applied)
+	noiseFactor float64    // stationary noise scaling, (0,1]
+	faultFactor float64    // fault-injection scaling, [0,1]
+	heap        []*Flow    // uncapped flows, a min-heap on (vfinish, seq)
+	capped      []*Flow    // capped flows in flowOrderLess order, ties in start order
+	served      float64    // bytes moved per uncapped flow; reset when none is left
+	level       float64    // the rate of every uncapped flow
+	seq         uint64     // flows started so far; breaks virtual-finish ties
 	last        des.Time   // time progress was last integrated
 	cancel      des.Handle // pending completion event, if any
 	dirty       bool       // a recompute event is queued
@@ -30,18 +45,23 @@ type channel struct {
 	noise       *NoiseConfig
 	noiseOn     bool
 
+	// projAt, projServed and projLevel are the instant, served counter
+	// and level of the previous recompute. An uncapped flow is done once
+	// the finish projected from them has come, even when rounding leaves
+	// served a hair short of its virtual finish.
+	projAt     des.Time
+	projServed float64
+	projLevel  float64
+
 	// dirtyFn and recomputeFn are the two event callbacks the channel
 	// schedules on every recompute cycle, bound once at construction so
 	// the hot path never materializes a new closure.
 	dirtyFn     func()
 	recomputeFn func()
 
-	// Scratch reused across recomputes so the steady-state water-filling
-	// path allocates nothing: order backs the sorted view inside
-	// allocate, and sorter is its sort.Stable adapter. Valid only within
-	// one allocation pass, never across events.
-	order  []*Flow
-	sorter flowSorter
+	// view is the observer's scratch: every in-flight flow, heap first.
+	// Valid only during one observer call.
+	view []*Flow
 
 	// recent tracks operation submissions inside the storm window for the
 	// burst-storm latency model; head indexes the oldest live entry.
@@ -94,31 +114,46 @@ func newChannel(e *des.Engine, name string, capacity float64) *channel {
 	return c
 }
 
+// active returns the number of in-flight flows.
+func (c *channel) active() int { return len(c.heap) + len(c.capped) }
+
 // Flow is one in-flight transfer on a channel.
 type Flow struct {
-	ch        *channel
-	tag       Tag
-	total     float64
+	ch      *channel
+	tag     Tag
+	cap     float64
+	seq     uint64  // start order on the channel
+	vfinish float64 // uncapped: the served count at which the flow is done
+	started des.Time
+	done    *des.Completion
+
+	// Capped flows only: bytes still to move, the allocated rate, and the
+	// completion projected under it.
 	remaining float64
-	cap       float64
 	rate      float64
-	finishAt  des.Time // projected completion under current rates
-	started   des.Time
-	finished  des.Time
-	done      *des.Completion
+	finishAt  des.Time
 }
 
 // Tag returns the identity the flow was started with.
 func (f *Flow) Tag() Tag { return f.tag }
 
-// Rate returns the flow's current allocated bandwidth in bytes/s.
-func (f *Flow) Rate() float64 { return f.rate }
+// Rate returns the flow's current allocated bandwidth in bytes/s; zero
+// once it has completed.
+func (f *Flow) Rate() float64 {
+	switch {
+	case f.done.Done():
+		return 0
+	case f.uncapped():
+		return f.ch.level
+	}
+	return f.rate
+}
 
 // Started returns when the flow began.
 func (f *Flow) Started() des.Time { return f.started }
 
 // Finished returns when the last byte moved; zero while in flight.
-func (f *Flow) Finished() des.Time { return f.finished }
+func (f *Flow) Finished() des.Time { return f.done.At() }
 
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.done.Done() }
@@ -126,34 +161,30 @@ func (f *Flow) Done() bool { return f.done.Done() }
 // Wait parks proc until the flow completes.
 func (f *Flow) Wait(proc *des.Proc) { f.done.Wait(proc) }
 
-// SetCap changes the flow's bandwidth cap while in flight. It is a no-op
-// on completed flows.
-func (f *Flow) SetCap(cap float64) {
-	if f.done.Done() || f.cap == cap {
-		return
-	}
-	f.ch.integrate()
-	f.cap = cap
-	f.ch.markDirty()
-}
+func (f *Flow) uncapped() bool { return math.IsInf(f.cap, 1) }
 
 func (c *channel) start(bytes, cap float64, tag Tag) *Flow {
 	f := &Flow{
-		ch:        c,
-		tag:       tag,
-		total:     bytes,
-		remaining: bytes,
-		cap:       cap,
-		started:   c.e.Now(),
-		done:      des.NewCompletion(c.e),
+		ch:      c,
+		tag:     tag,
+		cap:     cap,
+		started: c.e.Now(),
+		done:    des.NewCompletion(c.e),
 	}
 	if bytes <= 0 {
-		f.finished = c.e.Now()
 		f.done.Complete()
 		return f
 	}
 	c.integrate()
-	c.flows = append(c.flows, f)
+	c.seq++
+	f.seq = c.seq
+	if f.uncapped() {
+		f.vfinish = c.served + bytes
+		c.push(f)
+	} else {
+		f.remaining = bytes
+		c.insertCapped(f)
+	}
 	c.markDirty()
 	c.maybeStartNoise()
 	return f
@@ -201,8 +232,9 @@ func (c *channel) setCapacity(capacity float64) {
 	c.markDirty()
 }
 
-// integrate advances every flow's remaining bytes to the current instant at
-// the rates assigned by the previous recompute.
+// integrate advances the flows to the current instant at the rates
+// assigned by the previous recompute: the served counter for every
+// uncapped flow at once, then each capped flow's remaining bytes.
 func (c *channel) integrate() {
 	now := c.e.Now()
 	dt := now.Sub(c.last).Seconds()
@@ -210,7 +242,8 @@ func (c *channel) integrate() {
 	if dt <= 0 {
 		return
 	}
-	for _, f := range c.flows {
+	c.served += c.level * dt
+	for _, f := range c.capped {
 		if f.finishAt != 0 && f.finishAt <= now {
 			f.remaining = 0
 		} else {
@@ -232,30 +265,31 @@ func (c *channel) markDirty() {
 	c.e.Schedule(c.e.Now(), des.PrioLate+1, c.dirtyFn)
 }
 
-// recompute integrates progress, completes finished flows, water-fills the
-// rates of the survivors, and schedules the next completion event.
+// recompute integrates progress, completes finished flows — uncapped ones
+// in (virtual finish, start) order, then capped ones in their slice
+// order — re-rates the survivors, and schedules the next completion event.
 func (c *channel) recompute() {
 	c.integrate()
 	now := c.e.Now()
 
-	// Complete drained flows (swap-delete keeps this O(flows)).
-	for i := 0; i < len(c.flows); {
-		f := c.flows[i]
-		if f.remaining <= 0 {
-			f.finished = now
-			f.rate = 0
-			f.finishAt = 0
-			last := len(c.flows) - 1
-			c.flows[i] = c.flows[last]
-			c.flows[last] = nil
-			c.flows = c.flows[:last]
-			f.done.Complete()
-			continue
-		}
-		i++
+	for len(c.heap) > 0 && c.uncappedDone(c.heap[0], now) {
+		c.pop().done.Complete()
 	}
+	if len(c.heap) == 0 {
+		c.served = 0
+	}
+	kept := c.capped[:0]
+	for _, f := range c.capped {
+		if f.remaining > 0 {
+			kept = append(kept, f)
+		} else {
+			f.done.Complete()
+		}
+	}
+	clear(c.capped[len(kept):])
+	c.capped = kept
 
-	next := c.waterfill()
+	next := c.allocate(now)
 
 	// Replace the pending completion event with one at the new earliest
 	// completion. The stale event is cancelled; the engine's dead-event
@@ -267,35 +301,62 @@ func (c *channel) recompute() {
 		c.cancel = c.e.Schedule(next, des.PrioEarly, c.recomputeFn)
 	}
 	if c.observer != nil {
-		c.observer(now, c.flows)
+		c.view = append(append(c.view[:0], c.heap...), c.capped...)
+		c.observer(now, c.view)
+		clear(c.view)
 	}
 }
 
-// waterfill assigns max–min fair rates honouring per-flow caps,
-// recomputes each flow's projected finish time, and returns the earliest
-// one (zero when no flow will finish on its own) so the caller needs no
-// second pass.
-func (c *channel) waterfill() des.Time {
-	if len(c.flows) == 0 {
-		return 0
+// uncappedDone reports whether an uncapped flow has finished by now: its
+// virtual finish has been served, or the finish projected at the previous
+// recompute has come. Both tests are monotone in the virtual finish, so
+// the finished flows are always a prefix of the heap's order.
+func (c *channel) uncappedDone(f *Flow, now des.Time) bool {
+	if f.vfinish <= c.served {
+		return true
 	}
-	c.allocate()
-	now := c.e.Now()
+	at := projectFinish(c.projAt, f.vfinish-c.projServed, c.projLevel)
+	return at != 0 && at <= now
+}
+
+// allocate assigns max–min fair rates: capped flows water-fill in
+// ascending (cap, tag) order, each taking its cap or an equal share of
+// what is left, whichever is smaller, and the uncapped flows split the
+// rest evenly. It returns the earliest projected completion (zero when no
+// flow will finish on its own) and records the projection basis for
+// uncappedDone.
+func (c *channel) allocate(now des.Time) des.Time {
+	left := c.capacity
+	n := len(c.capped) + len(c.heap)
 	var next des.Time
-	for _, f := range c.flows {
-		f.finishAt = projectFinish(now, f.remaining, f.rate)
+	for i, f := range c.capped {
+		rate := left / float64(n-i)
+		if f.cap < rate {
+			rate = f.cap
+		}
+		f.rate = rate
+		left -= rate
+		f.finishAt = projectFinish(now, f.remaining, rate)
 		if f.finishAt != 0 && (next == 0 || f.finishAt < next) {
 			next = f.finishAt
 		}
 	}
+	c.level = 0
+	if len(c.heap) > 0 {
+		c.level = left / float64(len(c.heap))
+		at := projectFinish(now, c.heap[0].vfinish-c.served, c.level)
+		if at != 0 && (next == 0 || at < next) {
+			next = at
+		}
+	}
+	c.projAt, c.projServed, c.projLevel = now, c.served, c.level
 	return next
 }
 
-// flowOrderLess is the water-filling visit order: ascending cap, with
-// ties broken by the flow's tag. The tag tie-break makes the order total
-// over distinct flows, so tied caps resolve identically no matter how the
-// input happens to be arranged — determinism by construction rather than
-// by accident of sort.Slice's pivot choices.
+// flowOrderLess is the water-filling visit order of capped flows:
+// ascending cap, with ties broken by the flow's tag. The tag tie-break
+// makes the order total over distinct flows, so tied caps resolve
+// identically no matter in which order the flows started.
 func flowOrderLess(a, b *Flow) bool {
 	if a.cap < b.cap {
 		return true
@@ -312,99 +373,61 @@ func flowOrderLess(a, b *Flow) bool {
 	return a.tag.Rank < b.tag.Rank
 }
 
-// flowSorter adapts a flow slice to sort.Stable without a per-call
-// closure; channels keep one and reuse it.
-type flowSorter struct{ flows []*Flow }
-
-func (s *flowSorter) Len() int           { return len(s.flows) }
-func (s *flowSorter) Less(i, j int) bool { return flowOrderLess(s.flows[i], s.flows[j]) }
-func (s *flowSorter) Swap(i, j int)      { s.flows[i], s.flows[j] = s.flows[j], s.flows[i] }
-
-// insertionSortMax is the size up to which sortFlows uses insertion sort.
-// Rate classes per channel are few in every workload the simulator
-// models, so this covers the common case without sort.Stable's overhead.
-const insertionSortMax = 32
-
-// sortFlows stably sorts order by flowOrderLess. Stability matters only
-// for flows with identical tags (indistinguishable anyway); it costs
-// nothing with insertion sort and keeps the fallback consistent.
-func (c *channel) sortFlows(order []*Flow) {
-	if len(order) <= insertionSortMax {
-		for i := 1; i < len(order); i++ {
-			f := order[i]
-			j := i - 1
-			for j >= 0 && flowOrderLess(f, order[j]) {
-				order[j+1] = order[j]
-				j--
-			}
-			order[j+1] = f
-		}
-		return
+// insertCapped places f after every capped flow that does not order after
+// it, so flows with equal cap and tag keep their start order.
+func (c *channel) insertCapped(f *Flow) {
+	i := len(c.capped)
+	c.capped = append(c.capped, f)
+	for i > 0 && flowOrderLess(f, c.capped[i-1]) {
+		c.capped[i] = c.capped[i-1]
+		i--
 	}
-	c.sorter.flows = order
-	sort.Stable(&c.sorter)
-	c.sorter.flows = nil
+	c.capped[i] = f
 }
 
-// allocate assigns max–min fair rates to the channel's flows, honouring
-// per-flow caps. It only sets f.rate.
-func (c *channel) allocate() {
-	flows := c.flows
+// heapLess orders uncapped flows by virtual finish, then by start.
+func heapLess(a, b *Flow) bool {
+	if a.vfinish != b.vfinish {
+		return a.vfinish < b.vfinish
+	}
+	return a.seq < b.seq
+}
 
-	// Fast path: total demand fits; everyone gets its cap.
-	total := 0.0
-	capped := true
-	for _, f := range flows {
-		if math.IsInf(f.cap, 1) {
-			capped = false
+func (c *channel) push(f *Flow) {
+	c.heap = append(c.heap, f)
+	i := len(c.heap) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !heapLess(c.heap[i], c.heap[parent]) {
 			break
 		}
-		total += f.cap
+		c.heap[i], c.heap[parent] = c.heap[parent], c.heap[i]
+		i = parent
 	}
-	if capped && total <= c.capacity {
-		for _, f := range flows {
-			f.rate = f.cap
-		}
-		return
-	}
+}
 
-	// Fast path: no caps (the common case of a synchronized burst) —
-	// everyone gets an equal share, no sort needed.
-	uncapped := true
-	for _, f := range flows {
-		if !math.IsInf(f.cap, 1) {
-			uncapped = false
-			break
+func (c *channel) pop() *Flow {
+	h := c.heap
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = nil
+	h = h[:n]
+	c.heap = h
+	for i := 0; ; {
+		left, right := 2*i+1, 2*i+2
+		smallest := i
+		if left < n && heapLess(h[left], h[smallest]) {
+			smallest = left
 		}
-	}
-	if uncapped {
-		rate := c.capacity / float64(len(flows))
-		for _, f := range flows {
-			f.rate = rate
+		if right < n && heapLess(h[right], h[smallest]) {
+			smallest = right
 		}
-		return
-	}
-
-	// Water-filling: visit flows by ascending cap. A flow whose cap is
-	// below the equal share of what is left keeps the cap and donates the
-	// rest. Sorting a scratch copy (rather than c.flows) preserves the
-	// flow set's insertion order for observers.
-	order := append(c.order[:0], flows...)
-	c.order = order
-	c.sortFlows(order)
-	remaining := c.capacity
-	for i, f := range order {
-		rate := remaining / float64(len(order)-i)
-		if f.cap < rate {
-			rate = f.cap
+		if smallest == i {
+			return top
 		}
-		f.rate = rate
-		remaining -= rate
-	}
-	// Drop the flow references so an idle channel's scratch does not pin
-	// completed flows for the GC.
-	for i := range order {
-		order[i] = nil
+		h[i], h[smallest] = h[smallest], h[i]
+		i = smallest
 	}
 }
 

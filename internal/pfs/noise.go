@@ -48,7 +48,7 @@ func (c *channel) maybeStartNoise() {
 	}
 	var step func()
 	step = func() {
-		if len(c.flows) == 0 {
+		if c.active() == 0 {
 			c.noiseOn = false
 			c.setNoiseFactor(1)
 			return

@@ -91,8 +91,10 @@ func (p *PFS) Engine() *des.Engine { return p.e }
 func (p *PFS) Capacity(c Class) float64 { return p.chans[c].base }
 
 // SetObserver installs fn to be called after every rate reallocation on
-// either channel, with the current time and the channel's flows. Used by
-// the cluster simulator to record bandwidth distribution over time.
+// either channel, with the current time and the channel's in-flight
+// flows; the slice is valid only during the call. Used by the cluster
+// simulator to record bandwidth distribution over time. Listing the flows
+// costs O(flows) per reallocation, so only observed channels pay it.
 func (p *PFS) SetObserver(fn func(now des.Time, class Class, flows []*Flow)) {
 	p.chans[Write].observer = func(now des.Time, flows []*Flow) { fn(now, Write, flows) }
 	p.chans[Read].observer = func(now des.Time, flows []*Flow) { fn(now, Read, flows) }
@@ -132,7 +134,7 @@ func (p *PFS) SetFaultFactors(write, read float64) {
 func (p *PFS) FaultFactor(class Class) float64 { return p.chans[class].faultFactor }
 
 // ActiveFlows returns the number of in-flight flows on the class channel.
-func (p *PFS) ActiveFlows(c Class) int { return len(p.chans[c].flows) }
+func (p *PFS) ActiveFlows(c Class) int { return p.chans[c].active() }
 
 // NoteOp records an operation submission on the class channel and returns
 // the burst concurrency: the number of operations (including this one)

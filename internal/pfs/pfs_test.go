@@ -94,22 +94,6 @@ func TestCapSparesBandwidthForOthers(t *testing.T) {
 	}
 }
 
-func TestSetCapMidFlight(t *testing.T) {
-	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 100})
-	var end des.Time
-	e.Spawn("w", func(proc *des.Proc) {
-		f := p.StartFlow(Write, 1000, 100, Tag{})
-		proc.Sleep(5 * des.Second) // 500 bytes done
-		f.SetCap(10)               // rest at 10 B/s → 50s more
-		f.Wait(proc)
-		end = proc.Now()
-	})
-	runAll(t, e)
-	if got := end.Seconds(); math.Abs(got-55) > 1e-6 {
-		t.Fatalf("end = %v, want 55s", got)
-	}
-}
-
 func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 	e, p := testPFS(t, Config{WriteCapacity: 100, ReadCapacity: 100})
 	e.Spawn("w", func(proc *des.Proc) {
@@ -246,26 +230,23 @@ func TestWaterfillProperties(t *testing.T) {
 			return true
 		}
 		c := newChannel(des.NewEngine(1), "test", float64(capacity%1000)+1)
-		for _, cr := range caps {
+		var flows []*Flow
+		for i, cr := range caps {
 			capv := float64(cr%500) + 0.5
 			if cr%7 == 0 {
 				capv = math.Inf(1)
 			}
-			c.flows = append(c.flows, &Flow{
-				remaining: 100,
-				cap:       capv,
-				done:      des.NewCompletion(c.e),
-			})
+			flows = append(flows, c.start(100, capv, Tag{Rank: i}))
 		}
-		c.waterfill()
+		c.recompute()
 		total := 0.0
 		allCapped := true
 		capSum := 0.0
-		for _, fl := range c.flows {
-			if fl.rate < 0 || fl.rate > fl.cap+1e-9 {
+		for _, fl := range flows {
+			if fl.Rate() < 0 || fl.Rate() > fl.cap+1e-9 {
 				return false
 			}
-			total += fl.rate
+			total += fl.Rate()
 			if math.IsInf(fl.cap, 1) {
 				allCapped = false
 			} else {
@@ -285,12 +266,12 @@ func TestWaterfillProperties(t *testing.T) {
 		}
 		// Max–min fairness: any flow below its cap must have at least the
 		// rate of every other flow (within tolerance).
-		for _, a := range c.flows {
-			if a.rate >= a.cap-1e-9 {
+		for _, a := range flows {
+			if a.Rate() >= a.cap-1e-9 {
 				continue // at cap: entitled to no more
 			}
-			for _, b := range c.flows {
-				if a.rate < b.rate-1e-6 {
+			for _, b := range flows {
+				if a.Rate() < b.Rate()-1e-6 {
 					return false
 				}
 			}

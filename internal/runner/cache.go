@@ -26,7 +26,10 @@ import (
 // tie-break so the fold is permutation-independent; coincident-boundary
 // accumulation order — and thus the low bits of swept series — can
 // differ from v3 entries.
-const cacheVersion = "iobehind-runner-v4"
+// v5: pfs tracks uncapped flows by a shared served-bytes counter and a
+// virtual-finish heap; finish instants can move by a nanosecond, and flows
+// finishing in one instant complete in (virtual finish, start) order.
+const cacheVersion = "iobehind-runner-v5"
 
 // Cache memoizes completed sweep points on disk. Entries are gob files
 // named by a SHA-256 over (cache version, point key, canonical JSON of
