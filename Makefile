@@ -34,7 +34,7 @@ ALLOCS_SLACK   ?= 0.05
 # percent of pure noise in ns/op — more than the regression threshold.
 BENCH_FLAGS     = -run xxx -bench=. -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -p 1
 
-.PHONY: all build vet fmt-check lint lint-self test race bench bench-json bench-check perfbench-check docs-check sweep gateway-smoke faults-smoke fabric-smoke ci clean
+.PHONY: all build vet fmt-check lint lint-self test race bench bench-json bench-check perfbench-check docs-check sweep gateway-smoke faults-smoke fabric-smoke examples ci clean
 
 all: ci
 
@@ -122,6 +122,15 @@ faults-smoke:
 fabric-smoke:
 	$(GO) run ./cmd/iofabric -smoke -q
 
+# Run every example under examples/ end to end. go build ./... only
+# compiles them; this fails when one exits non-zero. examples/burstbuffer
+# is the only caller of a burst-buffer drain.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
 # Kernel hot-path benchmarks (des, pfs) plus the figure benchmarks with
 # the paper's headline metrics and the serial-vs-parallel-vs-warm-cache
 # sweep comparison. The figure benchmarks are whole-simulation runs, so
@@ -157,7 +166,7 @@ perfbench-check:
 sweep:
 	$(GO) run ./cmd/iosweep -figs all -scale quick -j 0 -cache .iosweep-cache
 
-ci: vet fmt-check build lint lint-self test race docs-check bench-check perfbench-check gateway-smoke faults-smoke fabric-smoke
+ci: vet fmt-check build lint lint-self test race docs-check bench-check perfbench-check gateway-smoke faults-smoke fabric-smoke examples
 
 clean:
 	rm -rf .iosweep-cache

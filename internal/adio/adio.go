@@ -439,7 +439,7 @@ func (a *Agent) execute(p *des.Proc, req *Request) {
 		}
 		// Step 3: the sub-request itself is a blocking transfer at full
 		// speed; throttling happens through the duty cycle.
-		start, end := a.fs.Transfer(p, req.Stats.Class, chunk, pfs.Unlimited, a.cfg.Tag)
+		start, end := a.fs.Transfer(p, req.Stats.Class, chunk, a.cfg.Tag)
 		if a.faults != nil {
 			// A straggler node moves its bytes at channel speed but hands
 			// them over late: the sub-request stretches by the slowdown.

@@ -100,16 +100,6 @@ type Config struct {
 	// MonitorInterval is the contention monitor's polling period.
 	// Defaults to 100 ms.
 	MonitorInterval des.Duration
-	// Forecasts, when set, supplies burst forecasts for synchronous jobs
-	// from an external source — e.g. a telemetry gateway's
-	// /apps/{id}/predict endpoint (internal/gateway.PredictClient) —
-	// instead of in-process FTIO detection. Under LimitPredictive each
-	// monitor tick consults it per synchronous job; returning ok=false
-	// falls back to the in-process detector for that job. This is the
-	// paper's TMIO → FTIO → scheduler loop closed over a real network
-	// boundary. Excluded from JSON so configs stay hashable as sweep
-	// cache keys (a func is runtime wiring, not point identity).
-	Forecasts func(job int, now des.Time) (sched.Forecast, bool) `json:"-"`
 	// Faults, when non-nil, describes injected fault windows (capacity
 	// degradation, outages, server stalls, stragglers, transient errors).
 	// Pure data: it participates in sweep cache keys, and the runtime
@@ -494,12 +484,6 @@ func (s *simulation) refreshForecasts(now des.Time) {
 	for id, j := range s.jobs {
 		if j.spec.Async || !s.running[id] {
 			continue
-		}
-		if s.cfg.Forecasts != nil {
-			if f, ok := s.cfg.Forecasts(id, now); ok {
-				s.arbiter.SetForecast(id, f)
-				continue
-			}
 		}
 		start := s.res.Jobs[id].Started
 		span := now.Sub(start)

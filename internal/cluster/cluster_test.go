@@ -6,7 +6,6 @@ import (
 	"iobehind/internal/des"
 	"iobehind/internal/metrics"
 	"iobehind/internal/pfs"
-	"iobehind/internal/sched"
 )
 
 // smallScenario shrinks the Fig. 1 setup so tests run in milliseconds
@@ -318,79 +317,6 @@ func TestQueueingWithPredictivePolicy(t *testing.T) {
 	}
 }
 
-func TestExternalForecastsDrivePredictivePolicy(t *testing.T) {
-	// An external forecast source (in production: a telemetry gateway's
-	// /predict endpoint) replaces in-process FTIO detection for the jobs
-	// it answers for.
-	fs := pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9}
-	jobs := []JobSpec{
-		{Nodes: 4, Loops: 8, BytesPerNode: 1 << 29, Compute: 2 * des.Second},
-		{Nodes: 4, Async: true, Loops: 6, BytesPerNode: 1 << 27,
-			Compute: 4 * des.Second},
-	}
-	var calls int
-	forecasts := func(job int, now des.Time) (sched.Forecast, bool) {
-		calls++
-		if job != 0 {
-			t.Errorf("forecast asked for job %d; only job 0 is synchronous", job)
-		}
-		// The sync job's true cadence: ~2 s compute + ~2 s burst.
-		period := 4 * des.Second
-		return sched.Forecast{
-			Period:    period,
-			BurstLen:  2 * des.Second,
-			LastBurst: now - des.Time(now.Sub(0)%period),
-		}, true
-	}
-	res, err := Run(Config{
-		Nodes: 16, FS: &fs, Jobs: jobs,
-		Policy:          LimitPredictive,
-		MonitorInterval: 250 * des.Millisecond,
-		Forecasts:       forecasts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("external forecast source never consulted")
-	}
-	if res.LimitToggles < 2 {
-		t.Fatalf("toggles = %d, want the forecast-driven cap to cycle", res.LimitToggles)
-	}
-	for _, j := range res.Jobs {
-		if j.Ended <= j.Started {
-			t.Fatalf("job %d incomplete", j.Job)
-		}
-	}
-
-	// ok=false must fall back to the in-process detector, not disable
-	// prediction: same scenario still completes and still toggles.
-	declined := 0
-	res, err = Run(Config{
-		Nodes: 16, FS: &fs, Jobs: jobs,
-		Policy:          LimitPredictive,
-		MonitorInterval: 250 * des.Millisecond,
-		Forecasts: func(job int, now des.Time) (sched.Forecast, bool) {
-			declined++
-			return sched.Forecast{}, false
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if declined == 0 {
-		t.Fatal("declining forecast source never consulted")
-	}
-	for _, j := range res.Jobs {
-		if j.Ended <= j.Started {
-			t.Fatalf("fallback run: job %d incomplete", j.Job)
-		}
-	}
-}
-
-// TestObserveSteadyStateAllocs pins the PFS observer to zero allocations.
-// It runs after every write-channel reallocation, so a per-call map or
-// slice would be paid on every flow start and finish of a Figs. 1/2 run.
 func TestObserveSteadyStateAllocs(t *testing.T) {
 	e := des.NewEngine(1)
 	fs := pfs.New(e, pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9})
@@ -407,7 +333,7 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	}
 	var flows []*pfs.Flow
 	for i := 0; i < 64; i++ {
-		flows = append(flows, fs.StartFlow(pfs.Write, 1<<30, pfs.Unlimited, pfs.Tag{Job: i % jobs, Rank: i}))
+		flows = append(flows, fs.StartFlow(pfs.Write, 1<<30, pfs.Tag{Job: i % jobs, Rank: i}))
 	}
 	for _, class := range []pfs.Class{pfs.Write, pfs.Read} {
 		avg := testing.AllocsPerRun(100, func() { s.observe(e.Now(), class, flows) })

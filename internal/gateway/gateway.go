@@ -9,9 +9,6 @@
 //
 // The paper ships TMIO metrics off-node precisely so FTIO and the I/O
 // scheduler can act on them mid-run; this package is that off-node side.
-// internal/cluster's predictive limiter can consume the gateway's
-// forecasts through Config.Forecasts, closing the TMIO → FTIO → scheduler
-// loop over a real network boundary.
 //
 // Ingest is built for graceful degradation, never unbounded growth: each
 // connection gets its own reader goroutine, a bounded record queue with

@@ -15,14 +15,12 @@ import (
 	"time"
 
 	"iobehind/internal/adio"
-	"iobehind/internal/cluster"
 	"iobehind/internal/des"
 	"iobehind/internal/metrics"
 	"iobehind/internal/mpi"
 	"iobehind/internal/mpiio"
 	"iobehind/internal/pfs"
 	"iobehind/internal/region"
-	"iobehind/internal/sched"
 	"iobehind/internal/tmio"
 )
 
@@ -523,11 +521,6 @@ func TestPredictRecoversPeriod(t *testing.T) {
 	if bl := p.BurstLen.Seconds(); math.Abs(bl-0.4) > 0.05 {
 		t.Fatalf("burst len = %v, want ~0.4s", bl)
 	}
-	// Forecast conversion carries the same numbers.
-	f := p.Forecast()
-	if f.Period != p.Period || f.LastBurst != p.LastBurst || f.BurstLen != p.BurstLen {
-		t.Fatalf("forecast %+v != prediction %+v", f, p)
-	}
 
 	// Too little history: no forecast.
 	feedPeriodic(s, "young", 2, 3.0, 0.4, 50e6)
@@ -628,47 +621,5 @@ func TestHTTPSurface(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
-	}
-}
-
-// TestClusterPredictiveViaGateway closes the paper's loop over a real
-// network boundary: the cluster's predictive limiter pulls next-burst
-// forecasts from the gateway's HTTP API instead of in-process FTIO.
-func TestClusterPredictiveViaGateway(t *testing.T) {
-	s := New(Config{})
-	// The gateway has already observed job 0's periodic write pattern
-	// (period = compute + write time of the scenario below).
-	feedPeriodic(s, "job0", 10, 2.2, 0.2, 100e6)
-	web := httptest.NewServer(s.Handler())
-	defer web.Close()
-
-	client := NewPredictClient(web.URL)
-	var calls, hits int
-	cfg := cluster.Config{
-		Nodes: 64,
-		Jobs: []cluster.JobSpec{
-			{Nodes: 8, Loops: 4, BytesPerNode: 1 << 28, Compute: 2 * des.Second},
-			{Nodes: 8, Async: true, Loops: 4, BytesPerNode: 1 << 27, Compute: 3 * des.Second},
-		},
-		Policy: cluster.LimitPredictive,
-		FS:     &pfs.Config{WriteCapacity: 2e9, ReadCapacity: 2e9},
-		Forecasts: func(job int, now des.Time) (sched.Forecast, bool) {
-			calls++
-			f, ok := client.Predict(fmt.Sprintf("job%d", job), now)
-			if ok {
-				hits++
-			}
-			return f, ok
-		},
-	}
-	res, err := cluster.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 || hits == 0 {
-		t.Fatalf("gateway forecasts unused: calls=%d hits=%d", calls, hits)
-	}
-	if len(res.Jobs) != 2 || res.Makespan <= 0 {
-		t.Fatalf("cluster result = %+v", res)
 	}
 }

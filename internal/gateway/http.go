@@ -81,7 +81,7 @@ func pointsToJSON(series *metrics.Series) []pointJSON {
 }
 
 // PredictJSON is the wire form of a Prediction (also decoded by
-// PredictClient, hence exported).
+// iogateway's smoke check and the streaming example, hence exported).
 type PredictJSON struct {
 	ID           string  `json:"id"`
 	OK           bool    `json:"ok"`

@@ -9,7 +9,6 @@ import (
 	"iobehind/internal/ftio"
 	"iobehind/internal/metrics"
 	"iobehind/internal/region"
-	"iobehind/internal/sched"
 	"iobehind/internal/tmio"
 )
 
@@ -415,11 +414,6 @@ type Prediction struct {
 	// the first predicted burst strictly after the query time.
 	LastBurst des.Time
 	Next      des.Time
-}
-
-// Forecast converts the prediction into the scheduler's forecast form.
-func (p Prediction) Forecast() sched.Forecast {
-	return sched.Forecast{Period: p.Period, BurstLen: p.BurstLen, LastBurst: p.LastBurst}
 }
 
 // Predict runs FTIO period detection over everything streamed for the

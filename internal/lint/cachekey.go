@@ -21,7 +21,7 @@ import (
 //     depends on runtime wiring rather than configuration.
 //
 // All three must be excluded explicitly with a `json:"-"` tag (stating
-// "this is runtime wiring, not identity"), as cluster.Config.Forecasts
+// "this is runtime wiring, not identity"), as tmio.Config.FaultOracle
 // does. Fields already tagged `json:"-"` are not descended into.
 //
 // The same contract guards fabric.ManifestPoint: its Config travels the

@@ -25,13 +25,6 @@ func TestWorldBasics(t *testing.T) {
 	if len(w.Ranks()) != 4 {
 		t.Fatal("Ranks length")
 	}
-	if w.Nodes() != 1 {
-		t.Fatalf("4 ranks on 96-core nodes = %d nodes, want 1", w.Nodes())
-	}
-	w2 := NewWorld(des.NewEngine(1), Config{Size: 9216})
-	if w2.Nodes() != 96 {
-		t.Fatalf("9216 ranks = %d nodes, want 96", w2.Nodes())
-	}
 }
 
 func TestWorldSizeValidation(t *testing.T) {

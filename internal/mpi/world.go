@@ -123,8 +123,3 @@ func (w *World) Run(main func(*Rank)) error {
 	}
 	return nil
 }
-
-// Nodes returns the number of nodes the world occupies, rounding up.
-func (w *World) Nodes() int {
-	return (w.cfg.Size + w.cfg.RanksPerNode - 1) / w.cfg.RanksPerNode
-}

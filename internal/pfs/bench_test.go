@@ -15,7 +15,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 	p := New(e, Config{WriteCapacity: 1e9, ReadCapacity: 1e9})
 	e.Spawn("w", func(proc *des.Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Transfer(proc, Write, 1<<20, Unlimited, Tag{})
+			p.Transfer(proc, Write, 1<<20, Tag{})
 		}
 	})
 	b.ResetTimer()
@@ -25,7 +25,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 }
 
 // BenchmarkConcurrentFlows measures a synchronized burst of many equal
-// uncapped flows, which all finish in one instant.
+// flows, which all finish in one instant.
 func BenchmarkConcurrentFlows(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -35,7 +35,7 @@ func BenchmarkConcurrentFlows(b *testing.B) {
 		for j := 0; j < flows; j++ {
 			j := j
 			e.Spawn("w", func(proc *des.Proc) {
-				p.Transfer(proc, Write, 64<<20, Unlimited, Tag{Rank: j})
+				p.Transfer(proc, Write, 64<<20, Tag{Rank: j})
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -45,21 +45,19 @@ func BenchmarkConcurrentFlows(b *testing.B) {
 }
 
 // BenchmarkCancelChurn measures repeated capacity changes against a
-// standing capped flow population: every SetFaultFactors call forces a
+// standing flow population: every SetFaultFactors call forces a
 // recompute, which cancels the pending completion event and schedules a
 // replacement. This is the cancel-heavy pattern that strands dead events
-// in the engine queue and re-runs the water-filling allocator without any
-// flow completing.
+// in the engine queue and re-rates the channel without any flow
+// completing.
 func BenchmarkCancelChurn(b *testing.B) {
 	b.ReportAllocs()
 	e := des.NewEngine(1)
 	p := New(e, Config{WriteCapacity: 1e9, ReadCapacity: 1e9})
 	const flows = 64
 	for i := 0; i < flows; i++ {
-		// Large enough that no flow completes during the benchmark; the
-		// mixed caps, summing past every capacity below, keep the
-		// water-fill binding.
-		p.StartFlow(Write, 1<<40, 1e7*float64(1+i%5), Tag{Rank: i})
+		// Large enough that no flow completes during the benchmark.
+		p.StartFlow(Write, 1<<40, Tag{Rank: i})
 	}
 	e.Spawn("churn", func(proc *des.Proc) {
 		for i := 0; i < b.N; i++ {
@@ -74,7 +72,7 @@ func BenchmarkCancelChurn(b *testing.B) {
 }
 
 // BenchmarkStaggeredFlows measures the shape every figure drives: n
-// uncapped flows that start at distinct instants and overlap, so every
+// flows that start at distinct instants and overlap, so every
 // start and every finish is its own recompute. One process starts all the
 // flows, so the time is the channel's rather than process spawns'. Its
 // ns/op grows about linearly in n; a return to O(flows) work per event
@@ -88,7 +86,7 @@ func BenchmarkStaggeredFlows(b *testing.B) {
 				p := New(e, Config{WriteCapacity: 100e9, ReadCapacity: 100e9})
 				e.Spawn("starter", func(proc *des.Proc) {
 					for j := 0; j < n; j++ {
-						p.StartFlow(Write, 64<<20, Unlimited, Tag{Rank: j})
+						p.StartFlow(Write, 64<<20, Tag{Rank: j})
 						proc.Sleep(des.Microsecond)
 					}
 				})

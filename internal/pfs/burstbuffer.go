@@ -17,9 +17,11 @@ type BurstBufferConfig struct {
 	Capacity int64
 	// WriteRate is the absorb bandwidth in bytes/s (the burst speed).
 	WriteRate float64
-	// DrainRate caps the background drain flow to the file system in
+	// DrainRate limits the background drain to the file system in
 	// bytes/s. This is the buffer's bandwidth footprint on the shared
-	// system — the quantity to keep as low as the workload allows.
+	// system — the quantity to keep as low as the workload allows. The
+	// drainer paces itself to it chunk by chunk, the way an ADIO agent
+	// paces a limited request.
 	DrainRate float64
 	// DrainChunk is the drain granularity in bytes. Defaults to 64 MiB.
 	DrainChunk int64
@@ -146,8 +148,10 @@ func (bb *BurstBuffer) kickDrainer() {
 }
 
 // drain is the background drainer: it moves buffered bytes to the file
-// system in chunks, capped at DrainRate, and wakes blocked writers as
-// space frees up.
+// system in chunks and wakes blocked writers as space frees up. Each chunk
+// is a full-speed transfer followed by a sleep until chunk/DrainRate has
+// passed since it began: the paper's Case A, with no deficit carried over
+// when a transfer overruns its slot.
 func (bb *BurstBuffer) drain(p *des.Proc) {
 	for {
 		for bb.level == 0 {
@@ -161,12 +165,17 @@ func (bb *BurstBuffer) drain(p *des.Proc) {
 		if chunk > bb.level {
 			chunk = bb.level
 		}
-		bb.fs.Transfer(p, Write, chunk, bb.cfg.DrainRate, bb.tag)
+		began := p.Now()
+		bb.fs.Transfer(p, Write, chunk, bb.tag)
 		bb.level -= chunk
 		bb.drained += chunk
 		// Space freed: release blocked writers (they re-check room).
 		if bb.space != nil && !bb.space.Done() {
 			bb.space.Complete()
+		}
+		slot := des.DurationOf(float64(chunk) / bb.cfg.DrainRate)
+		if rest := slot - p.Now().Sub(began); rest > 0 {
+			p.Sleep(rest)
 		}
 	}
 }

@@ -65,27 +65,44 @@ func TestBurstBufferBackpressure(t *testing.T) {
 	}
 }
 
-func TestBurstBufferDrainRateCapped(t *testing.T) {
-	e, fs, bb := bbSetup(BurstBufferConfig{
-		Capacity: 1 << 30, WriteRate: 10e9, DrainRate: 100e6,
-	})
-	var peak float64
-	fs.SetObserver(func(now des.Time, class Class, flows []*Flow) {
-		for _, f := range flows {
-			if f.Rate() > peak {
-				peak = f.Rate()
-			}
-		}
+// TestBurstBufferDrainPaced: the drainer moves each chunk at full speed
+// and then sleeps off the rest of the chunk's slot at DrainRate, so at
+// every 10 ms probe the drained total is at most one chunk ahead of
+// DrainRate·t, and the drain cannot end before every chunk but the last
+// has had its slot.
+func TestBurstBufferDrainPaced(t *testing.T) {
+	const (
+		total = 200e6
+		rate  = 100e6
+		chunk = 16e6
+	)
+	e, _, bb := bbSetup(BurstBufferConfig{
+		Capacity: 1 << 30, WriteRate: 10e9, DrainRate: rate, DrainChunk: chunk,
 	})
 	e.Spawn("app", func(p *des.Proc) {
-		bb.Write(p, 200e6)
+		bb.Write(p, total)
 		bb.Close()
+	})
+	var end des.Time
+	e.Spawn("probe", func(p *des.Proc) {
+		for {
+			drained := bb.Drained()
+			if limit := rate*p.Now().Seconds() + chunk; float64(drained) > limit {
+				t.Errorf("drained %d bytes by %v, pacing allows %v", drained, p.Now(), limit)
+				return
+			}
+			if drained == total {
+				end = p.Now()
+				return
+			}
+			p.Sleep(10 * des.Millisecond)
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if peak > 100e6*1.001 {
-		t.Fatalf("drain peaked at %v, cap is 100e6", peak)
+	if earliest := (total - chunk) / rate; end.Seconds() < earliest {
+		t.Fatalf("drain ended by %v, pacing allows no earlier than %vs", end, earliest)
 	}
 }
 

@@ -1,26 +1,20 @@
 package pfs
 
 import (
-	"math"
-
 	"iobehind/internal/des"
 )
 
 // channel is one direction (read or write) of the file system: a capacity
-// shared by flows under max–min fairness with per-flow caps.
+// split evenly among the in-flight flows.
 //
-// Flows fall into two sets. Capped flows (only the burst-buffer drainer
-// sets a cap) keep their own remaining bytes in a slice held in
-// (cap, tag) order and water-fill first. Every uncapped flow then runs at
-// one rate, the level: the capacity the capped flows leave, split evenly.
-// So a single counter, served (the bytes each uncapped flow has moved
-// since the channel last ran out of them), describes all their progress:
-// a flow that starts when served is s with b bytes finishes when served
-// reaches its virtual finish s+b, and a min-heap on virtual finish yields
-// the next completion. This is the virtual-time construction of fluid fair
-// queueing (Parekh and Gallager's GPS): an uncapped start or finish costs
-// O(log n), a capacity change O(1), and only the few capped flows are
-// scanned.
+// Every flow runs at one rate, the level: capacity/n for n flows. So a
+// single counter, served (the bytes each flow has moved since the channel
+// last ran empty), describes all their progress: a flow that starts when
+// served is s with b bytes finishes when served reaches its virtual finish
+// s+b, and a min-heap on virtual finish yields the next completion. This
+// is the virtual-time construction of fluid fair queueing (Parekh and
+// Gallager's GPS): a start or finish costs O(log n), a capacity change
+// O(1).
 //
 // The fluid model is advanced lazily: whenever the flow set or the
 // capacity changes, progress since the previous change is integrated at
@@ -33,10 +27,9 @@ type channel struct {
 	capacity    float64    // current effective capacity (noise and faults applied)
 	noiseFactor float64    // stationary noise scaling, (0,1]
 	faultFactor float64    // fault-injection scaling, [0,1]
-	heap        []*Flow    // uncapped flows, a min-heap on (vfinish, seq)
-	capped      []*Flow    // capped flows in flowOrderLess order, ties in start order
-	served      float64    // bytes moved per uncapped flow; reset when none is left
-	level       float64    // the rate of every uncapped flow
+	heap        []*Flow    // in-flight flows, a min-heap on (vfinish, seq)
+	served      float64    // bytes moved per flow; reset when none is left
+	level       float64    // the rate of every flow
 	seq         uint64     // flows started so far; breaks virtual-finish ties
 	last        des.Time   // time progress was last integrated
 	cancel      des.Handle // pending completion event, if any
@@ -46,8 +39,8 @@ type channel struct {
 	noiseOn     bool
 
 	// projAt, projServed and projLevel are the instant, served counter
-	// and level of the previous recompute. An uncapped flow is done once
-	// the finish projected from them has come, even when rounding leaves
+	// and level of the previous recompute. A flow is done once the
+	// finish projected from them has come, even when rounding leaves
 	// served a hair short of its virtual finish.
 	projAt     des.Time
 	projServed float64
@@ -58,10 +51,6 @@ type channel struct {
 	// the hot path never materializes a new closure.
 	dirtyFn     func()
 	recomputeFn func()
-
-	// view is the observer's scratch: every in-flight flow, heap first.
-	// Valid only during one observer call.
-	view []*Flow
 
 	// recent tracks operation submissions inside the storm window for the
 	// burst-storm latency model; head indexes the oldest live entry.
@@ -115,23 +104,16 @@ func newChannel(e *des.Engine, name string, capacity float64) *channel {
 }
 
 // active returns the number of in-flight flows.
-func (c *channel) active() int { return len(c.heap) + len(c.capped) }
+func (c *channel) active() int { return len(c.heap) }
 
 // Flow is one in-flight transfer on a channel.
 type Flow struct {
 	ch      *channel
 	tag     Tag
-	cap     float64
 	seq     uint64  // start order on the channel
-	vfinish float64 // uncapped: the served count at which the flow is done
+	vfinish float64 // the served count at which the flow is done
 	started des.Time
 	done    *des.Completion
-
-	// Capped flows only: bytes still to move, the allocated rate, and the
-	// completion projected under it.
-	remaining float64
-	rate      float64
-	finishAt  des.Time
 }
 
 // Tag returns the identity the flow was started with.
@@ -140,13 +122,10 @@ func (f *Flow) Tag() Tag { return f.tag }
 // Rate returns the flow's current allocated bandwidth in bytes/s; zero
 // once it has completed.
 func (f *Flow) Rate() float64 {
-	switch {
-	case f.done.Done():
+	if f.done.Done() {
 		return 0
-	case f.uncapped():
-		return f.ch.level
 	}
-	return f.rate
+	return f.ch.level
 }
 
 // Started returns when the flow began.
@@ -161,13 +140,10 @@ func (f *Flow) Done() bool { return f.done.Done() }
 // Wait parks proc until the flow completes.
 func (f *Flow) Wait(proc *des.Proc) { f.done.Wait(proc) }
 
-func (f *Flow) uncapped() bool { return math.IsInf(f.cap, 1) }
-
-func (c *channel) start(bytes, cap float64, tag Tag) *Flow {
+func (c *channel) start(bytes float64, tag Tag) *Flow {
 	f := &Flow{
 		ch:      c,
 		tag:     tag,
-		cap:     cap,
 		started: c.e.Now(),
 		done:    des.NewCompletion(c.e),
 	}
@@ -178,13 +154,8 @@ func (c *channel) start(bytes, cap float64, tag Tag) *Flow {
 	c.integrate()
 	c.seq++
 	f.seq = c.seq
-	if f.uncapped() {
-		f.vfinish = c.served + bytes
-		c.push(f)
-	} else {
-		f.remaining = bytes
-		c.insertCapped(f)
-	}
+	f.vfinish = c.served + bytes
+	c.push(f)
 	c.markDirty()
 	c.maybeStartNoise()
 	return f
@@ -232,9 +203,8 @@ func (c *channel) setCapacity(capacity float64) {
 	c.markDirty()
 }
 
-// integrate advances the flows to the current instant at the rates
-// assigned by the previous recompute: the served counter for every
-// uncapped flow at once, then each capped flow's remaining bytes.
+// integrate advances the served counter to the current instant at the
+// level assigned by the previous recompute, which moves every flow at once.
 func (c *channel) integrate() {
 	now := c.e.Now()
 	dt := now.Sub(c.last).Seconds()
@@ -243,16 +213,6 @@ func (c *channel) integrate() {
 		return
 	}
 	c.served += c.level * dt
-	for _, f := range c.capped {
-		if f.finishAt != 0 && f.finishAt <= now {
-			f.remaining = 0
-		} else {
-			f.remaining -= f.rate * dt
-			if f.remaining < 0 {
-				f.remaining = 0
-			}
-		}
-	}
 }
 
 // markDirty schedules a single recompute at the current instant, after all
@@ -265,29 +225,19 @@ func (c *channel) markDirty() {
 	c.e.Schedule(c.e.Now(), des.PrioLate+1, c.dirtyFn)
 }
 
-// recompute integrates progress, completes finished flows — uncapped ones
-// in (virtual finish, start) order, then capped ones in their slice
-// order — re-rates the survivors, and schedules the next completion event.
+// recompute integrates progress, completes finished flows in (virtual
+// finish, start) order, re-rates the survivors, and schedules the next
+// completion event.
 func (c *channel) recompute() {
 	c.integrate()
 	now := c.e.Now()
 
-	for len(c.heap) > 0 && c.uncappedDone(c.heap[0], now) {
+	for len(c.heap) > 0 && c.flowDone(c.heap[0], now) {
 		c.pop().done.Complete()
 	}
 	if len(c.heap) == 0 {
 		c.served = 0
 	}
-	kept := c.capped[:0]
-	for _, f := range c.capped {
-		if f.remaining > 0 {
-			kept = append(kept, f)
-		} else {
-			f.done.Complete()
-		}
-	}
-	clear(c.capped[len(kept):])
-	c.capped = kept
 
 	next := c.allocate(now)
 
@@ -301,17 +251,15 @@ func (c *channel) recompute() {
 		c.cancel = c.e.Schedule(next, des.PrioEarly, c.recomputeFn)
 	}
 	if c.observer != nil {
-		c.view = append(append(c.view[:0], c.heap...), c.capped...)
-		c.observer(now, c.view)
-		clear(c.view)
+		c.observer(now, c.heap)
 	}
 }
 
-// uncappedDone reports whether an uncapped flow has finished by now: its
-// virtual finish has been served, or the finish projected at the previous
-// recompute has come. Both tests are monotone in the virtual finish, so
-// the finished flows are always a prefix of the heap's order.
-func (c *channel) uncappedDone(f *Flow, now des.Time) bool {
+// flowDone reports whether a flow has finished by now: its virtual finish
+// has been served, or the finish projected at the previous recompute has
+// come. Both tests are monotone in the virtual finish, so the finished
+// flows are always a prefix of the heap's order.
+func (c *channel) flowDone(f *Flow, now des.Time) bool {
 	if f.vfinish <= c.served {
 		return true
 	}
@@ -319,73 +267,21 @@ func (c *channel) uncappedDone(f *Flow, now des.Time) bool {
 	return at != 0 && at <= now
 }
 
-// allocate assigns max–min fair rates: capped flows water-fill in
-// ascending (cap, tag) order, each taking its cap or an equal share of
-// what is left, whichever is smaller, and the uncapped flows split the
-// rest evenly. It returns the earliest projected completion (zero when no
-// flow will finish on its own) and records the projection basis for
-// uncappedDone.
+// allocate gives every flow the level, capacity/n, and returns the
+// projected finish of the heap's head (zero when no flow will finish on
+// its own), recording the projection basis for flowDone.
 func (c *channel) allocate(now des.Time) des.Time {
-	left := c.capacity
-	n := len(c.capped) + len(c.heap)
-	var next des.Time
-	for i, f := range c.capped {
-		rate := left / float64(n-i)
-		if f.cap < rate {
-			rate = f.cap
-		}
-		f.rate = rate
-		left -= rate
-		f.finishAt = projectFinish(now, f.remaining, rate)
-		if f.finishAt != 0 && (next == 0 || f.finishAt < next) {
-			next = f.finishAt
-		}
-	}
 	c.level = 0
+	var next des.Time
 	if len(c.heap) > 0 {
-		c.level = left / float64(len(c.heap))
-		at := projectFinish(now, c.heap[0].vfinish-c.served, c.level)
-		if at != 0 && (next == 0 || at < next) {
-			next = at
-		}
+		c.level = c.capacity / float64(len(c.heap))
+		next = projectFinish(now, c.heap[0].vfinish-c.served, c.level)
 	}
 	c.projAt, c.projServed, c.projLevel = now, c.served, c.level
 	return next
 }
 
-// flowOrderLess is the water-filling visit order of capped flows:
-// ascending cap, with ties broken by the flow's tag. The tag tie-break
-// makes the order total over distinct flows, so tied caps resolve
-// identically no matter in which order the flows started.
-func flowOrderLess(a, b *Flow) bool {
-	if a.cap < b.cap {
-		return true
-	}
-	if a.cap > b.cap {
-		return false
-	}
-	if a.tag.Job != b.tag.Job {
-		return a.tag.Job < b.tag.Job
-	}
-	if a.tag.Node != b.tag.Node {
-		return a.tag.Node < b.tag.Node
-	}
-	return a.tag.Rank < b.tag.Rank
-}
-
-// insertCapped places f after every capped flow that does not order after
-// it, so flows with equal cap and tag keep their start order.
-func (c *channel) insertCapped(f *Flow) {
-	i := len(c.capped)
-	c.capped = append(c.capped, f)
-	for i > 0 && flowOrderLess(f, c.capped[i-1]) {
-		c.capped[i] = c.capped[i-1]
-		i--
-	}
-	c.capped[i] = f
-}
-
-// heapLess orders uncapped flows by virtual finish, then by start.
+// heapLess orders flows by virtual finish, then by start.
 func heapLess(a, b *Flow) bool {
 	if a.vfinish != b.vfinish {
 		return a.vfinish < b.vfinish
@@ -431,25 +327,27 @@ func (c *channel) pop() *Flow {
 	}
 }
 
-// maxProjectSeconds caps a projected transfer duration at about 73 virtual
-// years. Beyond it the nanosecond clock would overflow to a negative
-// instant (a terabyte-scale flow on an outage-floored 1 B/s channel gets
-// there easily). A clamped completion event just fires at the horizon,
-// integrates the progress actually made, and re-projects — the flow still
-// finishes at the right virtual time.
+// maxProjectSeconds is the projection horizon, about 73 virtual years.
+// Beyond it the nanosecond clock would overflow to a negative instant (a
+// terabyte-scale flow on an outage-floored 1 B/s channel gets there
+// easily).
 const maxProjectSeconds = float64(1<<61) / 1e9
 
 // projectFinish returns the absolute completion time of a flow, rounding up
 // a nanosecond so the completion event never fires before the fluid model
-// says the flow is done. Zero-rate flows never finish on their own.
+// says the flow is done. It returns zero, no finish, when the rate is zero
+// or the completion lies past the horizon: such a flow does not finish on
+// its own, and the next recompute (a fault window closing, a noise step, a
+// flow starting or finishing) projects it again. A run in which none comes
+// ends with the flow still in flight rather than reporting bytes it never
+// moved as delivered.
 func projectFinish(now des.Time, remaining, rate float64) des.Time {
 	if rate <= 0 {
 		return 0
 	}
 	seconds := remaining / rate
 	if seconds > maxProjectSeconds {
-		seconds = maxProjectSeconds
+		return 0
 	}
-	d := des.DurationOf(seconds) + 1
-	return now.Add(d)
+	return now.Add(des.DurationOf(seconds) + 1)
 }

@@ -2,14 +2,13 @@
 //
 // Bandwidth on each channel (one for writes, one for reads, mirroring the
 // separate peak figures of IBM Spectrum Scale on the Lichtenberg cluster) is
-// divided among concurrent flows by max–min fairness: every flow receives an
-// equal share of the remaining capacity, unless a per-flow cap entitles it
-// to less, in which case the spare capacity cascades to the other flows. A
-// job's share therefore grows with its flow count (one per rank). The
-// paper's bandwidth limit is not a file-system cap: the ADIO agents pace
-// their own sub-requests (internal/adio), so a throttled asynchronous job
-// holds fewer flows open and the synchronous jobs competing for the file
-// system take the spare bandwidth.
+// split evenly: each of n concurrent flows receives capacity/n. A job's
+// share therefore grows with its flow count (one per rank). The file
+// system caps no flow. The paper's bandwidth limit is pacing: the ADIO
+// agents sleep off the rest of each sub-request's slot (internal/adio), so
+// a throttled asynchronous job holds fewer flows open and the synchronous
+// jobs competing for the file system take the spare bandwidth. The
+// burst-buffer drainer keeps its drain rate the same way.
 package pfs
 
 import (
@@ -37,7 +36,9 @@ func (c Class) String() string {
 	return "write"
 }
 
-// Unlimited is the cap value for flows without a bandwidth limit.
+// Unlimited is the bandwidth-limit value meaning no limit. The file
+// system caps no flow; adio, tmio and sched share it as their no-limit
+// value.
 var Unlimited = math.Inf(1)
 
 // Config describes a file system.
@@ -92,28 +93,27 @@ func (p *PFS) Capacity(c Class) float64 { return p.chans[c].base }
 
 // SetObserver installs fn to be called after every rate reallocation on
 // either channel, with the current time and the channel's in-flight
-// flows; the slice is valid only during the call. Used by the cluster
-// simulator to record bandwidth distribution over time. Listing the flows
-// costs O(flows) per reallocation, so only observed channels pay it.
+// flows. The slice is the channel's own heap: it is valid only during the
+// call and must not be modified. Used by the cluster simulator to record
+// bandwidth distribution over time.
 func (p *PFS) SetObserver(fn func(now des.Time, class Class, flows []*Flow)) {
 	p.chans[Write].observer = func(now des.Time, flows []*Flow) { fn(now, Write, flows) }
 	p.chans[Read].observer = func(now des.Time, flows []*Flow) { fn(now, Read, flows) }
 }
 
 // StartFlow begins transferring bytes on the class channel and returns
-// immediately. cap limits the flow's rate in bytes/s (Unlimited for none).
-// Zero-byte flows complete at the current instant.
-func (p *PFS) StartFlow(class Class, bytes int64, cap float64, tag Tag) *Flow {
+// immediately. Zero-byte flows complete at the current instant.
+func (p *PFS) StartFlow(class Class, bytes int64, tag Tag) *Flow {
 	if bytes < 0 {
 		panic("pfs: negative transfer size")
 	}
-	return p.chans[class].start(float64(bytes), cap, tag)
+	return p.chans[class].start(float64(bytes), tag)
 }
 
 // Transfer runs a blocking transfer: it starts a flow and parks proc until
 // the last byte has moved. It returns the transfer's start and end times.
-func (p *PFS) Transfer(proc *des.Proc, class Class, bytes int64, cap float64, tag Tag) (start, end des.Time) {
-	f := p.StartFlow(class, bytes, cap, tag)
+func (p *PFS) Transfer(proc *des.Proc, class Class, bytes int64, tag Tag) (start, end des.Time) {
+	f := p.StartFlow(class, bytes, tag)
 	f.Wait(proc)
 	return f.Started(), f.Finished()
 }
@@ -145,8 +145,8 @@ func (p *PFS) NoteOp(c Class) int { return p.chans[c].noteOp() }
 // RecentOps returns the burst concurrency without recording an operation.
 func (p *PFS) RecentOps(c Class) int { return p.chans[c].recentOps() }
 
-// Tag identifies a flow for observers and for the allocation tie-break:
-// which job, rank, and node it belongs to.
+// Tag identifies a flow for observers: which job, rank, and node it
+// belongs to.
 type Tag struct {
 	Job  int
 	Rank int

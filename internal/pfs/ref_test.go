@@ -9,12 +9,11 @@ import (
 )
 
 // refChannel is the O(n) reference the heap-based channel is checked
-// against. It keeps every flow in one slice in start order, derives each
-// uncapped flow's remaining bytes from the served counter by a linear
-// scan, and sorts the finished flows into the order the heap pops them.
-// It shares the arithmetic with channel (projectFinish, the water-fill
-// quotients, the served counter) but none of its bookkeeping: no heap,
-// no sorted insertion, no prefix argument.
+// against. It keeps every flow in one slice in start order, finds the
+// finished flows by a linear scan, and sorts them into the order the heap
+// pops them. It shares the arithmetic with channel (projectFinish, the
+// level quotient, the served counter) but none of its bookkeeping: no
+// heap, no prefix argument.
 type refChannel struct {
 	e           *des.Engine
 	base        float64
@@ -37,26 +36,16 @@ type refChannel struct {
 }
 
 type refFlow struct {
-	tag       Tag
-	cap       float64
-	seq       uint64
-	vfinish   float64
-	remaining float64
-	rate      float64
-	finishAt  des.Time
-	done      *des.Completion
+	seq     uint64
+	vfinish float64
+	done    *des.Completion
 }
 
-func (f *refFlow) uncapped() bool { return math.IsInf(f.cap, 1) }
-
 func (c *refChannel) rate(f *refFlow) float64 {
-	switch {
-	case f.done.Done():
+	if f.done.Done() {
 		return 0
-	case f.uncapped():
-		return c.level
 	}
-	return f.rate
+	return c.level
 }
 
 func newRefChannel(e *des.Engine, capacity float64, noise *NoiseConfig) *refChannel {
@@ -64,8 +53,8 @@ func newRefChannel(e *des.Engine, capacity float64, noise *NoiseConfig) *refChan
 		noiseFactor: 1, faultFactor: 1, noise: noise}
 }
 
-func (c *refChannel) start(bytes, cap float64, tag Tag) *refFlow {
-	f := &refFlow{tag: tag, cap: cap, done: des.NewCompletion(c.e)}
+func (c *refChannel) start(bytes float64) *refFlow {
+	f := &refFlow{done: des.NewCompletion(c.e)}
 	if bytes <= 0 {
 		f.done.Complete()
 		return f
@@ -73,11 +62,7 @@ func (c *refChannel) start(bytes, cap float64, tag Tag) *refFlow {
 	c.integrate()
 	c.seq++
 	f.seq = c.seq
-	if f.uncapped() {
-		f.vfinish = c.served + bytes
-	} else {
-		f.remaining = bytes
-	}
+	f.vfinish = c.served + bytes
 	c.flows = append(c.flows, f)
 	c.markDirty()
 	c.startNoise()
@@ -146,16 +131,6 @@ func (c *refChannel) integrate() {
 		return
 	}
 	c.served += c.level * dt
-	for _, f := range c.flows {
-		if f.uncapped() {
-			continue
-		}
-		if f.finishAt != 0 && f.finishAt <= now {
-			f.remaining = 0
-		} else {
-			f.remaining = math.Max(f.remaining-f.rate*dt, 0)
-		}
-	}
 }
 
 func (c *refChannel) markDirty() {
@@ -170,38 +145,11 @@ func (c *refChannel) markDirty() {
 }
 
 func (c *refChannel) finished(f *refFlow, now des.Time) bool {
-	if !f.uncapped() {
-		return f.remaining <= 0
-	}
 	if f.vfinish <= c.served {
 		return true
 	}
 	at := projectFinish(c.projAt, f.vfinish-c.projServed, c.projLevel)
 	return at != 0 && at <= now
-}
-
-// refOrder is the order flows finishing at one instant complete in:
-// uncapped before capped, uncapped by (virtual finish, start), capped by
-// (cap, tag, start).
-func refOrder(a, b *refFlow) bool {
-	if a.uncapped() != b.uncapped() {
-		return a.uncapped()
-	}
-	if a.uncapped() {
-		if a.vfinish != b.vfinish {
-			return a.vfinish < b.vfinish
-		}
-		return a.seq < b.seq
-	}
-	if a.cap != b.cap {
-		return a.cap < b.cap
-	}
-	if a.tag != b.tag {
-		return a.tag.Job < b.tag.Job ||
-			a.tag.Job == b.tag.Job && (a.tag.Node < b.tag.Node ||
-				a.tag.Node == b.tag.Node && a.tag.Rank < b.tag.Rank)
-	}
-	return a.seq < b.seq
 }
 
 func (c *refChannel) recompute() {
@@ -216,40 +164,27 @@ func (c *refChannel) recompute() {
 		}
 	}
 	c.flows = live
-	sort.Slice(done, func(i, j int) bool { return refOrder(done[i], done[j]) })
+	// Flows finishing at one instant complete in (virtual finish, start)
+	// order.
+	sort.Slice(done, func(i, j int) bool {
+		if done[i].vfinish != done[j].vfinish {
+			return done[i].vfinish < done[j].vfinish
+		}
+		return done[i].seq < done[j].seq
+	})
 	for _, f := range done {
 		f.done.Complete()
 	}
 
-	var capped []*refFlow
-	nu := 0
-	for _, f := range live {
-		if f.uncapped() {
-			nu++
-		} else {
-			capped = append(capped, f)
-		}
-	}
-	if nu == 0 {
-		c.served = 0
-	}
-	sort.Slice(capped, func(i, j int) bool { return refOrder(capped[i], capped[j]) })
-	left := c.capacity
-	var next des.Time
-	for i, f := range capped {
-		f.rate = math.Min(left/float64(len(live)-i), f.cap)
-		left -= f.rate
-		f.finishAt = projectFinish(now, f.remaining, f.rate)
-	}
 	c.level = 0
-	if nu > 0 {
-		c.level = left / float64(nu)
+	if len(live) == 0 {
+		c.served = 0
+	} else {
+		c.level = c.capacity / float64(len(live))
 	}
+	var next des.Time
 	for _, f := range live {
-		at := f.finishAt
-		if f.uncapped() {
-			at = projectFinish(now, f.vfinish-c.served, c.level)
-		}
+		at := projectFinish(now, f.vfinish-c.served, c.level)
 		if at != 0 && (next == 0 || at < next) {
 			next = at
 		}
@@ -285,8 +220,6 @@ type rateSample struct {
 type fluidStep struct {
 	fault float64 // >= 0: set the write fault factor instead of starting a flow
 	bytes float64
-	cap   float64
-	tag   Tag
 	gap   des.Duration
 }
 
@@ -300,17 +233,12 @@ func decodeScript(data []byte) (noise bool, steps []fluidStep) {
 	data = data[1:]
 	for i := 0; i+4 <= len(data) && len(steps) < 256; i += 4 {
 		b := data[i : i+4]
-		s := fluidStep{fault: -1, cap: Unlimited}
-		switch {
-		case b[0]%8 == 7:
+		s := fluidStep{fault: -1}
+		if b[0]%8 == 7 {
 			s.fault = float64(b[1]%11) / 10
-		default:
+		} else {
 			// Few distinct sizes, so virtual finishes tie.
 			s.bytes = float64((int(b[1])<<8|int(b[2]))%64) * 311
-			if b[0]%8 == 6 {
-				s.cap = float64(1+b[3]%5) * 40
-			}
-			s.tag = Tag{Job: int(b[3] % 3), Rank: len(steps)}
 		}
 		switch b[3] % 4 {
 		case 0:
@@ -350,7 +278,7 @@ func runHeap(noise bool, steps []fluidStep) fluidRun {
 			if s.fault >= 0 {
 				p.SetFaultFactors(s.fault, 1)
 			} else {
-				i, f := i, p.StartFlow(Write, int64(s.bytes), s.cap, s.tag)
+				i, f := i, p.StartFlow(Write, int64(s.bytes), Tag{})
 				e.Spawn("waiter", func(proc *des.Proc) {
 					f.Wait(proc)
 					run.finished[i] = f.Finished()
@@ -388,7 +316,7 @@ func runRef(noise bool, steps []fluidStep) fluidRun {
 			if s.fault >= 0 {
 				c.setFaultFactor(s.fault)
 			} else {
-				i, f := i, c.start(s.bytes, s.cap, s.tag)
+				i, f := i, c.start(s.bytes)
 				e.Spawn("waiter", func(proc *des.Proc) {
 					f.done.Wait(proc)
 					run.finished[i] = f.done.At()
@@ -406,8 +334,8 @@ func runRef(noise bool, steps []fluidStep) fluidRun {
 }
 
 // FuzzChannelMatchesReference drives the heap channel and the O(n)
-// reference with the same random flow sizes, caps, start gaps, fault
-// factors and noise, and requires bit-identical finish instants,
+// reference with the same random flow sizes, start gaps, fault factors
+// and noise, and requires bit-identical finish instants,
 // completion order and rates. The seed corpus runs with the ordinary
 // tests.
 func FuzzChannelMatchesReference(f *testing.F) {

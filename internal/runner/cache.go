@@ -29,7 +29,9 @@ import (
 // v5: pfs tracks uncapped flows by a shared served-bytes counter and a
 // virtual-finish heap; finish instants can move by a nanosecond, and flows
 // finishing in one instant complete in (virtual finish, start) order.
-const cacheVersion = "iobehind-runner-v5"
+// v6: tmio.Report lost its two histograms (WindowHist, SizeHist), so
+// entry bytes change for unchanged configs.
+const cacheVersion = "iobehind-runner-v6"
 
 // Cache memoizes completed sweep points on disk. Entries are gob files
 // named by a SHA-256 over (cache version, point key, canonical JSON of
@@ -122,9 +124,9 @@ func ValidCacheKey(key string) bool {
 
 // EncodeEntry serializes a point result into the cache's entry format —
 // the exact bytes a *Cache stores on disk and the fabric moves over the
-// wire. The encoding is deterministic for a given value (result structs
-// contain no bare maps; see metrics.Histogram's sorted wire form), which
-// is what makes entries content-addressable and duplicate completions
+// wire. The encoding is deterministic for a given value as long as result
+// structs hold no maps (gob writes a map in iteration order), which is
+// what makes entries content-addressable and duplicate completions
 // byte-comparable.
 func EncodeEntry(v any) ([]byte, error) {
 	var buf bytes.Buffer

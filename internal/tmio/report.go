@@ -57,12 +57,6 @@ type Report struct {
 	// TotalBytes moved per class through traced operations.
 	TotalBytes [2]int64 `json:"total_bytes"`
 
-	// WindowHist and SizeHist summarize the distribution of the measured
-	// required-bandwidth windows (seconds) and asynchronous request sizes
-	// (bytes) across all ranks and phases.
-	WindowHist metrics.Histogram `json:"-"`
-	SizeHist   metrics.Histogram `json:"-"`
-
 	// Fault/resilience accounting. FaultPhases counts rank-phases measured
 	// inside an injected fault window (their B was excluded from limiter
 	// feedback); Retries and RetriesExhausted sum the agents' transient-
@@ -127,7 +121,6 @@ func (t *Tracer) Report() *Report {
 
 		// Phases → region inputs; exploit from operation windows.
 		for _, ph := range rt.phases {
-			rep.WindowHist.Observe(ph.te.Sub(ph.ts).Seconds())
 			if ph.faulty {
 				rep.FaultPhases++
 				rep.FaultSpans = append(rep.FaultSpans, region.Phase{
@@ -157,7 +150,6 @@ func (t *Tracer) Report() *Report {
 				}
 				bytes += st.Bytes
 				rep.TotalBytes[req.Class()] += st.Bytes
-				rep.SizeHist.Observe(float64(st.Bytes))
 
 				op := metrics.Interval{Start: st.Start, End: st.End}
 				lostOverlap := rt.waits.OverlapWith(op)

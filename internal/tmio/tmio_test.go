@@ -585,25 +585,6 @@ func TestSharedLimitOscillatesAcrossClasses(t *testing.T) {
 	}
 }
 
-func TestReportHistograms(t *testing.T) {
-	h := newHarness(2, Config{DisableOverhead: true})
-	rep := h.run(t, phasedWriter(5, 16e6, des.Second))
-	// 2 ranks × 5 requests.
-	if rep.SizeHist.Count() != 10 {
-		t.Fatalf("size hist count = %d", rep.SizeHist.Count())
-	}
-	if got := rep.SizeHist.Mean(); math.Abs(got-16e6) > 1 {
-		t.Fatalf("size mean = %v", got)
-	}
-	if rep.WindowHist.Count() != 10 {
-		t.Fatalf("window hist count = %d", rep.WindowHist.Count())
-	}
-	// Windows ≈ 1 s compute phases.
-	if got := rep.WindowHist.Mean(); got < 0.9 || got > 1.3 {
-		t.Fatalf("window mean = %v", got)
-	}
-}
-
 func TestWriteChromeTrace(t *testing.T) {
 	h := newHarness(2, Config{
 		Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.1},

@@ -424,8 +424,7 @@ func (t *Tracer) finalize(r *mpi.Rank) {
 		n := r.World().Size()
 		r.Sleep(m.FinalizeBase + des.Duration(n)*m.FinalizePerRank)
 		t.sys.FS().Transfer(r.Proc(), pfs.Write,
-			int64(n)*m.PayloadPerRank, pfs.Unlimited,
-			pfs.Tag{Job: -1, Rank: -1})
+			int64(n)*m.PayloadPerRank, pfs.Tag{Job: -1, Rank: -1})
 	}
 	rt.post = r.Now().Sub(start)
 }
