@@ -34,7 +34,7 @@ ALLOCS_SLACK   ?= 0.05
 # percent of pure noise in ns/op — more than the regression threshold.
 BENCH_FLAGS     = -run xxx -bench=. -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -p 1
 
-.PHONY: all build vet fmt-check lint lint-self test race bench bench-json bench-check perfbench-check docs-check sweep gateway-smoke faults-smoke fabric-smoke examples ci clean
+.PHONY: all build vet fmt-check lint lint-self test race fuzz-smoke bench bench-json bench-check perfbench-check docs-check sweep gateway-smoke faults-smoke fabric-smoke examples ci clean
 
 all: ci
 
@@ -89,11 +89,27 @@ test:
 # integration test all race real goroutines over real sockets. The DES
 # passes control directly from one process goroutine to the next, so the
 # packages whose processes hand off to each other all the time — mpi
-# ranks, mpiio and adio's per-rank I/O agents, the workloads, and the
-# cluster scheduler's jobs and monitor — run under the detector too; the
+# ranks, mpiio, adio (whose event-driven agents run on the goroutine of
+# whichever process holds control), the workloads, and the cluster
+# scheduler's jobs and monitor — run under the detector too; the
 # happens-before edges of each handoff must cover every engine access.
 race:
 	$(GO) test -race ./internal/runner/... ./internal/gateway/... ./internal/tmio/... ./internal/faults/... ./internal/des/... ./internal/pfs/... ./internal/region/... ./internal/trace/... ./internal/fabric/... ./internal/mpi/... ./internal/mpiio/... ./internal/adio/... ./internal/workloads/... ./internal/cluster/...
+
+# Run every fuzz target past its seed corpus for FUZZ_TIME each. go test
+# fuzzes one target per invocation, so the targets are found by name in
+# the tracked test files. Among them are the two differential checks
+# against O(n) or process-based references (pfs's channel, adio's
+# agent); a failing input lands in the package's testdata/fuzz and runs
+# with the seed corpus from then on.
+FUZZ_TIME ?= 5s
+fuzz-smoke:
+	@for f in $$(git ls-files '*_test.go' | xargs grep -l '^func Fuzz'); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "$(GO) test ./$$(dirname $$f) -run xxx -fuzz ^$$t\$$ -fuzztime $(FUZZ_TIME)"; \
+			$(GO) test ./$$(dirname $$f) -run xxx -fuzz "^$$t\$$" -fuzztime $(FUZZ_TIME) || exit 1; \
+		done; \
+	done
 
 # Fail when a figure experiment in internal/experiments has no row in
 # EXPERIMENTS.md's figure↔code table (see cmd/iodocscheck).
@@ -166,7 +182,7 @@ perfbench-check:
 sweep:
 	$(GO) run ./cmd/iosweep -figs all -scale quick -j 0 -cache .iosweep-cache
 
-ci: vet fmt-check build lint lint-self test race docs-check bench-check perfbench-check gateway-smoke faults-smoke fabric-smoke examples
+ci: vet fmt-check build lint lint-self test race fuzz-smoke docs-check bench-check perfbench-check gateway-smoke faults-smoke fabric-smoke examples
 
 clean:
 	rm -rf .iosweep-cache

@@ -1,8 +1,15 @@
 // Package adio models ROMIO's ADIO layer as modified by the paper: every
-// MPI-IO read and write is redirected through a per-rank I/O agent process
-// (the "I/O thread" of Sec. V) that executes the operation synchronously
+// MPI-IO read and write is redirected through a per-rank I/O agent (the
+// "I/O thread" of Sec. V) that executes the operation synchronously
 // against the file system, notifies completion through a generalized
 // request, and enforces a user-settable bandwidth limit.
+//
+// The thread reacts to only three things: a submitted request, a finished
+// sub-request and the end of a sleep. So the agent is not a simulation
+// process but a state machine on the engine loop: where the thread would
+// block, the agent schedules its next step as a function event in the
+// slot the thread would wake in, so every event keeps its place in the
+// order.
 //
 // The limiter follows the paper's algorithm verbatim:
 //
@@ -16,7 +23,6 @@
 package adio
 
 import (
-	"fmt"
 	"math"
 
 	"iobehind/internal/des"
@@ -214,17 +220,37 @@ func (r *Request) CompletedAt() des.Time { return r.done.At() }
 // Wait parks proc until the request completes.
 func (r *Request) Wait(proc *des.Proc) { r.done.Wait(proc) }
 
-// Agent is the per-rank I/O thread.
+// Agent is the per-rank I/O thread, run as engine events (see the
+// package comment). It serves one request at a time, in submission order.
 type Agent struct {
 	e      *des.Engine
 	fs     *pfs.PFS
 	host   Host
 	cfg    Config
-	queue  *des.Mailbox[*Request]
-	proc   *des.Proc
 	bb     *pfs.BurstBuffer
 	limit  [2]float64 // per pfs.Class; both set by SetLimit
 	closed bool
+
+	// queue holds the submitted requests waiting behind the one in
+	// execution. idle is set while the agent waits for a submission: the
+	// next Submit wakes it.
+	queue []*Request
+	idle  bool
+
+	// req is the request in execution; the fields after it are the state
+	// of its sub-request loop, carried from one step to the next.
+	req       *Request
+	queued    des.Duration // storm-queue wait not yet folded into a segment
+	remaining int64
+	deficit   float64 // Case-B overrun in seconds
+	failures  int     // consecutive failed attempts on the current chunk
+	chunk     int64
+	limited   bool
+	required  float64
+	start     des.Time // start of the chunk's transfer or of a buffered write
+
+	// The steps a wait resumes at, bound once so no step allocates.
+	serveFn, beginFn, transferredFn, settleFn, nextChunkFn, bufferedFn func()
 
 	// carriedDeficit persists the Case-B accumulator across requests when
 	// CarryDeficit is set.
@@ -241,21 +267,35 @@ type Agent struct {
 	retryExhausted int
 }
 
-// NewAgent creates and starts an I/O agent serving host on fs.
+// NewAgent creates an I/O agent serving host on fs. The agent starts
+// serving at the current instant, in the slot a process spawned now
+// would start in: a request submitted before then starts there.
 func NewAgent(e *des.Engine, fs *pfs.PFS, host Host, cfg Config) *Agent {
+	a := newAgent(e, fs, host, cfg)
+	e.Schedule(e.Now(), des.PrioNormal, a.serveFn)
+	return a
+}
+
+// newAgent builds an agent, and its burst buffer if configured, without
+// scheduling its first activation.
+func newAgent(e *des.Engine, fs *pfs.PFS, host Host, cfg Config) *Agent {
 	cfg.applyDefaults()
 	a := &Agent{
 		e:     e,
 		fs:    fs,
 		host:  host,
 		cfg:   cfg,
-		queue: des.NewMailbox[*Request](e),
 		limit: [2]float64{pfs.Unlimited, pfs.Unlimited},
 	}
 	if cfg.BurstBuffer != nil {
 		a.bb = pfs.NewBurstBuffer(e, fs, *cfg.BurstBuffer, cfg.Tag)
 	}
-	a.proc = e.Spawn(fmt.Sprintf("ioagent-j%dr%d", cfg.Tag.Job, cfg.Tag.Rank), a.serve)
+	a.serveFn = a.serve
+	a.beginFn = a.begin
+	a.transferredFn = a.transferred
+	a.settleFn = a.settle
+	a.nextChunkFn = a.nextChunk
+	a.bufferedFn = a.buffered
 	return a
 }
 
@@ -315,18 +355,21 @@ func (a *Agent) Submit(class pfs.Class, bytes int64, async bool) *Request {
 	req.Stats.Async = async
 	req.Stats.Bytes = bytes
 	req.Stats.Submitted = a.e.Now()
-	a.queue.Put(req)
+	a.queue = append(a.queue, req)
+	if a.idle {
+		a.idle = false
+		a.e.Schedule(a.e.Now(), des.PrioNormal, a.serveFn)
+	}
 	return req
 }
 
-// Close shuts the agent down after it drains its queue. Further Submits
-// panic.
+// Close shuts the agent down: it still serves what was submitted, and
+// further Submits panic. An idle agent needs no wake to stop.
 func (a *Agent) Close() {
 	if a.closed {
 		return
 	}
 	a.closed = true
-	a.queue.Put(nil) // poison pill
 	if a.bb != nil {
 		a.bb.Close()
 	}
@@ -350,26 +393,44 @@ func (a *Agent) Retries() int { return a.retries }
 func (a *Agent) RetryExhausted() int { return a.retryExhausted }
 
 // QueueLen returns the number of requests waiting behind the current one.
-func (a *Agent) QueueLen() int { return a.queue.Len() }
+func (a *Agent) QueueLen() int { return len(a.queue) }
 
-// serve is the agent main loop: pop a request, execute it throttled,
-// complete its generalized request.
-func (a *Agent) serve(p *des.Proc) {
-	for {
-		req := a.queue.Get(p)
-		if req == nil {
-			return
-		}
-		a.execute(p, req)
-		req.done.Complete()
-		a.requestsDone++
+// serve takes the next request off the queue and executes it, or, with
+// the queue empty, leaves the agent idle until the next Submit. A request
+// that needs no wait (zero bytes, no storm queue) completes inline, so
+// serve recurses through complete once per such request.
+func (a *Agent) serve() {
+	if len(a.queue) == 0 {
+		a.idle = true
+		return
 	}
+	// The queue is rarely more than a request or two deep: shifting it
+	// down keeps one buffer for the agent's lifetime.
+	req := a.queue[0]
+	n := copy(a.queue, a.queue[1:])
+	a.queue[n] = nil
+	a.queue = a.queue[:n]
+	a.execute(req)
 }
 
-// execute runs one request against the file system under the current
-// limit, implementing the sub-request loop of Sec. V.
-func (a *Agent) execute(p *des.Proc, req *Request) {
-	req.Stats.Start = p.Now()
+// complete fires the generalized request of the request in execution and
+// serves the next one.
+func (a *Agent) complete() {
+	req := a.req
+	a.req = nil
+	req.done.Complete()
+	a.requestsDone++
+	a.serve()
+}
+
+// execute starts one request against the file system under the current
+// limit, implementing the sub-request loop of Sec. V across the steps
+// below: each wait of the loop ends the current event, and the step it
+// resumes at runs in the event the wait schedules. A sleep is an After
+// event, the same (instant, priority) wake a sleeping process gets.
+func (a *Agent) execute(req *Request) {
+	a.req = req
+	req.Stats.Start = a.e.Now()
 	req.Stats.Limit = a.limit[req.Stats.Class]
 	if !req.Stats.Async {
 		req.Stats.Limit = pfs.Unlimited
@@ -382,7 +443,7 @@ func (a *Agent) execute(p *des.Proc, req *Request) {
 	// execution time — the paper's thread compares wall time, so server
 	// stalls eat into the sleep budget rather than adding to it. A
 	// server-stall fault window multiplies the wait.
-	var queued des.Duration
+	a.queued = 0
 	if lat := StormLatency(a.e, a.cfg.QueueLatencyPerFlow,
 		a.fs.RecentOps(req.Stats.Class)); lat > 0 {
 		if a.faults != nil {
@@ -390,10 +451,18 @@ func (a *Agent) execute(p *des.Proc, req *Request) {
 				lat = des.DurationOf(lat.Seconds() * f)
 			}
 		}
-		p.Sleep(lat)
-		queued = lat
+		a.queued = lat
+		a.e.After(lat, a.beginFn)
+		return
 	}
-	req.Stats.Queued = queued
+	a.begin()
+}
+
+// begin moves the request's bytes once its queue wait is over: into the
+// burst buffer, or through the sub-request loop.
+func (a *Agent) begin() {
+	req := a.req
+	req.Stats.Queued = a.queued
 
 	// Buffered writes land in the burst-buffer tier at absorb speed; the
 	// buffer's drainer shapes the traffic to the file system. The
@@ -404,120 +473,161 @@ func (a *Agent) execute(p *des.Proc, req *Request) {
 	// exactly like the direct path's.
 	if a.bb != nil && req.Stats.Class == pfs.Write {
 		req.Stats.Limit = pfs.Unlimited
-		start := p.Now()
-		a.bb.Write(p, req.Stats.Bytes)
-		end := p.Now()
-		req.Stats.Segments = append(req.Stats.Segments, Segment{Start: start.Add(-queued), End: end})
-		a.chargeInterference(end.Sub(start).Seconds(), req.Stats.Bytes)
-		a.totalBytes[pfs.Write] += req.Stats.Bytes
-		req.Stats.End = end
-		a.maybeHiccup(req)
+		a.start = a.e.Now()
+		a.bb.Write(req.Stats.Bytes, a.bufferedFn)
 		return
 	}
 
-	remaining := req.Stats.Bytes
-	deficit := 0.0 // Case-B overrun in seconds
+	a.remaining = req.Stats.Bytes
+	a.deficit = 0
 	if a.cfg.CarryDeficit {
-		deficit = a.carriedDeficit
+		a.deficit = a.carriedDeficit
 	}
-	failures := 0 // consecutive failed attempts on the current chunk
-	for remaining > 0 {
-		// The limit is re-read per sub-request: a limit installed while a
-		// large request is in flight paces its remaining chunks, matching
-		// the paper's thread, which consults the limit for every
-		// sub-request it executes.
-		limit := a.limit[req.Stats.Class]
-		limited := req.Stats.Async && !math.IsInf(limit, 1)
-		chunk := remaining
-		if limited && chunk > a.cfg.SubRequestSize {
-			chunk = a.cfg.SubRequestSize
-		}
-		// Step 2: required time from the limit and the sub-request size.
-		required := 0.0
-		if limited {
-			required = float64(chunk) / limit
-		}
-		// Step 3: the sub-request itself is a blocking transfer at full
-		// speed; throttling happens through the duty cycle.
-		start, end := a.fs.Transfer(p, req.Stats.Class, chunk, a.cfg.Tag)
-		if a.faults != nil {
-			// A straggler node moves its bytes at channel speed but hands
-			// them over late: the sub-request stretches by the slowdown.
-			if slow := a.faults.NodeSlowdown(a.cfg.Tag.Node); slow > 1 {
-				p.Sleep(des.DurationOf(end.Sub(start).Seconds() * (slow - 1)))
-				end = p.Now()
-			}
-		}
-		// The first segment extends back over the queue wait, so segment-
-		// reconstructed Δt° includes it; subsequent chunks start clean.
-		segStart := start.Add(-queued)
-		queued = 0
-		req.Stats.Segments = append(req.Stats.Segments, Segment{Start: segStart, End: end})
-		actual := end.Sub(segStart).Seconds()
-		a.chargeInterference(end.Sub(start).Seconds(), chunk)
+	a.failures = 0
+	a.nextChunk()
+}
 
-		if a.faults != nil {
-			if prob := a.faults.ErrorProb(req.Stats.Class); prob > 0 &&
-				a.e.Rand().Float64() < prob {
-				// Transient I/O error: the attempt burned wire time but
-				// delivered nothing. The wasted time banks into the
-				// deficit (it was real wall time the pacing must absorb);
-				// the chunk is retried after an exponential backoff on
-				// the simulated clock, bounded by RetryMax.
-				if limited {
-					deficit += actual
-				}
-				failures++
-				if failures > a.cfg.RetryMax {
-					a.retryExhausted++
-					req.Stats.Failed = true
-					break
-				}
-				req.Stats.Retries++
-				a.retries++
-				d := retryBackoff(a.cfg, failures)
-				p.Sleep(d)
-				req.Stats.BackoffSlept += d
-				continue
-			}
-		}
-		failures = 0
-		remaining -= chunk
+// buffered ends a buffered write once the buffer has absorbed it.
+func (a *Agent) buffered() {
+	req := a.req
+	end := a.e.Now()
+	req.Stats.Segments = append(req.Stats.Segments, Segment{Start: a.start.Add(-a.queued), End: end})
+	a.chargeInterference(end.Sub(a.start).Seconds(), req.Stats.Bytes)
+	a.totalBytes[pfs.Write] += req.Stats.Bytes
+	req.Stats.End = end
+	a.maybeHiccup(req)
+	a.complete()
+}
 
-		if !limited {
-			continue
-		}
-		if actual < required {
-			// Case A: faster than the limit allows; sleep the remainder,
-			// shortened by any accumulated overrun.
-			sleep := required - actual
-			if deficit > 0 {
-				use := math.Min(deficit, sleep)
-				deficit -= use
-				sleep -= use
-			}
-			if sleep > 0 {
-				// The sleep applies to the final sub-request as well: the
-				// operation is not reported complete before its required
-				// time elapses, which is what makes the measured
-				// throughput track the limit (paper Fig. 9).
-				d := des.DurationOf(sleep)
-				p.Sleep(d)
-				req.Stats.SleptFor += d
-			}
-		} else {
-			// Case B: slower than required; bank the difference.
-			deficit += actual - required
+// nextChunk is the head of the sub-request loop: it starts the next
+// chunk's transfer, or ends the request once no bytes remain.
+func (a *Agent) nextChunk() {
+	req := a.req
+	if a.remaining <= 0 {
+		a.finish()
+		return
+	}
+	// The limit is re-read per sub-request: a limit installed while a
+	// large request is in flight paces its remaining chunks, matching
+	// the paper's thread, which consults the limit for every sub-request
+	// it executes.
+	limit := a.limit[req.Stats.Class]
+	a.limited = req.Stats.Async && !math.IsInf(limit, 1)
+	a.chunk = a.remaining
+	if a.limited && a.chunk > a.cfg.SubRequestSize {
+		a.chunk = a.cfg.SubRequestSize
+	}
+	// Step 2: required time from the limit and the sub-request size.
+	a.required = 0
+	if a.limited {
+		a.required = float64(a.chunk) / limit
+	}
+	// Step 3: the sub-request itself is a blocking transfer at full
+	// speed; throttling happens through the duty cycle. The chunk is
+	// never empty, so the flow is still in flight here.
+	a.start = a.e.Now()
+	a.fs.StartFlow(req.Stats.Class, a.chunk, a.cfg.Tag).Then(a.transferredFn)
+}
+
+// transferred runs once the chunk's last byte has moved.
+func (a *Agent) transferred() {
+	if a.faults != nil {
+		// A straggler node moves its bytes at channel speed but hands
+		// them over late: the sub-request stretches by the slowdown.
+		if slow := a.faults.NodeSlowdown(a.cfg.Tag.Node); slow > 1 {
+			moved := a.e.Now().Sub(a.start).Seconds()
+			a.e.After(des.DurationOf(moved*(slow-1)), a.settleFn)
+			return
 		}
 	}
+	a.settle()
+}
+
+// settle books the sub-request that ends now — its segment, its
+// interference, a retry on a transient error, and the Case A/B pacing —
+// and goes on with the loop.
+func (a *Agent) settle() {
+	req := a.req
+	start, end := a.start, a.e.Now()
+	// The first segment extends back over the queue wait, so segment-
+	// reconstructed Δt° includes it; subsequent chunks start clean.
+	segStart := start.Add(-a.queued)
+	a.queued = 0
+	req.Stats.Segments = append(req.Stats.Segments, Segment{Start: segStart, End: end})
+	actual := end.Sub(segStart).Seconds()
+	a.chargeInterference(end.Sub(start).Seconds(), a.chunk)
+
+	if a.faults != nil {
+		if prob := a.faults.ErrorProb(req.Stats.Class); prob > 0 &&
+			a.e.Rand().Float64() < prob {
+			// Transient I/O error: the attempt burned wire time but
+			// delivered nothing. The wasted time banks into the
+			// deficit (it was real wall time the pacing must absorb);
+			// the chunk is retried after an exponential backoff on
+			// the simulated clock, bounded by RetryMax.
+			if a.limited {
+				a.deficit += actual
+			}
+			a.failures++
+			if a.failures > a.cfg.RetryMax {
+				a.retryExhausted++
+				req.Stats.Failed = true
+				a.finish()
+				return
+			}
+			req.Stats.Retries++
+			a.retries++
+			d := retryBackoff(a.cfg, a.failures)
+			req.Stats.BackoffSlept += d
+			a.e.After(d, a.nextChunkFn)
+			return
+		}
+	}
+	a.failures = 0
+	a.remaining -= a.chunk
+
+	if !a.limited {
+		a.nextChunk()
+		return
+	}
+	if actual < a.required {
+		// Case A: faster than the limit allows; sleep the remainder,
+		// shortened by any accumulated overrun.
+		sleep := a.required - actual
+		if a.deficit > 0 {
+			use := math.Min(a.deficit, sleep)
+			a.deficit -= use
+			sleep -= use
+		}
+		if sleep > 0 {
+			// The sleep applies to the final sub-request as well: the
+			// operation is not reported complete before its required
+			// time elapses, which is what makes the measured
+			// throughput track the limit (paper Fig. 9).
+			d := des.DurationOf(sleep)
+			req.Stats.SleptFor += d
+			a.e.After(d, a.nextChunkFn)
+			return
+		}
+	} else {
+		// Case B: slower than required; bank the difference.
+		a.deficit += actual - a.required
+	}
+	a.nextChunk()
+}
+
+// finish ends the sub-request loop and completes the request.
+func (a *Agent) finish() {
+	req := a.req
 	if a.cfg.CarryDeficit {
-		a.carriedDeficit = deficit
+		a.carriedDeficit = a.deficit
 	}
 	// Only delivered bytes count: a request abandoned on retry exhaustion
 	// left its remaining bytes untransferred.
-	a.totalBytes[req.Stats.Class] += req.Stats.Bytes - remaining
-	req.Stats.End = p.Now()
+	a.totalBytes[req.Stats.Class] += req.Stats.Bytes - a.remaining
+	req.Stats.End = a.e.Now()
 	a.maybeHiccup(req)
+	a.complete()
 }
 
 // maybeHiccup models the scheduling cost of an unpaced request: the agent

@@ -248,6 +248,66 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	a.Submit(pfs.Write, 1, true)
 }
 
+// TestAgentRunsWithoutProcess: the agent runs as engine events. A
+// request submitted from a function event, with no process in the
+// engine, is paced and completes, and the engine spawns no process.
+func TestAgentRunsWithoutProcess(t *testing.T) {
+	e, _, a, _ := setup(Config{SubRequestSize: 10e6})
+	var req *Request
+	e.Schedule(des.Time(des.Second), des.PrioNormal, func() {
+		a.SetLimit(50e6)
+		req = a.Submit(pfs.Write, 100e6, true) // ten 0.1 s chunks paced to 2 s
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !req.Done() {
+		t.Fatal("request submitted from an event did not complete")
+	}
+	if got := req.CompletedAt().Seconds(); math.Abs(got-3) > 1e-6 {
+		t.Fatalf("completed at %v, want 3s", got)
+	}
+	if n := e.Stats().Procs; n != 0 {
+		t.Fatalf("engine spawned %d processes, want 0", n)
+	}
+	a.Close()
+}
+
+// TestCloseOnIdleAgentSchedulesNothing: an idle agent needs no wake to
+// shut down, so Close costs no event.
+func TestCloseOnIdleAgentSchedulesNothing(t *testing.T) {
+	e, _, a, _ := setup(Config{})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ran := e.Stats().EventsRun
+	a.Close()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().EventsRun - ran; got != 0 {
+		t.Fatalf("Close on an idle agent ran %d events", got)
+	}
+}
+
+// TestRequestSubmittedBeforeActivationStartsThere: NewAgent's first
+// activation sits where a process spawned by NewAgent would start, so a
+// request submitted before it fires starts there, ahead of an event
+// scheduled after NewAgent for the same instant: the limit that event
+// installs does not pace the request.
+func TestRequestSubmittedBeforeActivationStartsThere(t *testing.T) {
+	e, _, a, _ := setup(Config{})
+	e.Schedule(0, des.PrioNormal, func() { a.SetLimit(1e6) })
+	req := a.Submit(pfs.Write, 10e6, true)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(req.Stats.Limit, 1) {
+		t.Fatalf("request paced at %v, want it started before the limit", req.Stats.Limit)
+	}
+	a.Close()
+}
+
 func TestSubmitValidation(t *testing.T) {
 	_, _, a, _ := setup(Config{})
 	defer a.Close()

@@ -78,23 +78,18 @@ func BenchmarkScheduleCancel(b *testing.B) {
 }
 
 // BenchmarkProcPingPong measures the switch between two processes: they
-// alternate through two Mailboxes, so every resume hands control to the
+// sleep to interleaved instants, so every resume hands control to the
 // other process and none is a process resuming itself.
 func BenchmarkProcPingPong(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
-	ping, pong := NewMailbox[int](e), NewMailbox[int](e)
-	e.Spawn("ping", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			ping.Put(i)
-			pong.Get(p)
-		}
-	})
-	e.Spawn("pong", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			pong.Put(ping.Get(p))
-		}
-	})
+	for i, name := range []string{"ping", "pong"} {
+		e.SpawnAt(Time(i), name, func(p *Proc) {
+			for j := 0; j < b.N; j++ {
+				p.Sleep(2)
+			}
+		})
+	}
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

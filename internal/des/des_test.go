@@ -211,6 +211,43 @@ func TestCompletion(t *testing.T) {
 	}
 }
 
+// TestCompletionReleasesWaitersAndThenInOrder: process waiters and Then
+// continuations registered alternately on one completion are released in
+// registration order, all at the completion instant.
+func TestCompletionReleasesWaitersAndThenInOrder(t *testing.T) {
+	e := NewEngine(1)
+	c := NewCompletion(e)
+	var got []string
+	for i := 0; i < 6; i++ {
+		name := fmt.Sprintf("%d", i)
+		at := Time(i) * Time(Millisecond)
+		if i%2 == 0 {
+			e.SpawnAt(at, "w"+name, func(p *Proc) {
+				c.Wait(p)
+				got = append(got, fmt.Sprintf("w%s@%v", name, p.Now()))
+			})
+			continue
+		}
+		e.Schedule(at, PrioNormal, func() {
+			c.Then(func() { got = append(got, fmt.Sprintf("f%s@%v", name, e.Now())) })
+		})
+	}
+	e.Schedule(Time(Second), PrioNormal, c.Complete)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[w0@1.000s f1@1.000s w2@1.000s f3@1.000s w4@1.000s f5@1.000s]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("release order %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Then on a fired completion did not panic")
+		}
+	}()
+	c.Then(func() {})
+}
+
 func TestCompletionDoubleCompletePanics(t *testing.T) {
 	e := NewEngine(1)
 	c := NewCompletion(e)
@@ -225,40 +262,6 @@ func TestCompletionDoubleCompletePanics(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMailboxOrdersAndBlocks(t *testing.T) {
-	e := NewEngine(1)
-	m := NewMailbox[int](e)
-	var got []int
-	e.Spawn("server", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, m.Get(p))
-		}
-	})
-	e.Spawn("client", func(p *Proc) {
-		p.Sleep(Second)
-		m.Put(10)
-		m.Put(20)
-		p.Sleep(Second)
-		m.Put(30)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != "[10 20 30]" {
-		t.Fatalf("got %v", got)
-	}
-	if _, ok := m.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox succeeded")
-	}
-	m.Put(7)
-	if v, ok := m.TryGet(); !ok || v != 7 {
-		t.Fatalf("TryGet = %v,%v", v, ok)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("Len = %d", m.Len())
 	}
 }
 
@@ -484,8 +487,8 @@ func TestShutdownUnstartedProc(t *testing.T) {
 // parked) becomes Run's error, and Shutdown still reaps every process.
 func TestEventPanicWhileProcParked(t *testing.T) {
 	e := NewEngine(1)
-	box := NewMailbox[int](e)
-	e.Spawn("server", func(p *Proc) { box.Get(p) })
+	never := NewCompletion(e)
+	e.Spawn("server", func(p *Proc) { never.Wait(p) })
 	resumed := false
 	e.Spawn("client", func(p *Proc) {
 		p.Sleep(Second)

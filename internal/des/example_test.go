@@ -10,18 +10,21 @@ import (
 // process at a time, so the output ordering is fully deterministic.
 func Example() {
 	e := des.NewEngine(1)
-	box := des.NewMailbox[string](e)
+	items := make([]*des.Completion, 3)
+	for i := range items {
+		items[i] = des.NewCompletion(e)
+	}
 
 	e.Spawn("producer", func(p *des.Proc) {
-		for i := 0; i < 3; i++ {
+		for _, item := range items {
 			p.Sleep(des.Second)
-			box.Put(fmt.Sprintf("item %d", i))
+			item.Complete()
 		}
 	})
 	e.Spawn("consumer", func(p *des.Proc) {
-		for i := 0; i < 3; i++ {
-			item := box.Get(p)
-			fmt.Printf("%v: got %s\n", p.Now(), item)
+		for i, item := range items {
+			item.Wait(p)
+			fmt.Printf("%v: got item %d\n", p.Now(), i)
 		}
 	})
 
@@ -32,6 +35,21 @@ func Example() {
 	// 1.000s: got item 0
 	// 2.000s: got item 1
 	// 3.000s: got item 2
+}
+
+// A continuation chained onto a completion runs as a function event at
+// the instant the completion fires: event-driven code reacts to it
+// without a process.
+func ExampleCompletion_Then() {
+	e := des.NewEngine(1)
+	done := des.NewCompletion(e)
+	done.Then(func() { fmt.Println("continuation ran at", e.Now()) })
+	e.Schedule(des.Time(3*des.Second), des.PrioNormal, done.Complete)
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	// Output:
+	// continuation ran at 3.000s
 }
 
 // A callback scheduled at an absolute virtual instant runs when the

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -160,57 +159,5 @@ func TestCancelSteadyStateAllocs(t *testing.T) {
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMailboxSteadyStateAllocs guards the Mailbox buffer reuse: a mailbox
-// drained to empty refills its existing buffer instead of allocating a
-// new one, so every adio submit and mpi message stays allocation-free.
-func TestMailboxSteadyStateAllocs(t *testing.T) {
-	m := NewMailbox[int](NewEngine(1))
-	m.Put(0)
-	m.TryGet()
-	avg := testing.AllocsPerRun(200, func() {
-		m.Put(1)
-		if _, ok := m.TryGet(); !ok {
-			t.Fatal("TryGet on a filled mailbox failed")
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("Put+TryGet = %v allocs/op, want 0", avg)
-	}
-}
-
-// TestMailboxFIFOUnderReuse checks FIFO order against a reference queue
-// over random interleavings of Put and TryGet, which drive the buffer
-// through rewinds on empty and slides when full.
-func TestMailboxFIFOUnderReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := NewMailbox[int](NewEngine(1))
-	var ref []int
-	next := 0
-	for step := 0; step < 20000; step++ {
-		// Alternate put-heavy and get-heavy stretches so the queue both
-		// grows through slides and drains to empty.
-		putHeavy := (step/1000)%2 == 0
-		if put := rng.Intn(3) > 0; put == putHeavy {
-			m.Put(next)
-			ref = append(ref, next)
-			next++
-			continue
-		}
-		v, ok := m.TryGet()
-		if ok != (len(ref) > 0) {
-			t.Fatalf("step %d: TryGet ok = %v with %d queued", step, ok, len(ref))
-		}
-		if ok {
-			if v != ref[0] {
-				t.Fatalf("step %d: got %d, want %d", step, v, ref[0])
-			}
-			ref = ref[1:]
-		}
-		if m.Len() != len(ref) {
-			t.Fatalf("step %d: Len = %d, want %d", step, m.Len(), len(ref))
-		}
 	}
 }

@@ -4,7 +4,8 @@ package des
 // park/wake handoff. Because the engine runs one goroutine at a time, none
 // of these types need locks.
 
-// Completion is a one-shot event that processes can wait for (a future).
+// Completion is a one-shot event that processes can wait for (a future),
+// and that event-driven code can chain a continuation onto with Then.
 // The zero value is not ready; create with NewCompletion.
 type Completion struct {
 	e       *Engine
@@ -13,12 +14,14 @@ type Completion struct {
 	waiters []waiter
 }
 
-// waiter records one parked process and the wake token it expects. It is
-// stored by value inside the synchronization types so registering a
+// waiter records one parked process and the wake token it expects, or,
+// when fn is set, a continuation to run as a function event instead. It
+// is stored by value inside the synchronization types so registering a
 // waiter costs no allocation once the slice is warm.
 type waiter struct {
 	p   *Proc
 	tok uint64
+	fn  func()
 }
 
 // NewCompletion returns an unfired completion bound to e.
@@ -32,9 +35,11 @@ func (c *Completion) Done() bool { return c.done }
 // At returns the virtual time the completion fired; zero if it has not.
 func (c *Completion) At() Time { return c.at }
 
-// Complete fires the completion and wakes all waiters at the current
-// instant. Completing twice panics: a generalized request must complete
-// exactly once.
+// Complete fires the completion and releases all waiters at the current
+// instant, in registration order: a parked process is woken, a Then
+// continuation is scheduled as a function event in the same slot.
+// Completing twice panics: a generalized request must complete exactly
+// once.
 func (c *Completion) Complete() {
 	if c.done {
 		panic("des: Completion completed twice")
@@ -42,9 +47,26 @@ func (c *Completion) Complete() {
 	c.done = true
 	c.at = c.e.now
 	for _, w := range c.waiters {
-		c.e.wakeAt(w.p, c.e.now, PrioNormal, w.tok)
+		if w.fn != nil {
+			c.e.Schedule(c.e.now, PrioNormal, w.fn)
+		} else {
+			c.e.wakeAt(w.p, c.e.now, PrioNormal, w.tok)
+		}
 	}
 	c.waiters = nil
+}
+
+// Then registers fn to run when the completion fires, as a function event
+// in the slot a process parked in Wait at this point would wake in. Code
+// that runs as engine events uses it where a process would Wait. Unlike
+// Wait, it has no immediate path: calling Then on a fired completion
+// panics, so the caller checks Done first when the completion may have
+// fired.
+func (c *Completion) Then(fn func()) {
+	if c.done {
+		panic("des: Then on a fired Completion")
+	}
+	c.waiters = append(c.waiters, waiter{fn: fn})
 }
 
 // Wait blocks the calling process until the completion fires. It returns
@@ -57,82 +79,6 @@ func (c *Completion) Wait(p *Proc) {
 	c.waiters = append(c.waiters, waiter{p: p, tok: tok})
 	p.block(tok)
 }
-
-// Mailbox is an unbounded FIFO queue with blocking receive, used for
-// client/server schemes such as the per-rank I/O agent. Its buffer is
-// reused: a mailbox that drains and refills allocates nothing in the
-// steady state.
-type Mailbox[T any] struct {
-	e       *Engine
-	items   []T // items[head:] are queued; items[:head] are zeroed
-	head    int
-	recv    waiter // at most one receiver may wait at a time
-	waiting bool   // recv holds a parked receiver
-}
-
-// NewMailbox returns an empty mailbox bound to e.
-func NewMailbox[T any](e *Engine) *Mailbox[T] {
-	return &Mailbox[T]{e: e}
-}
-
-// Put enqueues v and wakes the waiting receiver, if any. It never blocks
-// and may be called from function events as well as processes.
-func (m *Mailbox[T]) Put(v T) {
-	if m.head > 0 && len(m.items) == cap(m.items) {
-		// Full but with consumed slots in front: slide the queue down
-		// instead of growing the buffer.
-		n := copy(m.items, m.items[m.head:])
-		clear(m.items[n:])
-		m.items = m.items[:n]
-		m.head = 0
-	}
-	m.items = append(m.items, v)
-	if m.waiting {
-		w := m.recv
-		m.waiting = false
-		m.e.wakeAt(w.p, m.e.now, PrioNormal, w.tok)
-	}
-}
-
-// Get dequeues the oldest item, blocking the process while the mailbox is
-// empty. Only one process may block on a mailbox at a time.
-func (m *Mailbox[T]) Get(p *Proc) T {
-	for m.Len() == 0 {
-		if m.waiting {
-			panic("des: concurrent Mailbox.Get")
-		}
-		tok := p.nextToken()
-		m.recv = waiter{p: p, tok: tok}
-		m.waiting = true
-		p.block(tok)
-	}
-	return m.pop()
-}
-
-// TryGet dequeues without blocking; ok reports whether an item was present.
-func (m *Mailbox[T]) TryGet() (v T, ok bool) {
-	if m.Len() == 0 {
-		return v, false
-	}
-	return m.pop(), true
-}
-
-// pop removes the oldest item from a non-empty mailbox. Draining the last
-// item rewinds the buffer so the next Put reuses it from the start.
-func (m *Mailbox[T]) pop() T {
-	v := m.items[m.head]
-	var zero T
-	m.items[m.head] = zero
-	m.head++
-	if m.head == len(m.items) {
-		m.items = m.items[:0]
-		m.head = 0
-	}
-	return v
-}
-
-// Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) - m.head }
 
 // Barrier synchronizes a fixed party of n processes repeatedly. All n must
 // arrive before any proceeds; the barrier then resets for the next round.

@@ -1,11 +1,13 @@
 // Package des implements a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated entities (MPI ranks, I/O agent threads, cluster schedulers) run
-// as goroutine-backed processes in virtual time. The engine executes exactly
-// one process at a time and hands control back and forth explicitly, so a
-// simulation is fully deterministic: identical inputs and seeds produce
-// identical event orderings and results, regardless of GOMAXPROCS.
+// Simulated entities run in virtual time, either as goroutine-backed
+// processes (MPI ranks, cluster schedulers) or as function events chained
+// through completions (the per-rank I/O agents). The engine executes
+// exactly one of them at a time and hands control back and forth
+// explicitly, so a simulation is fully deterministic: identical inputs and
+// seeds produce identical event orderings and results, regardless of
+// GOMAXPROCS.
 package des
 
 import (

@@ -66,8 +66,9 @@ func shortQualifier(p *types.Package) string { return p.Name() }
 
 // scheduleNames are method names that enqueue work on the simulation
 // kernel; calling one per map-range iteration orders the event heap by
-// map order.
-var scheduleNames = map[string]bool{"Schedule": true, "After": true, "Spawn": true}
+// map order. Then chains a continuation onto a completion, which is
+// released in registration order.
+var scheduleNames = map[string]bool{"Schedule": true, "After": true, "Spawn": true, "Then": true}
 
 // orderEffects classifies what an iteration-order-dependent loop body
 // does, in stable order. Empty means the body looks order-independent.

@@ -24,6 +24,16 @@ func enqueue(q *queue, m map[int]int) {
 	}
 }
 
+type future struct{ waiters []func() }
+
+func (f *future) Then(fn func()) { f.waiters = append(f.waiters, fn) }
+
+func chain(f *future, m map[int]func()) {
+	for _, fn := range m { // want "schedules events"
+		f.Then(fn)
+	}
+}
+
 func show(m map[string]float64) {
 	for k, v := range m { // want "writes output"
 		fmt.Println(k, v)

@@ -85,6 +85,16 @@ type BurstBuffer struct {
 	space   *des.Completion // fired when the drainer frees room
 	drained int64           // total bytes moved to the PFS
 	closed  bool
+
+	// The write being absorbed: bytes still to absorb, the chunk in
+	// flight, and the writer's continuation (nil when no write is in
+	// progress). absorbNextFn and absorbedFn are the write's two event
+	// callbacks, bound once so a write allocates nothing.
+	remaining    int64
+	chunk        int64
+	then         func()
+	absorbNextFn func()
+	absorbedFn   func()
 }
 
 // NewBurstBuffer creates a buffer draining to fs under the given flow tag.
@@ -98,6 +108,8 @@ func NewBurstBuffer(e *des.Engine, fs *PFS, cfg BurstBufferConfig, tag Tag) *Bur
 		e: e, fs: fs, cfg: cfg, tag: tag,
 		work: des.NewCompletion(e),
 	}
+	bb.absorbNextFn = bb.absorbNext
+	bb.absorbedFn = bb.absorbed
 	bb.drainer = e.Spawn(fmt.Sprintf("bb-drainer-j%dr%d", tag.Job, tag.Rank), bb.drain)
 	return bb
 }
@@ -112,32 +124,54 @@ func (bb *BurstBuffer) Drained() int64 { return bb.drained }
 func (bb *BurstBuffer) Config() BurstBufferConfig { return bb.cfg }
 
 // Write absorbs bytes into the buffer at WriteRate, back-pressuring the
-// caller while the buffer is full. It returns when the last byte has been
-// absorbed (not drained).
-func (bb *BurstBuffer) Write(p *des.Proc, bytes int64) {
+// writer while the buffer is full, and calls then once the last byte has
+// been absorbed (not drained). The write runs as engine events, not in a
+// process: each absorbed chunk is a timed event, and a full buffer chains
+// the write onto the drainer's next freed chunk. A write with nothing to
+// absorb calls then before Write returns. The buffer absorbs one write at
+// a time: a Write before the previous one's then has run panics.
+func (bb *BurstBuffer) Write(bytes int64, then func()) {
 	if bb.closed {
 		panic("pfs: write on closed burst buffer")
 	}
-	remaining := bytes
-	for remaining > 0 {
-		room := bb.cfg.Capacity - bb.level
-		for room <= 0 {
-			// Full: wait until the drainer frees space.
-			if bb.space == nil || bb.space.Done() {
-				bb.space = des.NewCompletion(bb.e)
-			}
-			bb.space.Wait(p)
-			room = bb.cfg.Capacity - bb.level
-		}
-		chunk := remaining
-		if chunk > room {
-			chunk = room
-		}
-		p.Sleep(des.DurationOf(float64(chunk) / bb.cfg.WriteRate))
-		bb.level += chunk
-		remaining -= chunk
-		bb.kickDrainer()
+	if bb.then != nil {
+		panic("pfs: burst-buffer write while another is absorbing")
 	}
+	bb.remaining, bb.then = bytes, then
+	bb.absorbNext()
+}
+
+// absorbNext starts absorbing the next chunk of the write in progress, or
+// waits for the drainer to free room while the buffer is full, or, once
+// nothing remains, hands over to the write's continuation.
+func (bb *BurstBuffer) absorbNext() {
+	if bb.remaining <= 0 {
+		then := bb.then
+		bb.then = nil
+		then()
+		return
+	}
+	room := bb.cfg.Capacity - bb.level
+	if room <= 0 {
+		// Full: resume when the drainer frees space.
+		if bb.space == nil || bb.space.Done() {
+			bb.space = des.NewCompletion(bb.e)
+		}
+		bb.space.Then(bb.absorbNextFn)
+		return
+	}
+	bb.chunk = min(bb.remaining, room)
+	at := bb.e.Now().Add(des.DurationOf(float64(bb.chunk) / bb.cfg.WriteRate))
+	bb.e.Schedule(at, des.PrioNormal, bb.absorbedFn)
+}
+
+// absorbed lands the chunk in flight in the buffer, wakes the drainer and
+// goes on with the write.
+func (bb *BurstBuffer) absorbed() {
+	bb.level += bb.chunk
+	bb.remaining -= bb.chunk
+	bb.kickDrainer()
+	bb.absorbNext()
 }
 
 // kickDrainer wakes an idle drainer.

@@ -14,13 +14,21 @@ func bbSetup(cfg BurstBufferConfig) (*des.Engine, *PFS, *BurstBuffer) {
 	return e, fs, bb
 }
 
+// write absorbs bytes from a process: it parks p until the buffer runs
+// the write's continuation.
+func write(p *des.Proc, bb *BurstBuffer, bytes int64) {
+	done := des.NewCompletion(p.Engine())
+	bb.Write(bytes, done.Complete)
+	done.Wait(p)
+}
+
 func TestBurstBufferAbsorbsAtWriteRate(t *testing.T) {
 	e, _, bb := bbSetup(BurstBufferConfig{
 		Capacity: 1 << 30, WriteRate: 1e9, DrainRate: 100e6,
 	})
 	var absorbed des.Time
 	e.Spawn("app", func(p *des.Proc) {
-		bb.Write(p, 500e6) // 0.5 s at 1 GB/s
+		write(p, bb, 500e6) // 0.5 s at 1 GB/s
 		absorbed = p.Now()
 		bb.Close()
 	})
@@ -49,7 +57,7 @@ func TestBurstBufferBackpressure(t *testing.T) {
 	})
 	var wrote des.Time
 	e.Spawn("app", func(p *des.Proc) {
-		bb.Write(p, 300e6) // 3× the capacity: must wait for the drain
+		write(p, bb, 300e6) // 3× the capacity: must wait for the drain
 		wrote = p.Now()
 		bb.Close()
 	})
@@ -80,7 +88,7 @@ func TestBurstBufferDrainPaced(t *testing.T) {
 		Capacity: 1 << 30, WriteRate: 10e9, DrainRate: rate, DrainChunk: chunk,
 	})
 	e.Spawn("app", func(p *des.Proc) {
-		bb.Write(p, total)
+		write(p, bb, total)
 		bb.Close()
 	})
 	var end des.Time
@@ -103,6 +111,102 @@ func TestBurstBufferDrainPaced(t *testing.T) {
 	}
 	if earliest := (total - chunk) / rate; end.Seconds() < earliest {
 		t.Fatalf("drain ended by %v, pacing allows no earlier than %vs", end, earliest)
+	}
+}
+
+// TestBurstBufferWriteContinuation: a write runs as engine events and
+// calls its continuation once the last byte is absorbed; a zero-byte
+// write calls it before Write returns, and a write while another is
+// absorbing panics. The drainer is the only process.
+func TestBurstBufferWriteContinuation(t *testing.T) {
+	e, _, bb := bbSetup(BurstBufferConfig{
+		Capacity: 1 << 30, WriteRate: 1e9, DrainRate: 100e6,
+	})
+	inline := false
+	bb.Write(0, func() { inline = true })
+	if !inline {
+		t.Fatal("zero-byte write did not continue at once")
+	}
+	var absorbed des.Time
+	bb.Write(500e6, func() { absorbed = e.Now(); bb.Close() })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("overlapping write did not panic")
+			}
+		}()
+		bb.Write(1, func() {})
+	}()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if absorbed != des.Time(500*des.Millisecond) {
+		t.Fatalf("absorbed at %v, want 0.5s", absorbed)
+	}
+	if bb.Drained() != 500e6 {
+		t.Fatalf("drained = %d", bb.Drained())
+	}
+	if n := e.Stats().Procs; n != 1 {
+		t.Fatalf("%d processes, want the drainer alone", n)
+	}
+}
+
+// writeByProcess is the burst-buffer write as a blocking process loop:
+// absorb min(remaining, room) per chunk at WriteRate, parking on the
+// space completion while the buffer is full. It is the reference the
+// event-driven Write is checked against.
+func writeByProcess(p *des.Proc, bb *BurstBuffer, bytes int64) {
+	for remaining := bytes; remaining > 0; {
+		for bb.cfg.Capacity-bb.level <= 0 {
+			if bb.space == nil || bb.space.Done() {
+				bb.space = des.NewCompletion(bb.e)
+			}
+			bb.space.Wait(p)
+		}
+		chunk := min(remaining, bb.cfg.Capacity-bb.level)
+		p.Sleep(des.DurationOf(float64(chunk) / bb.cfg.WriteRate))
+		bb.level += chunk
+		remaining -= chunk
+		bb.kickDrainer()
+	}
+}
+
+// TestBurstBufferWriteMatchesProcessLoop: every write ends at the instant
+// the blocking process loop ends it, and the drain ends at the same
+// instant, under back-pressure that fills the buffer many times over.
+// The rates put absorb and drain instants off any common grid, so a
+// write that resumed later than the room freed would show.
+func TestBurstBufferWriteMatchesProcessLoop(t *testing.T) {
+	for _, cfg := range []BurstBufferConfig{
+		{Capacity: 100e6, WriteRate: 1e9, DrainRate: 50e6, DrainChunk: 10e6},
+		{Capacity: 37e6, WriteRate: 3e9, DrainRate: 23e6, DrainChunk: 7e6},
+		{Capacity: 5e6, WriteRate: 7e8, DrainRate: 3e8, DrainChunk: 3e6},
+	} {
+		run := func(w func(*des.Proc, *BurstBuffer, int64)) []des.Time {
+			e, _, bb := bbSetup(cfg)
+			var at []des.Time
+			e.Spawn("app", func(p *des.Proc) {
+				for _, bytes := range []int64{3e6, 0, 130e6, 11e6} {
+					w(p, bb, bytes)
+					at = append(at, p.Now())
+					p.Sleep(170 * des.Millisecond)
+				}
+				bb.Close()
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if bb.Drained() != 144e6 {
+				t.Fatalf("%+v: drained %d", cfg, bb.Drained())
+			}
+			return append(at, e.Now())
+		}
+		got, want := run(write), run(writeByProcess)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: instant %d is %v, process loop %v", cfg, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -168,7 +272,7 @@ func TestBurstBufferSteadyStatePeriodic(t *testing.T) {
 	e.Spawn("app", func(p *des.Proc) {
 		for i := 0; i < 8; i++ {
 			start := p.Now()
-			bb.Write(p, burst)
+			write(p, bb, burst)
 			absorbTimes = append(absorbTimes, p.Now().Sub(start).Seconds())
 			p.SleepUntil(des.Time(int64(period) * int64(i+1)))
 		}

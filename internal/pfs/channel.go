@@ -22,7 +22,6 @@ import (
 // the earliest projected flow completion.
 type channel struct {
 	e           *des.Engine
-	name        string
 	base        float64    // configured peak capacity, bytes/s
 	capacity    float64    // current effective capacity (noise and faults applied)
 	noiseFactor float64    // stationary noise scaling, (0,1]
@@ -89,10 +88,9 @@ func (c *channel) pruneRecent() {
 	}
 }
 
-func newChannel(e *des.Engine, name string, capacity float64) *channel {
+func newChannel(e *des.Engine, capacity float64) *channel {
 	c := &channel{
-		e: e, name: name,
-		base: capacity, capacity: capacity,
+		e: e, base: capacity, capacity: capacity,
 		noiseFactor: 1, faultFactor: 1,
 	}
 	c.dirtyFn = func() {
@@ -139,6 +137,11 @@ func (f *Flow) Done() bool { return f.done.Done() }
 
 // Wait parks proc until the flow completes.
 func (f *Flow) Wait(proc *des.Proc) { f.done.Wait(proc) }
+
+// Then schedules fn as a function event when the flow completes, in the
+// slot a process parked in Wait would wake in. It panics once the flow
+// has finished; a zero-byte flow finishes as it starts.
+func (f *Flow) Then(fn func()) { f.done.Then(fn) }
 
 func (c *channel) start(bytes float64, tag Tag) *Flow {
 	f := &Flow{

@@ -11,7 +11,7 @@ import (
 // brute-force minimum: flows pop in (virtual finish, start) order, ties
 // on virtual finish included.
 func TestHeapPopsInVirtualFinishOrder(t *testing.T) {
-	c := newChannel(des.NewEngine(1), "test", 100)
+	c := newChannel(des.NewEngine(1), 100)
 	var want []*Flow
 	for i := 0; i < 200; i++ {
 		// Few distinct sizes, so many virtual finishes tie.
@@ -37,7 +37,7 @@ func TestHeapPopsInVirtualFinishOrder(t *testing.T) {
 // projected finish has come is done even when the served counter falls a
 // hair short of its virtual finish, and not before that instant.
 func TestUncappedDoneByProjection(t *testing.T) {
-	c := newChannel(des.NewEngine(1), "test", 3)
+	c := newChannel(des.NewEngine(1), 3)
 	f := c.start(1, Tag{})
 	c.recompute()
 	at := projectFinish(0, f.vfinish, c.level)
@@ -55,7 +55,7 @@ func TestUncappedDoneByProjection(t *testing.T) {
 // counter's magnitude stays bounded by one busy period.
 func TestServedResetsWhenDrained(t *testing.T) {
 	e := des.NewEngine(1)
-	c := newChannel(e, "test", 3)
+	c := newChannel(e, 3)
 	e.Spawn("w", func(proc *des.Proc) {
 		for i := 0; i < 3; i++ {
 			f := c.start(10, Tag{})
@@ -75,7 +75,7 @@ func TestServedResetsWhenDrained(t *testing.T) {
 // through many recomputes and checks the allocator keeps producing the
 // original rates (no state leaks between passes).
 func TestWaterfillRatesUnchangedByScratchReuse(t *testing.T) {
-	c := newChannel(des.NewEngine(1), "test", 100)
+	c := newChannel(des.NewEngine(1), 100)
 	var flows []*Flow
 	for i := 0; i < 6; i++ {
 		flows = append(flows, c.start(float64(1e9*(i+1)), Tag{Rank: i}))

@@ -75,8 +75,8 @@ func New(e *des.Engine, cfg Config) *PFS {
 			cfg.WriteCapacity, cfg.ReadCapacity))
 	}
 	p := &PFS{e: e}
-	p.chans[Write] = newChannel(e, "write", cfg.WriteCapacity)
-	p.chans[Read] = newChannel(e, "read", cfg.ReadCapacity)
+	p.chans[Write] = newChannel(e, cfg.WriteCapacity)
+	p.chans[Read] = newChannel(e, cfg.ReadCapacity)
 	if cfg.Noise != nil {
 		cfg.Noise.validate()
 		p.chans[Write].noise = cfg.Noise

@@ -237,7 +237,7 @@ func TestWaterfillProperties(t *testing.T) {
 		if len(sizes) == 0 {
 			return true
 		}
-		c := newChannel(des.NewEngine(1), "test", float64(capacity%1000)+1)
+		c := newChannel(des.NewEngine(1), float64(capacity%1000)+1)
 		var flows []*Flow
 		for i, size := range sizes {
 			flows = append(flows, c.start(float64(size)+1, Tag{Rank: i}))

@@ -10,7 +10,7 @@
 package region
 
 import (
-	"sort"
+	"slices"
 
 	"iobehind/internal/des"
 	"iobehind/internal/metrics"
@@ -50,11 +50,18 @@ func Sweep(name string, phases []Phase) *metrics.Series {
 	// input phases were permuted. That determinism is what lets the
 	// incremental engine promise bit-identical results to this function
 	// under arbitrary arrival order (see incremental.go).
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
+	slices.SortFunc(events, func(a, b boundary) int {
+		switch {
+		case a.t < b.t:
+			return -1
+		case a.t > b.t:
+			return 1
+		case a.delta < b.delta:
+			return -1
+		case a.delta > b.delta:
+			return 1
 		}
-		return events[i].delta < events[j].delta
+		return 0
 	})
 
 	s := &metrics.Series{Name: name}
