@@ -90,9 +90,10 @@ test:
 # passes control directly from one process goroutine to the next, so the
 # packages whose processes hand off to each other all the time — mpi
 # ranks, mpiio, adio (whose event-driven agents run on the goroutine of
-# whichever process holds control), the workloads, and the cluster
-# scheduler's jobs and monitor — run under the detector too; the
-# happens-before edges of each handoff must cover every engine access.
+# whichever process holds control), the workloads, and the cluster's
+# jobs and its event-driven contention monitor — run under the detector
+# too; the happens-before edges of each handoff must cover every engine
+# access.
 race:
 	$(GO) test -race ./internal/runner/... ./internal/gateway/... ./internal/tmio/... ./internal/faults/... ./internal/des/... ./internal/pfs/... ./internal/region/... ./internal/trace/... ./internal/fabric/... ./internal/mpi/... ./internal/mpiio/... ./internal/adio/... ./internal/workloads/... ./internal/cluster/...
 
@@ -139,12 +140,21 @@ fabric-smoke:
 	$(GO) run ./cmd/iofabric -smoke -q
 
 # Run every example under examples/ end to end. go build ./... only
-# compiles them; this fails when one exits non-zero. examples/burstbuffer
-# is the only caller of a burst-buffer drain.
+# compiles them; this fails when one exits non-zero, or when one with a
+# recorded examples/<name>/testdata/stdout.txt prints anything else
+# (examples/streaming prints ephemeral ports, so it has no such file).
+# After a deliberate change to an example's output, re-record its file
+# with `go run ./examples/<name> > examples/<name>/testdata/stdout.txt`
+# and review the diff. examples/burstbuffer is the only caller of a
+# burst-buffer drain.
 examples:
-	@for d in examples/*/; do \
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
+	for d in examples/*/; do \
 		echo "$(GO) run ./$$d"; \
-		$(GO) run ./$$d > /dev/null || exit 1; \
+		$(GO) run ./$$d > "$$tmp" || exit 1; \
+		if [ -f "$${d}testdata/stdout.txt" ]; then \
+			diff -u "$${d}testdata/stdout.txt" "$$tmp" || exit 1; \
+		fi; \
 	done
 
 # Kernel hot-path benchmarks (des, pfs) plus the figure benchmarks with

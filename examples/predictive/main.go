@@ -1,5 +1,5 @@
-// Predictive I/O scheduling: the full TMIO → FTIO → arbiter loop the
-// paper sketches as future work.
+// Predictive I/O scheduling: the full TMIO → FTIO → contention-monitor
+// loop the paper sketches as future work.
 //
 //	go run ./examples/predictive
 //

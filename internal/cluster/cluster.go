@@ -10,13 +10,11 @@ import (
 
 	"iobehind/internal/adio"
 	"iobehind/internal/des"
-	"iobehind/internal/faults"
 	"iobehind/internal/ftio"
 	"iobehind/internal/metrics"
 	"iobehind/internal/mpi"
 	"iobehind/internal/mpiio"
 	"iobehind/internal/pfs"
-	"iobehind/internal/sched"
 	"iobehind/internal/tmio"
 )
 
@@ -37,8 +35,8 @@ const (
 	// synchronous job's observed bandwidth, forecasts its next burst, and
 	// pre-emptively installs the cap just before the burst arrives —
 	// the paper's proposed coupling of the required-bandwidth metric with
-	// an I/O scheduler. Falls back to reactive capping while a job's
-	// pattern is not yet detectable.
+	// an I/O scheduler. It also caps reactively, as LimitDuringContention
+	// does, which covers jobs whose pattern is not yet detectable.
 	LimitPredictive
 	// LimitAlways keeps asynchronous jobs capped at their required
 	// bandwidth for their whole lifetime. The paper argues against this
@@ -100,11 +98,6 @@ type Config struct {
 	// MonitorInterval is the contention monitor's polling period.
 	// Defaults to 100 ms.
 	MonitorInterval des.Duration
-	// Faults, when non-nil, describes injected fault windows (capacity
-	// degradation, outages, server stalls, stragglers, transient errors).
-	// Pure data: it participates in sweep cache keys, and the runtime
-	// injector is constructed per run from it.
-	Faults *faults.Config `json:",omitempty"`
 }
 
 // JobResult reports one job's outcome.
@@ -130,14 +123,10 @@ type Result struct {
 	Bandwidth   []*metrics.Series
 	RunningJobs *metrics.Series
 	Utilization *metrics.Series
-	// LimitedSpans counts how many times the monitor toggled the limit on.
+	// LimitToggles counts how many times the monitor switched a cap on.
 	LimitToggles int
 	// Makespan is when the last job finished.
 	Makespan des.Time
-	// FaultWindows is the number of injected fault windows (after random
-	// generation); Retries sums the jobs' transient-error retries.
-	FaultWindows int
-	Retries      int
 }
 
 // Run executes the scenario and returns its result.
@@ -180,9 +169,6 @@ func Run(cfg Config) (*Result, error) {
 		running: make([]bool, len(cfg.Jobs)),
 		active:  make([]int, len(cfg.Jobs)),
 	}
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		sim.injector = faults.New(e, fs, *cfg.Faults)
-	}
 	for i := range cfg.Jobs {
 		res.Bandwidth = append(res.Bandwidth,
 			&metrics.Series{Name: fmt.Sprintf("job%d", i)})
@@ -190,32 +176,27 @@ func Run(cfg Config) (*Result, error) {
 	fs.SetObserver(sim.observe)
 
 	for i, spec := range cfg.Jobs {
-		sim.submit(i, spec.withDefaults())
+		spec = spec.withDefaults()
+		// A job larger than the cluster would wait in the queue forever.
+		if spec.Nodes > cfg.Nodes {
+			return nil, fmt.Errorf("cluster: job %d needs %d nodes, the cluster has %d",
+				i, spec.Nodes, cfg.Nodes)
+		}
+		sim.submit(i, spec)
 	}
 	if cfg.Policy != NoLimit {
-		pol := sched.CapDuringContention
-		if cfg.Policy == LimitAlways {
-			pol = sched.CapAlways
-		}
-		sim.arbiter = sched.New(pol, cfg.Tol)
-		sim.startMonitor()
+		sim.tickFn = sim.tick
+		e.Schedule(e.Now(), des.PrioNormal, sim.tickFn)
 	}
-	if err := e.Run(); err != nil {
+	err := e.Run()
+	if err == nil && sim.done != len(cfg.Jobs) {
+		err = fmt.Errorf("cluster: %d jobs did not finish", len(cfg.Jobs)-sim.done)
+	}
+	if err != nil {
+		e.Shutdown() // unwind the ranks a failed run left parked
 		return nil, err
 	}
-	if sim.done != len(cfg.Jobs) {
-		return nil, fmt.Errorf("cluster: %d jobs did not finish", len(cfg.Jobs)-sim.done)
-	}
 	res.Makespan = sim.makespan
-	if sim.injector != nil {
-		res.FaultWindows = len(sim.injector.Windows())
-		for _, j := range sim.jobs {
-			for rank := 0; rank < j.spec.Nodes; rank++ {
-				res.Retries += j.sys.Agent(rank).Retries()
-			}
-		}
-	}
-	e.Shutdown() // reap the monitor process
 	return res, nil
 }
 
@@ -235,17 +216,30 @@ type simulation struct {
 	running []bool
 	active  []int // active flows per job (both channels)
 
-	arbiter  *sched.Arbiter
-	injector *faults.Injector
+	tickFn func() // tick, bound once so re-arming it allocates nothing
 }
 
-// job is one running job's handle.
+// job is one job's handle and the contention monitor's view of it.
 type job struct {
 	id     int
 	spec   JobSpec
 	sys    *mpiio.System
 	tracer *tmio.Tracer
 	world  *mpi.World
+
+	required float64  // largest rank requirement TMIO measured; 0 = none yet
+	capped   bool     // the monitor's cap is on
+	forecast forecast // FTIO's burst forecast (synchronous jobs, LimitPredictive)
+}
+
+// requirement is the bandwidth the monitor caps the job at, before Tol:
+// TMIO's measurement once there is one, and until then the job's average
+// write rate, BytesPerNode per Compute.
+func (j *job) requirement() float64 {
+	if j.required > 0 {
+		return j.required
+	}
+	return float64(j.spec.BytesPerNode) / j.spec.Compute.Seconds()
 }
 
 // submit schedules the job's arrival; it starts when enough nodes are free
@@ -279,55 +273,33 @@ func (s *simulation) tryStart() {
 // start allocates the job's world and launches its ranks (one rank per
 // node: the Fig. 1 jobs are modelled at node granularity).
 func (s *simulation) start(j *job) {
-	id := j.id
-	s.running[id] = true
-	s.res.Jobs[id].Started = s.e.Now()
+	s.running[j.id] = true
+	s.res.Jobs[j.id].Started = s.e.Now()
 	s.updateRunningSeries()
 
 	j.world = mpi.NewWorld(s.e, mpi.Config{Size: j.spec.Nodes, RanksPerNode: 1})
 	j.sys = mpiio.NewSystem(j.world, s.fs, adio.Config{
-		Tag:          pfs.Tag{Job: id},
+		Tag:          pfs.Tag{Job: j.id},
 		RanksPerNode: 1,
 	})
-	tcfg := tmio.Config{DisableOverhead: true}
-	if s.injector != nil {
-		j.sys.SetFaults(s.injector)
-		tcfg.FaultOracle = s.injector.Overlaps
-	}
-	j.tracer = tmio.Attach(j.sys, tcfg)
-	if s.arbiter != nil {
-		jj := j
-		s.arbiter.Register(sched.App{
-			ID:     id,
-			Async:  j.spec.Async,
-			Weight: float64(j.spec.Nodes),
-			Apply: func(cap float64) {
-				for rank := 0; rank < jj.spec.Nodes; rank++ {
-					jj.sys.Agent(rank).SetLimit(cap)
-				}
-			},
-		}, float64(j.spec.BytesPerNode)/j.spec.Compute.Seconds())
-	}
+	j.tracer = tmio.Attach(j.sys, tmio.Config{DisableOverhead: true})
+	j.world.Launch(s.jobMain(j))
+	j.world.AllDone().Then(func() { s.end(j) })
+}
 
-	main := s.jobMain(j)
-	j.world.Launch(main)
-
-	world := j.world
-	s.e.Spawn(fmt.Sprintf("job%d-reaper", id), func(p *des.Proc) {
-		world.AllDone().Wait(p)
-		s.running[id] = false
-		if s.arbiter != nil {
-			s.arbiter.Unregister(id)
-		}
-		s.res.Jobs[id].Ended = p.Now()
-		if p.Now() > s.makespan {
-			s.makespan = p.Now()
-		}
-		s.done++
-		s.free += j.spec.Nodes
-		s.updateRunningSeries()
-		s.tryStart()
-	})
+// end releases a finished job's nodes and starts the jobs queued behind
+// it.
+func (s *simulation) end(j *job) {
+	now := s.e.Now()
+	s.running[j.id] = false
+	s.res.Jobs[j.id].Ended = now
+	if now > s.makespan {
+		s.makespan = now
+	}
+	s.done++
+	s.free += j.spec.Nodes
+	s.updateRunningSeries()
+	s.tryStart()
 }
 
 // jobMain builds the per-rank main: a HACC-IO-like loop of compute and
@@ -401,52 +373,70 @@ func (s *simulation) updateRunningSeries() {
 	s.res.RunningJobs.Append(s.e.Now(), count)
 }
 
-// startMonitor launches the contention monitor: it feeds the arbiter the
-// jobs' current activity and measured requirements and lets it decide
-// which asynchronous jobs to cap (internal/sched holds the policy logic).
-func (s *simulation) startMonitor() {
-	s.e.Spawn("contention-monitor", func(p *des.Proc) {
-		for {
-			if s.done == len(s.jobs) {
-				return
-			}
-			for id, j := range s.jobs {
-				s.arbiter.SetActive(id, s.active[id] > 0)
-				if s.injector != nil {
-					// Quarantine requirements measured during the last tick
-					// if a fault window touched it: the arbiter keeps the
-					// last clean value instead.
-					from := p.Now().Add(-s.cfg.MonitorInterval)
-					if from < 0 {
-						from = 0
-					}
-					s.arbiter.SetFaulty(id, s.injector.Overlaps(pfs.Write, from, p.Now()))
-				}
-				if j.spec.Async && j.tracer != nil && s.running[id] {
-					// Feed the worst (largest) rank-level requirement: a
-					// job-level cap must accommodate its hungriest rank.
-					var worst float64
-					for rank := 0; rank < j.spec.Nodes; rank++ {
-						if b := j.tracer.RequiredBandwidth(rank); b > worst {
-							worst = b
-						}
-					}
-					if worst > 0 {
-						s.arbiter.SetRequired(id, worst)
-					}
-				}
-			}
-			before := s.arbiter.Toggles()
-			if s.cfg.Policy == LimitPredictive {
-				s.refreshForecasts(p.Now())
-				s.arbiter.ReallocatePredictive(p.Now(), 4*s.cfg.MonitorInterval)
-			} else {
-				s.arbiter.Reallocate()
-			}
-			s.res.LimitToggles += s.arbiter.Toggles() - before
-			p.Sleep(s.cfg.MonitorInterval)
+// tick is one pass of the contention monitor, which runs every
+// MonitorInterval under any policy but NoLimit until every job has
+// finished. Under LimitPredictive it first refreshes the synchronous
+// jobs' burst forecasts. Then it takes each running asynchronous job's
+// requirement from TMIO and caps the job at requirement × Tol exactly
+// when the policy is LimitAlways or another job contends (see
+// contended); otherwise the job runs uncapped.
+func (s *simulation) tick() {
+	if s.done == len(s.jobs) {
+		return
+	}
+	now := s.e.Now()
+	if s.cfg.Policy == LimitPredictive {
+		s.refreshForecasts(now)
+	}
+	for id, j := range s.jobs {
+		if !j.spec.Async || !s.running[id] {
+			continue
 		}
-	})
+		// The worst (largest) rank-level requirement: a job-level cap
+		// must accommodate its hungriest rank.
+		var worst float64
+		for rank := 0; rank < j.spec.Nodes; rank++ {
+			if b := j.tracer.RequiredBandwidth(rank); b > worst {
+				worst = b
+			}
+		}
+		if worst > 0 {
+			j.required = worst
+		}
+		want := s.cfg.Policy == LimitAlways || s.contended(id, now)
+		if want == j.capped {
+			continue
+		}
+		j.capped = want
+		limit := pfs.Unlimited
+		if want {
+			s.res.LimitToggles++
+			limit = j.requirement() * s.cfg.Tol
+		}
+		for rank := 0; rank < j.spec.Nodes; rank++ {
+			j.sys.Agent(rank).SetLimit(limit)
+		}
+	}
+	s.e.After(s.cfg.MonitorInterval, s.tickFn)
+}
+
+// contended reports whether a running job other than id has flows in
+// flight or, under LimitPredictive, is forecast to burst within four
+// ticks: the cap is then in place before the burst arrives.
+func (s *simulation) contended(id int, now des.Time) bool {
+	lookahead := 4 * s.cfg.MonitorInterval
+	for other, o := range s.jobs {
+		if other == id || !s.running[other] {
+			continue
+		}
+		if s.active[other] > 0 {
+			return true
+		}
+		if s.cfg.Policy == LimitPredictive && o.forecast.windowContains(now, lookahead) {
+			return true
+		}
+	}
+	return false
 }
 
 // DefaultScenario returns the Fig. 1 setup: eight HACC-IO-like jobs on a
@@ -477,9 +467,32 @@ func DefaultScenario(policy LimitPolicy) Config {
 	return Config{Nodes: 500, Jobs: jobs, Policy: policy}
 }
 
-// refreshForecasts runs FTIO period detection over each synchronous job's
-// observed write bandwidth and feeds the arbiter a burst forecast when the
-// pattern is confidently periodic.
+// forecast describes a job's periodic burst pattern, as detected by FTIO
+// (internal/ftio): bursts of burstLen recur every period; the last one
+// started at lastBurst. The zero forecast predicts no burst.
+type forecast struct {
+	period    des.Duration
+	burstLen  des.Duration
+	lastBurst des.Time
+}
+
+// windowContains reports whether a burst is (or will be) in progress
+// within [now, now+lookahead).
+func (f forecast) windowContains(now des.Time, lookahead des.Duration) bool {
+	if f.period <= 0 {
+		return false
+	}
+	// Walk bursts from lastBurst forward until one ends after now.
+	start := f.lastBurst
+	for start.Add(f.burstLen) <= now {
+		start = start.Add(f.period)
+	}
+	return start < now.Add(lookahead)
+}
+
+// refreshForecasts runs FTIO period detection over each running
+// synchronous job's observed write bandwidth and updates the job's burst
+// forecast when the pattern is confidently periodic.
 func (s *simulation) refreshForecasts(now des.Time) {
 	for id, j := range s.jobs {
 		if j.spec.Async || !s.running[id] {
@@ -496,18 +509,15 @@ func (s *simulation) refreshForecasts(now des.Time) {
 			continue
 		}
 		// Burst length from the duty cycle above half the peak.
-		active := series.TimeAbove(series.Max()/2, start, now)
+		half := series.Max() / 2
+		active := series.TimeAbove(half, start, now)
 		cycles := span.Seconds() / res.Period.Seconds()
 		burstLen := des.DurationOf(active.Seconds() / cycles)
 		// The last burst: walk back from now to the most recent rise.
 		last := now
-		for last > start && series.At(last) <= series.Max()/2 {
+		for last > start && series.At(last) <= half {
 			last -= des.Time(res.Period / 16)
 		}
-		s.arbiter.SetForecast(id, sched.Forecast{
-			Period:    res.Period,
-			BurstLen:  burstLen,
-			LastBurst: last,
-		})
+		j.forecast = forecast{period: res.Period, burstLen: burstLen, lastBurst: last}
 	}
 }

@@ -1,11 +1,17 @@
 package cluster
 
 import (
+	"math"
 	"testing"
+	"time"
 
+	"iobehind/internal/adio"
 	"iobehind/internal/des"
 	"iobehind/internal/metrics"
+	"iobehind/internal/mpi"
+	"iobehind/internal/mpiio"
 	"iobehind/internal/pfs"
+	"iobehind/internal/tmio"
 )
 
 // smallScenario shrinks the Fig. 1 setup so tests run in milliseconds
@@ -164,6 +170,27 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("empty config did not error")
 	}
+	// A job larger than the cluster can never start. Each run is bounded:
+	// a monitor that re-arms for a job that never starts would otherwise
+	// spin until the test binary's timeout.
+	for _, policy := range []LimitPolicy{NoLimit, LimitDuringContention, LimitPredictive, LimitAlways} {
+		for _, nodes := range []int{8, 0} { // 0 means 16 nodes
+			cfg := Config{Nodes: 4, Jobs: []JobSpec{{Nodes: nodes, Loops: 1}}, Policy: policy}
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("policy %d: a %d-node job on 4 nodes did not error", policy, nodes)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("policy %d: a %d-node job on 4 nodes: Run did not return", policy, nodes)
+			}
+		}
+	}
 }
 
 func TestFCFSHeadJobBlocksSmallerJob(t *testing.T) {
@@ -248,7 +275,7 @@ func TestMultipleAsyncJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both async jobs were managed by the arbiter.
+	// Both async jobs were managed by the monitor.
 	if res.LimitToggles < 2 {
 		t.Fatalf("toggles = %d, want both async jobs capped", res.LimitToggles)
 	}
@@ -264,7 +291,7 @@ func TestPredictivePolicyCapsAroundBursts(t *testing.T) {
 	jobs := []JobSpec{
 		// A strongly periodic synchronous job: 2 s compute, ~2 s burst.
 		{Nodes: 4, Loops: 10, BytesPerNode: 1 << 29, Compute: 2 * des.Second},
-		// The compute-heavy async job the arbiter manages.
+		// The compute-heavy async job the monitor manages.
 		{Nodes: 4, Async: true, Loops: 8, BytesPerNode: 1 << 27,
 			Compute: 5 * des.Second},
 	}
@@ -288,7 +315,7 @@ func TestPredictivePolicyCapsAroundBursts(t *testing.T) {
 }
 
 func TestQueueingWithPredictivePolicy(t *testing.T) {
-	// Queueing and the predictive arbiter together.
+	// Queueing and the predictive monitor together.
 	fs := pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9}
 	jobs := []JobSpec{
 		{Nodes: 8, Loops: 8, BytesPerNode: 1 << 29, Compute: 3 * des.Second},
@@ -340,5 +367,242 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 		if avg != 0 {
 			t.Fatalf("observe(%v) = %v allocs/op, want 0", class, avg)
 		}
+	}
+}
+
+// contentionScenario is examples/contention's setup: four jobs on a
+// 64-node cluster with a 12 GB/s file system; job 2 is asynchronous.
+func contentionScenario(policy LimitPolicy) Config {
+	fs := pfs.Config{WriteCapacity: 12e9, ReadCapacity: 12e9}
+	return Config{Nodes: 64, FS: &fs, Policy: policy, Jobs: []JobSpec{
+		{Nodes: 8, Loops: 6, BytesPerNode: 2 << 30, Compute: 4 * des.Second},
+		{Nodes: 16, Loops: 6, BytesPerNode: 2 << 30, Compute: 4 * des.Second,
+			Arrival: des.Time(2 * des.Second)},
+		{Nodes: 24, Async: true, Loops: 5, BytesPerNode: 1 << 29,
+			Compute: 6 * des.Second, Arrival: des.Time(3 * des.Second)},
+		{Nodes: 8, Loops: 6, BytesPerNode: 2 << 30, Compute: 4 * des.Second,
+			Arrival: des.Time(5 * des.Second)},
+	}}
+}
+
+// predictiveScenario is examples/predictive's setup: a strongly periodic
+// synchronous job beside a compute-heavy asynchronous one, on 16 nodes
+// and a 1 GB/s file system, polled every 250 ms.
+func predictiveScenario(policy LimitPolicy) Config {
+	fs := pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9}
+	return Config{Nodes: 16, FS: &fs, Policy: policy,
+		MonitorInterval: 250 * des.Millisecond, Jobs: []JobSpec{
+			{Nodes: 4, Loops: 12, BytesPerNode: 1 << 29, Compute: 6 * des.Second},
+			{Nodes: 4, Async: true, Loops: 16, BytesPerNode: 1 << 27,
+				Compute: 5 * des.Second},
+		}}
+}
+
+// TestOutcomesPinned pins every policy's exact outcome on two small
+// scenarios: the makespan, each job's start and end, and the number of
+// cap-ons. Fig. 1's golden render covers only NoLimit and
+// LimitDuringContention on the default scenario; this table also pins
+// LimitPredictive and LimitAlways, so a change to the monitor's decision
+// rule, its tick order or its requirement input shows up here.
+func TestOutcomesPinned(t *testing.T) {
+	type span struct{ started, ended des.Time }
+	cases := []struct {
+		name     string
+		cfg      Config
+		makespan des.Time
+		jobs     []span
+		toggles  int
+	}{
+		{"contention/NoLimit", contentionScenario(NoLimit), 49206952607,
+			[]span{{0, 43594614851}, {2000000000, 47883753342}, {3000000000, 35590101590}, {5000000000, 49206952607}}, 0},
+		{"contention/LimitDuringContention", contentionScenario(LimitDuringContention), 46417713428,
+			[]span{{0, 40981537350}, {2000000000, 44913963997}, {3000000000, 35536469014}, {5000000000, 46417713428}}, 10},
+		{"contention/LimitPredictive", contentionScenario(LimitPredictive), 47068937680,
+			[]span{{0, 41632745230}, {2000000000, 45159642705}, {3000000000, 39316029898}, {5000000000, 47068937680}}, 6},
+		{"contention/LimitAlways", contentionScenario(LimitAlways), 48017568301,
+			[]span{{0, 42119454932}, {2000000000, 46840505198}, {3000000000, 39314403722}, {5000000000, 48017568301}}, 1},
+		{"predictive/NoLimit", predictiveScenario(NoLimit), 100884710358,
+			[]span{{0, 100884710358}, {0, 82883059463}}, 0},
+		{"predictive/LimitDuringContention", predictiveScenario(LimitDuringContention), 99283459517,
+			[]span{{0, 99283459517}, {0, 83432490993}}, 10},
+		{"predictive/LimitPredictive", predictiveScenario(LimitPredictive), 99283459517,
+			[]span{{0, 99283459517}, {0, 85468082503}}, 10},
+		{"predictive/LimitAlways", predictiveScenario(LimitAlways), 100699102583,
+			[]span{{0, 100699102583}, {0, 86452593216}}, 1},
+	}
+	for _, c := range cases {
+		res, err := Run(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Makespan != c.makespan || res.LimitToggles != c.toggles {
+			t.Errorf("%s: makespan %d, toggles %d; want %d, %d",
+				c.name, res.Makespan, res.LimitToggles, c.makespan, c.toggles)
+		}
+		for i, j := range res.Jobs {
+			if got := (span{j.Started, j.Ended}); got != c.jobs[i] {
+				t.Errorf("%s: job %d ran %d..%d, want %d..%d",
+					c.name, i, got.started, got.ended, c.jobs[i].started, c.jobs[i].ended)
+			}
+		}
+	}
+}
+
+// monitorSim builds a simulation whose jobs all count as running but are
+// never launched, so a test can set their activity, requirement and
+// forecast by hand and call the monitor's tick directly.
+func monitorSim(cfg Config) *simulation {
+	e := des.NewEngine(1)
+	fs := pfs.New(e, pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9})
+	n := len(cfg.Jobs)
+	s := &simulation{
+		e: e, fs: fs, cfg: cfg,
+		res:     &Result{Jobs: make([]JobResult, n)},
+		running: make([]bool, n),
+		active:  make([]int, n),
+	}
+	s.tickFn = s.tick
+	for id, spec := range cfg.Jobs {
+		j := &job{id: id, spec: spec.withDefaults()}
+		j.world = mpi.NewWorld(e, mpi.Config{Size: j.spec.Nodes, RanksPerNode: 1})
+		j.sys = mpiio.NewSystem(j.world, fs, adio.Config{Tag: pfs.Tag{Job: id}, RanksPerNode: 1})
+		j.tracer = tmio.Attach(j.sys, tmio.Config{DisableOverhead: true})
+		s.jobs = append(s.jobs, j)
+		s.res.Bandwidth = append(s.res.Bandwidth, &metrics.Series{})
+		s.running[id] = true
+	}
+	return s
+}
+
+// limits returns every rank's write limit of job id.
+func (s *simulation) limits(id int) []float64 {
+	j := s.jobs[id]
+	out := make([]float64, j.spec.Nodes)
+	for rank := range out {
+		out[rank] = j.sys.Agent(rank).Limit()
+	}
+	return out
+}
+
+func TestCapDuringContentionToggles(t *testing.T) {
+	s := monitorSim(Config{Policy: LimitDuringContention, Tol: 1.5, Jobs: []JobSpec{
+		// Async: falls back to 100 MB/s per node before any measurement.
+		{Nodes: 2, Async: true, BytesPerNode: 100e6, Compute: des.Second},
+		{Nodes: 1},
+	}})
+	limitIs := func(want float64) {
+		t.Helper()
+		for rank, got := range s.limits(0) {
+			if got != want {
+				t.Fatalf("rank %d limit = %v, want %v", rank, got, want)
+			}
+		}
+	}
+	// No one else active: uncapped.
+	s.tick()
+	limitIs(pfs.Unlimited)
+	// The sync job has flows in flight: cap at fallback × Tol.
+	s.active[1] = 1
+	s.tick()
+	limitIs(150e6)
+	// A measurement arrives; the cap follows it on the next cap-on.
+	s.jobs[0].required = 200e6
+	s.active[1] = 0
+	s.tick()
+	limitIs(pfs.Unlimited)
+	s.active[1] = 1
+	s.tick()
+	limitIs(300e6)
+	// A job that is not running does not contend, whatever its flows.
+	s.running[1] = false
+	s.tick()
+	limitIs(pfs.Unlimited)
+	if s.res.LimitToggles != 2 {
+		t.Fatalf("toggles = %d, want 2", s.res.LimitToggles)
+	}
+}
+
+func TestCapAlways(t *testing.T) {
+	s := monitorSim(Config{Policy: LimitAlways, Tol: 1.1, Jobs: []JobSpec{
+		{Nodes: 1, Async: true, BytesPerNode: 100e6, Compute: des.Second},
+	}})
+	s.tick()
+	if got := s.limits(0)[0]; math.Abs(got-110e6) > 1e-3 {
+		t.Fatalf("limit = %v, want 110e6", got)
+	}
+	// Idempotent: no further cap-on without a change.
+	s.tick()
+	if s.res.LimitToggles != 1 {
+		t.Fatalf("toggles = %d, want 1", s.res.LimitToggles)
+	}
+}
+
+func TestPredictiveCapping(t *testing.T) {
+	cfg := Config{Policy: LimitPredictive, Tol: 1,
+		MonitorInterval: 750 * des.Millisecond, // four ticks look 3 s ahead
+		Jobs:            []JobSpec{{Nodes: 1, Async: true}, {Nodes: 1}}}
+	s := monitorSim(cfg)
+	sec := func(x float64) des.Time { return des.Time(des.DurationOf(x)) }
+
+	// Job 1 bursts for 2 s every 10 s, last burst at t=0.
+	s.jobs[1].forecast = forecast{
+		period:    des.Duration(10 * des.Second),
+		burstLen:  des.Duration(2 * des.Second),
+		lastBurst: 0,
+	}
+	cases := []struct {
+		now  float64
+		want bool
+	}{
+		{5, false}, // next burst at t=10 lies beyond the 3 s lookahead
+		{8, true},  // it lies within: cap ahead of the burst
+		{11, true}, // burst in progress (10..12)
+		{13, false},
+	}
+	for _, c := range cases {
+		if got := s.contended(0, sec(c.now)); got != c.want {
+			t.Errorf("contended at t=%vs = %v, want %v", c.now, got, c.want)
+		}
+	}
+	// Reactive fallback: no burst forecast near, but job 1 has flows.
+	s.active[1] = 1
+	if !s.contended(0, sec(14)) {
+		t.Fatal("reactive fallback missing")
+	}
+	// Only LimitPredictive reads the forecast.
+	s.active[1] = 0
+	s.cfg.Policy = LimitDuringContention
+	if s.contended(0, sec(8)) {
+		t.Fatal("LimitDuringContention capped on a forecast")
+	}
+}
+
+func TestForecastWindow(t *testing.T) {
+	sec := func(x float64) des.Time { return des.Time(des.DurationOf(x)) }
+	f := forecast{
+		period:    des.Duration(10 * des.Second),
+		burstLen:  des.Duration(2 * des.Second),
+		lastBurst: sec(100),
+	}
+	cases := []struct {
+		now       float64
+		lookahead float64
+		want      bool
+	}{
+		{101, 1, true},  // mid-burst
+		{103, 1, false}, // between bursts
+		{108, 3, true},  // next burst (110) inside lookahead
+		{108, 1, false}, // not yet
+		{95, 20, true},  // before lastBurst: the recorded burst is ahead
+	}
+	for _, c := range cases {
+		got := f.windowContains(sec(c.now), des.DurationOf(c.lookahead))
+		if got != c.want {
+			t.Errorf("windowContains(now=%v, look=%v) = %v, want %v",
+				c.now, c.lookahead, got, c.want)
+		}
+	}
+	if (forecast{}).windowContains(0, des.Second) {
+		t.Fatal("zero forecast matched")
 	}
 }

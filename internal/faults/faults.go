@@ -19,9 +19,9 @@
 //     sub-requests fail transiently — the agent retries with exponential
 //     backoff on the simulated clock (adio.FaultModel is this package's
 //     Injector).
-//   - tmio/sched: Overlaps is the fault oracle the tracer and the cluster
-//     monitor use to quarantine B_ij feedback measured inside a window,
-//     so an outage cannot poison the next phase's limit.
+//   - tmio: Overlaps is the fault oracle the tracer uses to quarantine
+//     B_ij feedback measured inside a window, so an outage cannot poison
+//     the next phase's limit.
 package faults
 
 import (
@@ -327,8 +327,8 @@ func (inj *Injector) Activations() int { return inj.activations }
 
 // Overlaps reports whether any fault window affecting the class overlaps
 // [from, to). Straggler windows affect both classes (a slow node is slow
-// in every direction). This is the fault oracle the tracer and the
-// cluster monitor use to quarantine feedback measured inside a window.
+// in every direction). This is the fault oracle the tracer uses to
+// quarantine feedback measured inside a window.
 func (inj *Injector) Overlaps(class pfs.Class, from, to des.Time) bool {
 	for _, w := range inj.windows {
 		if !w.overlaps(from, to) {

@@ -149,7 +149,7 @@ func Analyzers() []*Analyzer {
 // calls into any non-exempt package — it only defines where simulation
 // code *starts*.
 var simPackages = []string{
-	"des", "sched", "cluster", "adio", "pfs", "mpi", "mpiio",
+	"des", "cluster", "adio", "pfs", "mpi", "mpiio",
 	"region", "metrics", "ftio", "workloads", "experiments", "faults",
 	"trace",
 }

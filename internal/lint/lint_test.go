@@ -43,7 +43,7 @@ func TestAnalyzers(t *testing.T) {
 		{name: "walltime-fabric-excluded", dir: "walltime", path: "iobehind/internal/fabric", ignoreWants: true},
 		{name: "globalrand", dir: "globalrand", path: "iobehind/internal/pfs"},
 		{name: "globalrand-outside-sim", dir: "globalrand", path: "iobehind/internal/tmio", ignoreWants: true},
-		{name: "maporder", dir: "maporder", path: "iobehind/internal/sched"},
+		{name: "maporder", dir: "maporder", path: "iobehind/internal/cluster"},
 		{name: "maporder-exempt", dir: "maporder", path: "iobehind/internal/runner", ignoreWants: true},
 		{name: "goroutine", dir: "goroutine", path: "iobehind/internal/des"},
 		{name: "goroutine-exempt", dir: "goroutine", path: "iobehind/internal/fabric", ignoreWants: true},

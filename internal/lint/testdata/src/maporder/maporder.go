@@ -1,5 +1,5 @@
 // Fixture for the maporder rule. Loaded under the claimed import path
-// iobehind/internal/sched (a simulation package) and again under the
+// iobehind/internal/cluster (a simulation package) and again under the
 // exempt iobehind/internal/runner path, where nothing may be reported.
 package fixture
 

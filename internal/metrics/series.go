@@ -86,24 +86,28 @@ func (s *Series) Integral(from, to des.Time) float64 {
 }
 
 // TimeAbove returns the total time the series is strictly above threshold
-// within [from, to).
+// within [from, to). One binary search finds the step holding from; the
+// rest is a forward walk over the points inside the window.
 func (s *Series) TimeAbove(threshold float64, from, to des.Time) des.Duration {
 	if to <= from {
 		return 0
 	}
+	pts := s.Points
+	i := sort.Search(len(pts), func(i int) bool { return pts[i].T > from })
+	var v float64 // the value at cur: 0 before the first point
+	if i > 0 {
+		v = pts[i-1].V
+	}
 	var total des.Duration
 	cur := from
-	for cur < to {
-		v := s.At(cur)
-		next := to
-		i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T > cur })
-		if i < len(s.Points) && s.Points[i].T < to {
-			next = s.Points[i].T
-		}
+	for ; i < len(pts) && pts[i].T < to; i++ {
 		if v > threshold {
-			total += next.Sub(cur)
+			total += pts[i].T.Sub(cur)
 		}
-		cur = next
+		cur, v = pts[i].T, pts[i].V
+	}
+	if v > threshold {
+		total += to.Sub(cur)
 	}
 	return total
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -76,6 +77,43 @@ func TestSeriesTimeAbove(t *testing.T) {
 	}
 	if got := s.TimeAbove(100, sec(0), sec(6)); got != 0 {
 		t.Fatalf("TimeAbove(100) = %v", got)
+	}
+
+	// Randomized comparison against the step-by-step reference: at each
+	// step, At gives the value and a search gives the next point.
+	reference := func(s *Series, threshold float64, from, to des.Time) des.Duration {
+		var total des.Duration
+		for cur := from; cur < to; {
+			v := s.At(cur)
+			next := to
+			i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T > cur })
+			if i < len(s.Points) && s.Points[i].T < to {
+				next = s.Points[i].T
+			}
+			if v > threshold {
+				total += next.Sub(cur)
+			}
+			cur = next
+		}
+		return total
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		var r Series
+		at := des.Time(rng.Intn(20))
+		for n := rng.Intn(12); n > 0; n-- {
+			at += des.Time(1 + rng.Intn(10))
+			r.Append(at, float64(rng.Intn(4)))
+		}
+		// Windows from before the first point to past the last, starting
+		// and ending on points or inside steps; some are empty or inverted.
+		from := des.Time(rng.Intn(int(at) + 10))
+		to := from + des.Time(rng.Intn(int(at)+10)) - 3
+		threshold := float64(rng.Intn(4)) - 0.5
+		if got, want := r.TimeAbove(threshold, from, to), reference(&r, threshold, from, to); got != want {
+			t.Fatalf("TimeAbove(%v, %d, %d) = %d, reference %d, points %v",
+				threshold, from, to, got, want, r.Points)
+		}
 	}
 }
 

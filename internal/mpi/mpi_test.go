@@ -211,7 +211,36 @@ func TestDeadlockDetected(t *testing.T) {
 	if err == nil {
 		t.Fatal("deadlocked world reported success")
 	}
-	w.Engine().Shutdown()
+}
+
+// TestFailedRunLeavesNoParkedProcs: a run that fails — a rank panics, or
+// ranks deadlock — unwinds the processes still parked, so a long-lived
+// caller leaks no goroutines per failed world.
+func TestFailedRunLeavesNoParkedProcs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		main func(*Rank)
+	}{
+		{"panic", func(r *Rank) {
+			if r.ID() == 0 {
+				panic("boom")
+			}
+			r.Barrier()
+		}},
+		{"deadlock", func(r *Rank) {
+			if r.ID() != 0 {
+				r.Barrier()
+			}
+		}},
+	} {
+		w := newTestWorld(t, 8)
+		if err := w.Run(c.main); err == nil {
+			t.Fatalf("%s: the run reported success", c.name)
+		}
+		if s := w.Engine().Stalled(); len(s) != 0 {
+			t.Fatalf("%s: %d processes still parked after the failed run", c.name, len(s))
+		}
+	}
 }
 
 func TestJitterBounded(t *testing.T) {

@@ -112,14 +112,17 @@ func (w *World) Launch(main func(*Rank)) {
 
 // Run launches main and drives the engine until the event queue drains,
 // returning the first process failure. It verifies all ranks completed.
+// A failed run unwinds every process still parked on the engine, so it
+// leaks no goroutines.
 func (w *World) Run(main func(*Rank)) error {
 	w.Launch(main)
-	if err := w.e.Run(); err != nil {
-		return err
-	}
-	if w.finished != w.cfg.Size {
-		return fmt.Errorf("mpi: %d of %d ranks did not complete (deadlock?)",
+	err := w.e.Run()
+	if err == nil && w.finished != w.cfg.Size {
+		err = fmt.Errorf("mpi: %d of %d ranks did not complete (deadlock?)",
 			w.cfg.Size-w.finished, w.cfg.Size)
 	}
-	return nil
+	if err != nil {
+		w.e.Shutdown()
+	}
+	return err
 }

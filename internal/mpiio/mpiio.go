@@ -131,10 +131,7 @@ func NewSystem(w *mpi.World, fs *pfs.PFS, agentCfg adio.Config) *System {
 		cfg.Tag.Node = r.ID() / w.Config().RanksPerNode
 		s.agents = append(s.agents, adio.NewAgent(w.Engine(), fs, r, cfg))
 	}
-	w.Engine().Spawn("mpiio-reaper", func(p *des.Proc) {
-		w.AllDone().Wait(p)
-		s.Close()
-	})
+	w.AllDone().Then(s.Close)
 	return s
 }
 

@@ -37,8 +37,8 @@ func (c Class) String() string {
 }
 
 // Unlimited is the bandwidth-limit value meaning no limit. The file
-// system caps no flow; adio, tmio and sched share it as their no-limit
-// value.
+// system caps no flow; adio, tmio and the cluster's contention monitor
+// share it as their no-limit value.
 var Unlimited = math.Inf(1)
 
 // Config describes a file system.

@@ -31,7 +31,9 @@ import (
 // finishing in one instant complete in (virtual finish, start) order.
 // v6: tmio.Report lost its two histograms (WindowHist, SizeHist), so
 // entry bytes change for unchanged configs.
-const cacheVersion = "iobehind-runner-v6"
+// v7: cluster.Result lost FaultWindows and Retries, so Fig. 1's entry
+// bytes change for unchanged configs.
+const cacheVersion = "iobehind-runner-v7"
 
 // Cache memoizes completed sweep points on disk. Entries are gob files
 // named by a SHA-256 over (cache version, point key, canonical JSON of
