@@ -140,11 +140,11 @@ fabric-smoke:
 	$(GO) run ./cmd/iofabric -smoke -q
 
 # Run every example under examples/ end to end. go build ./... only
-# compiles them; this fails when one exits non-zero, or when one with a
-# recorded examples/<name>/testdata/stdout.txt prints anything else
-# (examples/streaming prints ephemeral ports, so it has no such file).
-# After a deliberate change to an example's output, re-record its file
-# with `go run ./examples/<name> > examples/<name>/testdata/stdout.txt`
+# compiles them; this fails when one exits non-zero, or when one prints
+# anything but its recorded examples/<name>/testdata/stdout.txt (all nine
+# have one; examples/streaming binds ephemeral ports but does not print
+# them). After a deliberate change to an example's output, re-record its
+# file with `go run ./examples/<name> > examples/<name>/testdata/stdout.txt`
 # and review the diff. examples/burstbuffer is the only caller of a
 # burst-buffer drain.
 examples:

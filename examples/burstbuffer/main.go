@@ -18,6 +18,7 @@ import (
 	"log"
 
 	"iobehind"
+	"iobehind/internal/pfs"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func main() {
 	period := 10 * iobehind.Second
 
 	// The burst-buffer analogue of the paper's required bandwidth.
-	drain := float64(bytesPerPhase) / period.Seconds() * 1.1
+	drain := pfs.RequiredDrainRate(bytesPerPhase, period) * 1.1
 
 	slowFS := iobehind.FSConfig{WriteCapacity: 2e9, ReadCapacity: 2e9}
 

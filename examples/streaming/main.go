@@ -39,17 +39,16 @@ func main() {
 	go gw.Serve(ln)
 	web := httptest.NewServer(gw.Handler())
 	defer web.Close()
-	fmt.Printf("gateway: ingest on %s, HTTP on %s\n\n", ln.Addr(), web.URL)
+	fmt.Print("gateway: TCP ingest and HTTP on ephemeral loopback ports\n\n")
 
 	// Trace a WaComM++ run, streaming each closed phase to the gateway.
 	// The slow file system widens the hourly write bursts so the online
 	// detector has a signal to bin.
 	sim := iobehind.NewSim(iobehind.Options{
-		Ranks:  8,
-		FS:     &iobehind.FSConfig{WriteCapacity: 64e6, ReadCapacity: 64e6},
-		Tracer: iobehind.TracerConfig{StreamID: "wacomm"},
+		Ranks: 8,
+		FS:    &iobehind.FSConfig{WriteCapacity: 64e6, ReadCapacity: 64e6},
 	})
-	sink, err := tmio.DialSinkWith(ln.Addr().String(), tmio.SinkOptions{Binary: true})
+	sink, err := tmio.DialSinkWith(ln.Addr().String(), tmio.SinkOptions{AppID: "wacomm", Binary: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,12 +26,11 @@ import (
 	"math"
 
 	"iobehind/internal/des"
-	"iobehind/internal/mpi"
 	"iobehind/internal/pfs"
 )
 
-// Host is the compute process an agent serves: the agent charges it
-// interference penalties for background I/O activity.
+// Host is the compute process an agent serves: the agent charges it the
+// scheduling hiccups of unpaced background I/O (see HiccupProb).
 type Host interface {
 	// AddInterference charges seconds of compute slowdown.
 	AddInterference(seconds float64)
@@ -49,11 +48,6 @@ type Config struct {
 	// large strong-scaled runs (a 9216-rank WaComM++ writes ~10 KiB per
 	// rank per hour).
 	MinLimit float64
-	// Interference is the I/O-thread/compute interference model.
-	Interference mpi.InterferenceModel
-	// RanksPerNode scales a rank's transfer rate to the node-aggregate
-	// rate the interference model expects. Defaults to 96.
-	RanksPerNode int
 	// Tag identifies this agent's flows to file-system observers.
 	Tag pfs.Tag
 	// CarryDeficit keeps the Case-B overrun accumulator across requests
@@ -129,9 +123,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.HiccupMean <= 0 {
 		c.HiccupMean = 500 * des.Millisecond
-	}
-	if c.RanksPerNode <= 0 {
-		c.RanksPerNode = 96
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = 4
@@ -392,9 +383,6 @@ func (a *Agent) Retries() int { return a.retries }
 // RetryMax consecutive failures.
 func (a *Agent) RetryExhausted() int { return a.retryExhausted }
 
-// QueueLen returns the number of requests waiting behind the current one.
-func (a *Agent) QueueLen() int { return len(a.queue) }
-
 // serve takes the next request off the queue and executes it, or, with
 // the queue empty, leaves the agent idle until the next Submit. A request
 // that needs no wait (zero bytes, no storm queue) completes inline, so
@@ -469,8 +457,8 @@ func (a *Agent) begin() {
 	// buffered path is never paced (the limit shapes PFS traffic, which
 	// buffered writes reach only through the drainer), so the stats
 	// report Unlimited — limiter feedback must not treat a buffered
-	// phase as throttled. Interference and the hiccup tail are charged
-	// exactly like the direct path's.
+	// phase as throttled. The hiccup tail is charged exactly like the
+	// direct path's.
 	if a.bb != nil && req.Stats.Class == pfs.Write {
 		req.Stats.Limit = pfs.Unlimited
 		a.start = a.e.Now()
@@ -492,7 +480,6 @@ func (a *Agent) buffered() {
 	req := a.req
 	end := a.e.Now()
 	req.Stats.Segments = append(req.Stats.Segments, Segment{Start: a.start.Add(-a.queued), End: end})
-	a.chargeInterference(end.Sub(a.start).Seconds(), req.Stats.Bytes)
 	a.totalBytes[pfs.Write] += req.Stats.Bytes
 	req.Stats.End = end
 	a.maybeHiccup(req)
@@ -543,19 +530,17 @@ func (a *Agent) transferred() {
 	a.settle()
 }
 
-// settle books the sub-request that ends now — its segment, its
-// interference, a retry on a transient error, and the Case A/B pacing —
-// and goes on with the loop.
+// settle books the sub-request that ends now — its segment, a retry on
+// a transient error, and the Case A/B pacing — and goes on with the loop.
 func (a *Agent) settle() {
 	req := a.req
-	start, end := a.start, a.e.Now()
+	end := a.e.Now()
 	// The first segment extends back over the queue wait, so segment-
 	// reconstructed Δt° includes it; subsequent chunks start clean.
-	segStart := start.Add(-a.queued)
+	segStart := a.start.Add(-a.queued)
 	a.queued = 0
 	req.Stats.Segments = append(req.Stats.Segments, Segment{Start: segStart, End: end})
 	actual := end.Sub(segStart).Seconds()
-	a.chargeInterference(end.Sub(start).Seconds(), a.chunk)
 
 	if a.faults != nil {
 		if prob := a.faults.ErrorProb(req.Stats.Class); prob > 0 &&
@@ -657,17 +642,4 @@ func retryBackoff(cfg Config, failures int) des.Duration {
 		d = cfg.RetryBackoffMax
 	}
 	return d
-}
-
-// chargeInterference converts one transfer's duration and rate into a
-// compute penalty for the host.
-func (a *Agent) chargeInterference(durationSeconds float64, bytes int64) {
-	if a.host == nil || durationSeconds <= 0 {
-		return
-	}
-	rate := float64(bytes) / durationSeconds
-	nodeRate := rate * float64(a.cfg.RanksPerNode)
-	if pen := a.cfg.Interference.Penalty(durationSeconds, nodeRate); pen > 0 {
-		a.host.AddInterference(pen)
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"iobehind/internal/des"
-	"iobehind/internal/mpi"
 	"iobehind/internal/pfs"
 )
 
@@ -156,7 +155,7 @@ func TestQueueServesFIFO(t *testing.T) {
 	e.Spawn("app", func(p *des.Proc) {
 		r1 := a.Submit(pfs.Write, 100e6, true) // 1 s
 		r2 := a.Submit(pfs.Write, 100e6, true) // next second
-		if a.QueueLen() < 1 {
+		if len(a.queue) < 1 {
 			t.Error("queue should hold the second request")
 		}
 		r2.Wait(p)
@@ -174,50 +173,6 @@ func TestQueueServesFIFO(t *testing.T) {
 	}
 	if got := ends[1].Seconds(); math.Abs(got-2) > 1e-3 {
 		t.Fatalf("second request completed at %v, want 2s", got)
-	}
-}
-
-func TestInterferenceCharged(t *testing.T) {
-	e, _, a, h := setup(Config{
-		Interference: mpi.InterferenceModel{Kappa: 1, RefRate: 100e6, Exponent: 2},
-		RanksPerNode: 1,
-	})
-	e.Spawn("app", func(p *des.Proc) {
-		a.Submit(pfs.Write, 100e6, true).Wait(p) // 1 s at the reference rate
-		a.Close()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h.penalty-1) > 1e-6 {
-		t.Fatalf("penalty = %v, want 1", h.penalty)
-	}
-}
-
-func TestInterferenceLowerWhenThrottled(t *testing.T) {
-	run := func(limit float64) float64 {
-		e := des.NewEngine(1)
-		fs := pfs.New(e, pfs.Config{WriteCapacity: 100e6, ReadCapacity: 100e6})
-		h := &fakeHost{}
-		a := NewAgent(e, fs, h, Config{
-			SubRequestSize: 1e6,
-			Interference:   mpi.InterferenceModel{Kappa: 1, RefRate: 100e6, Exponent: 2},
-			RanksPerNode:   1,
-		})
-		e.Spawn("app", func(p *des.Proc) {
-			a.SetLimit(limit)
-			a.Submit(pfs.Write, 100e6, true).Wait(p)
-			a.Close()
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return h.penalty
-	}
-	burst := run(pfs.Unlimited)
-	throttled := run(10e6)
-	if throttled >= burst {
-		t.Fatalf("throttled penalty %v >= burst penalty %v", throttled, burst)
 	}
 }
 

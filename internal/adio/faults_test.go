@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"iobehind/internal/des"
-	"iobehind/internal/mpi"
 	"iobehind/internal/pfs"
 )
 
@@ -192,9 +191,7 @@ func TestBufferedWriteStatsMatchDirectPathSemantics(t *testing.T) {
 	fs := pfs.New(e, pfs.Config{WriteCapacity: 100e6, ReadCapacity: 100e6})
 	h := &fakeHost{}
 	a := NewAgent(e, fs, h, Config{
-		Interference: mpi.InterferenceModel{Kappa: 1, RefRate: 100e6, Exponent: 2},
-		RanksPerNode: 1,
-		HiccupProb:   1, // certain: the hiccup tail must run for buffered writes
+		HiccupProb: 1, // certain: the hiccup tail must run for buffered writes
 		BurstBuffer: &pfs.BurstBufferConfig{
 			Capacity:  1 << 30,
 			WriteRate: 1e9,
@@ -223,9 +220,9 @@ func TestBufferedWriteStatsMatchDirectPathSemantics(t *testing.T) {
 	if a.TotalBytes(pfs.Write) != 100e6 {
 		t.Fatalf("buffered bytes not counted: %d", a.TotalBytes(pfs.Write))
 	}
-	// Interference and the hiccup tail are charged like the direct path's.
+	// The hiccup tail is charged like the direct path's.
 	if h.penalty <= 0 {
-		t.Fatal("buffered write charged no interference")
+		t.Fatal("buffered write's hiccup charged the host nothing")
 	}
 	if a.Hiccups() != 1 {
 		t.Fatalf("hiccups = %d, want 1 (unpaced buffered write, prob 1)", a.Hiccups())

@@ -15,8 +15,8 @@ import (
 // Sec. V loop. Its queue is a plain slice; an idle thread parks on a
 // completion that the next Submit (or Close) fires. It shares the agent's
 // configuration, limits, fault model, burst buffer, counters and helpers
-// (StormLatency, chargeInterference, maybeHiccup, retryBackoff), but none
-// of its step bookkeeping.
+// (StormLatency, maybeHiccup, retryBackoff), but none of its step
+// bookkeeping.
 type refAgent struct {
 	*Agent
 	pending []*Request
@@ -114,7 +114,6 @@ func (a *refAgent) execute(p *des.Proc, req *Request) {
 		absorbed.Wait(p)
 		end := p.Now()
 		req.Stats.Segments = append(req.Stats.Segments, Segment{Start: start.Add(-queued), End: end})
-		a.chargeInterference(end.Sub(start).Seconds(), req.Stats.Bytes)
 		a.totalBytes[pfs.Write] += req.Stats.Bytes
 		req.Stats.End = end
 		a.maybeHiccup(req)
@@ -149,7 +148,6 @@ func (a *refAgent) execute(p *des.Proc, req *Request) {
 		queued = 0
 		req.Stats.Segments = append(req.Stats.Segments, Segment{Start: segStart, End: end})
 		actual := end.Sub(segStart).Seconds()
-		a.chargeInterference(end.Sub(start).Seconds(), chunk)
 
 		if a.faults != nil {
 			if prob := a.faults.ErrorProb(req.Stats.Class); prob > 0 &&

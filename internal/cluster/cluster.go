@@ -278,10 +278,7 @@ func (s *simulation) start(j *job) {
 	s.updateRunningSeries()
 
 	j.world = mpi.NewWorld(s.e, mpi.Config{Size: j.spec.Nodes, RanksPerNode: 1})
-	j.sys = mpiio.NewSystem(j.world, s.fs, adio.Config{
-		Tag:          pfs.Tag{Job: j.id},
-		RanksPerNode: 1,
-	})
+	j.sys = mpiio.NewSystem(j.world, s.fs, adio.Config{Tag: pfs.Tag{Job: j.id}})
 	j.tracer = tmio.Attach(j.sys, tmio.Config{DisableOverhead: true})
 	j.world.Launch(s.jobMain(j))
 	j.world.AllDone().Then(func() { s.end(j) })

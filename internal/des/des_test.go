@@ -296,8 +296,8 @@ func TestBarrierSynchronizesParties(t *testing.T) {
 			t.Fatalf("release %d at %v, want %v", i, at, want)
 		}
 	}
-	if b.Rounds() != 2 {
-		t.Fatalf("rounds = %d", b.Rounds())
+	if b.rounds != 2 {
+		t.Fatalf("rounds = %d", b.rounds)
 	}
 }
 

@@ -87,7 +87,7 @@ type Barrier struct {
 	n       int
 	arrived int
 	waiters []waiter
-	rounds  int
+	rounds  int // releases so far
 }
 
 // NewBarrier returns a reusable barrier for n parties.
@@ -120,6 +120,3 @@ func (b *Barrier) Await(p *Proc, delay Duration) {
 	b.waiters = append(b.waiters, waiter{p: p, tok: tok})
 	p.block(tok)
 }
-
-// Rounds returns how many times the barrier has released.
-func (b *Barrier) Rounds() int { return b.rounds }

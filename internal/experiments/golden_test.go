@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -17,7 +18,10 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // TestGoldenRenders pins every figure of the quick-scale plan that
 // `iosweep -figs all` runs (fault seed 1) to its committed render in
 // testdata/golden/fig<ID>.txt, so a change that moves any printed digit
-// fails here instead of in a hand diff against an older build. A
+// fails here instead of in a hand diff against an older build. It also
+// pins each point's full result, as the SHA-256 of its cache-entry bytes,
+// in testdata/golden/points.txt: a change in event order or in a digit
+// no render prints moves a result without moving a render. A
 // deliberate model change re-records the files with
 //
 //	go test ./internal/experiments -run TestGoldenRenders -update
@@ -32,31 +36,45 @@ func TestGoldenRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var points strings.Builder
+	for _, r := range results {
+		data, err := runner.EncodeEntry(r.Value)
+		if err != nil {
+			t.Fatalf("point %s: %v", r.Key, err)
+		}
+		fmt.Fprintf(&points, "%s %x\n", r.Key, sha256.Sum256(data))
+	}
+	checkGolden(t, "points", filepath.Join("testdata", "golden", "points.txt"), points.String())
 	for _, e := range plan.Entries {
 		res, err := e.Exp.Assemble(results[e.Offset : e.Offset+len(e.Exp.Points)])
 		if err != nil {
 			t.Errorf("figure %s: %v", e.ID, err)
 			continue
 		}
-		got := res.Render()
-		path := filepath.Join("testdata", "golden", "fig"+e.ID+".txt")
-		if *update {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+		checkGolden(t, "figure "+e.ID, filepath.Join("testdata", "golden", "fig"+e.ID+".txt"), res.Render())
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, what, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Errorf("figure %s: %v (record it with -update)", e.ID, err)
-			continue
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if got != string(want) {
-			t.Errorf("figure %s: render differs from %s: %s", e.ID, path, firstDiff(string(want), got))
-		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Errorf("%s: %v (record it with -update)", what, err)
+		return
+	}
+	if got != string(want) {
+		t.Errorf("%s: differs from %s: %s", what, path, firstDiff(string(want), got))
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 	"encoding/gob"
 	"fmt"
 
+	"iobehind/internal/cluster"
 	"iobehind/internal/runner"
+	"iobehind/internal/tmio"
 )
 
 // init registers the manifest config types with gob: fabric wire
@@ -23,8 +25,21 @@ import (
 // cache-key crosscheck, and gob refuses unregistered concrete types on
 // interface-typed fields. Every built-in experiment keys its points with
 // pointConfig, so this one registration covers the whole registry.
+//
+// It then fixes the bytes of every cache entry. gob numbers a type the
+// first time the process encodes it, and writes those numbers into the
+// stream, so the same result would encode differently after a process
+// had encoded some other result type first. Encoding one zero value of
+// each point result type here, in one fixed order, numbers them alike in
+// every binary that links this package; no package initialized before
+// this one encodes anything. A new point result type must join the list.
 func init() {
 	gob.Register(pointConfig{})
+	for _, v := range []any{tmio.Report{}, cluster.Result{}, fig04Payload{}, TracePointResult{}} {
+		if _, err := runner.EncodeEntry(v); err != nil {
+			panic(fmt.Sprintf("experiments: encode %T: %v", v, err))
+		}
+	}
 }
 
 // PointRef is the serializable identity of one built-in sweep point —

@@ -2,11 +2,22 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
+	"slices"
+	"strings"
 	"testing"
 
+	"iobehind/internal/cluster"
+	"iobehind/internal/des"
+	"iobehind/internal/metrics"
+	"iobehind/internal/region"
 	"iobehind/internal/runner"
+	"iobehind/internal/tmio"
 )
 
 // TestResolveEveryBuiltinPoint walks every built-in experiment at quick
@@ -116,6 +127,70 @@ func TestManifestConfigGobRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("config JSON changed across gob transport:\n got %s\nwant %s", got, want)
+	}
+}
+
+// entryChildEnv marks the child process of
+// TestEntryBytesIndependentOfEncodeHistory.
+const entryChildEnv = "IOBEHIND_ENTRY_BYTES_CHILD"
+
+// entryDigests returns the SHA-256 of the cache-entry bytes of one fixed
+// value of each point result type, taken in an order unlike the one the
+// package init encodes them in.
+func entryDigests(t *testing.T) []string {
+	t.Helper()
+	values := []any{
+		&TracePointResult{Workload: "ior", Ranks: 4, Ops: 8, TraceSHA: "ab", Identical: true, Runtime: des.Second, RequiredBW: 1e9},
+		&fig04Payload{Phases: []region.Phase{{Rank: 1, Start: 1, End: 6, Value: 30e6}}},
+		&cluster.Result{
+			Policy:      cluster.LimitDuringContention,
+			Jobs:        []cluster.JobResult{{Job: 1, Nodes: 2, Async: true, Ended: des.Time(des.Second)}},
+			RunningJobs: &metrics.Series{Name: "running", Points: []metrics.Point{{T: 0, V: 1}}},
+		},
+		&tmio.Report{Ranks: 2, RequiredBandwidth: 5e8, BPhases: []region.Phase{{End: 3, Value: 1e8}}},
+	}
+	var out []string
+	for _, v := range values {
+		data, err := runner.EncodeEntry(v)
+		if err != nil {
+			t.Fatalf("encode %T: %v", v, err)
+		}
+		out = append(out, fmt.Sprintf("%T %x", v, sha256.Sum256(data)))
+	}
+	return out
+}
+
+// TestEntryBytesIndependentOfEncodeHistory runs itself again in a fresh
+// process that encodes a tmio.Report before anything else, and requires
+// the same cache-entry bytes there as here for every result type. gob
+// numbers a type when the process first encodes it, so unless the
+// numbering is fixed at init the child's bytes follow its own history —
+// and two fabric workers that ran different figures first would report
+// the same point with different bytes.
+func TestEntryBytesIndependentOfEncodeHistory(t *testing.T) {
+	if os.Getenv(entryChildEnv) != "" {
+		if _, err := runner.EncodeEntry(&tmio.Report{Ranks: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range entryDigests(t) {
+			fmt.Println("digest", d)
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestEntryBytesIndependentOfEncodeHistory$")
+	cmd.Env = append(os.Environ(), entryChildEnv+"=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("child process: %v\n%s", err, out)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if d, ok := strings.CutPrefix(line, "digest "); ok {
+			got = append(got, d)
+		}
+	}
+	if want := entryDigests(t); !slices.Equal(got, want) {
+		t.Fatalf("entry bytes depend on what the process encoded first:\nchild  %q\nparent %q", got, want)
 	}
 }
 

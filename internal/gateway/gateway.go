@@ -38,17 +38,6 @@ type Config struct {
 	// the aggregator falls behind, the oldest queued record is dropped
 	// and counted rather than growing without bound. Defaults to 1024.
 	QueueDepth int
-	// ReadTimeout is the per-read deadline on ingest connections; a
-	// silent peer is cut after this long. Defaults to 30s.
-	ReadTimeout time.Duration
-	// MaxLineBytes bounds one JSON line. Defaults to 1 MiB.
-	MaxLineBytes int
-	// FTIOBins is the DFT resolution for next-burst prediction.
-	// Defaults to 128.
-	FTIOBins int
-	// MinConfidence is the spectral-confidence floor below which Predict
-	// reports "no forecast". Defaults to 0.1.
-	MinConfidence float64
 	// RetentionWindow, when > 0, bounds each application's retained
 	// history in *virtual* time: once an app's activity frontier moves
 	// past the window, closed regions older than (frontier − window) are
@@ -70,20 +59,21 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
-	}
-	if c.MaxLineBytes <= 0 {
-		c.MaxLineBytes = 1 << 20
-	}
-	if c.FTIOBins <= 0 {
-		c.FTIOBins = 128
-	}
-	if c.MinConfidence <= 0 {
-		c.MinConfidence = 0.1
-	}
 	return c
 }
+
+const (
+	// readTimeout is the per-read deadline on ingest connections; a
+	// silent peer is cut after this long.
+	readTimeout time.Duration = 30 * time.Second
+	// maxLineBytes bounds one JSON line.
+	maxLineBytes int = 1 << 20
+	// ftioBins is the DFT resolution for next-burst prediction.
+	ftioBins int = 128
+	// minConfidence is the spectral-confidence floor below which Predict
+	// reports "no forecast".
+	minConfidence float64 = 0.1
+)
 
 // Stats is a snapshot of the gateway's ingest counters (the numbers
 // behind /metrics).
@@ -249,7 +239,7 @@ func (s *Server) handle(c net.Conn) {
 	}()
 
 	// Records without an App field (a run that predates the identifier,
-	// or a single-run tracer with no StreamID) demultiplex by connection.
+	// or a producer whose sink stamps no AppID) demultiplex by connection.
 	fallbackID := fmt.Sprintf("conn-%d", s.connSeq.Add(1))
 
 	queue := make(chan tmio.StreamRecord, s.cfg.QueueDepth)
@@ -288,7 +278,7 @@ func (s *Server) handle(c net.Conn) {
 	}
 
 	r := bufio.NewReaderSize(c, 64<<10)
-	c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	c.SetReadDeadline(time.Now().Add(readTimeout))
 	first, _ := r.Peek(2)
 	if tmio.SniffBinary(first) {
 		s.serveFrames(c, r, fallbackID, enqueue)
@@ -311,7 +301,7 @@ func (s *Server) serveFrames(c net.Conn, r *bufio.Reader, fallbackID string, enq
 	defer func() { tmio.PutFrameBuf(buf) }()
 	recs := make([]tmio.StreamRecord, 0, 256)
 	for {
-		c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		c.SetReadDeadline(time.Now().Add(readTimeout))
 		if _, err := io.ReadFull(r, hdr); err != nil {
 			if err != io.EOF {
 				s.logf("gateway: %s: read: %v", fallbackID, err)
@@ -343,21 +333,21 @@ func (s *Server) serveFrames(c net.Conn, r *bufio.Reader, fallbackID string, enq
 }
 
 // serveLines is the JSON-lines ingest loop. Unlike the bufio.Scanner it
-// replaces, an oversized line (> MaxLineBytes) is not connection-fatal:
+// replaces, an oversized line (> maxLineBytes) is not connection-fatal:
 // the loop discards bytes up to the next newline, counts one decode
 // error, and keeps reading — one misbehaving print must not silence a
 // producer's whole remaining run.
 func (s *Server) serveLines(c net.Conn, r *bufio.Reader, fallbackID string, enqueue func(tmio.StreamRecord)) {
 	var line []byte
 	for {
-		c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		c.SetReadDeadline(time.Now().Add(readTimeout))
 		line = line[:0]
 		tooLong := false
 		var rerr error
 		for {
 			chunk, err := r.ReadSlice('\n')
 			if !tooLong {
-				if len(line)+len(chunk) > s.cfg.MaxLineBytes {
+				if len(line)+len(chunk) > maxLineBytes {
 					tooLong = true
 					line = line[:0]
 				} else {
@@ -372,7 +362,7 @@ func (s *Server) serveLines(c net.Conn, r *bufio.Reader, fallbackID string, enqu
 		}
 		if tooLong {
 			s.decodeErrors.Add(1)
-			s.logf("gateway: %s: line exceeds %d bytes, skipped", fallbackID, s.cfg.MaxLineBytes)
+			s.logf("gateway: %s: line exceeds %d bytes, skipped", fallbackID, maxLineBytes)
 		}
 		if rerr != nil && rerr != io.EOF {
 			s.logf("gateway: %s: read: %v", fallbackID, rerr)

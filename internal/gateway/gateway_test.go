@@ -221,7 +221,7 @@ func recordLine(app string, rank, phase int, ts, te, b float64) string {
 }
 
 // TestOversizedLineKeepsConnection is the regression test for the
-// ErrTooLong bug: one line over MaxLineBytes used to kill the whole
+// ErrTooLong bug: one line over maxLineBytes used to kill the whole
 // ingest connection (bufio.Scanner gives up, the read loop exits), and
 // with it every later record from that producer. The gateway must skip
 // to the next newline, count one decode error, and keep reading.
@@ -241,7 +241,7 @@ func TestOversizedLineKeepsConnection(t *testing.T) {
 		}
 	}
 	write(recordLine("huge", 0, 0, 0, 0.5, 10) + "\n")
-	// 2 MiB on one line, twice the default MaxLineBytes.
+	// 2 MiB on one line, twice maxLineBytes.
 	write(`{"app":"huge","junk":"` + strings.Repeat("x", 2<<20) + `"}` + "\n")
 	write(recordLine("huge", 0, 1, 1, 1.5, 10) + "\n")
 	write(recordLine("huge", 0, 2, 2, 2.5, 10) + "\n")

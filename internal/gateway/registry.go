@@ -449,8 +449,8 @@ func (s *Server) Predict(id string, now des.Time) (Prediction, bool) {
 	lastTe := st.lastTe
 	st.mu.RUnlock()
 
-	res, err := ftio.DetectPhases(bursts, s.cfg.FTIOBins)
-	if err != nil || res.Period <= 0 || res.Confidence < s.cfg.MinConfidence {
+	res, err := ftio.DetectPhases(bursts, ftioBins)
+	if err != nil || res.Period <= 0 || res.Confidence < minConfidence {
 		return Prediction{}, false
 	}
 	var last des.Time

@@ -13,17 +13,17 @@ package mpi
 
 // Barrier blocks until all ranks arrive.
 func (r *Rank) Barrier() {
-	r.w.barrier.Await(r.proc, r.w.cfg.Cost.barrier(r.w.cfg.Size))
+	r.w.barrier.Await(r.proc, barrierCost(r.w.cfg.Size))
 }
 
 // Bcast broadcasts bytes from root to all ranks.
 func (r *Rank) Bcast(root int, bytes int64) {
 	_ = root // the cost model is root-agnostic
-	r.w.barrier.Await(r.proc, r.w.cfg.Cost.bcast(r.w.cfg.Size, bytes))
+	r.w.barrier.Await(r.proc, bcastCost(r.w.cfg.Size, bytes))
 }
 
 // Gather collects bytesPerRank from every rank at root.
 func (r *Rank) Gather(root int, bytesPerRank int64) {
 	_ = root
-	r.w.barrier.Await(r.proc, r.w.cfg.Cost.gather(r.w.cfg.Size, bytesPerRank))
+	r.w.barrier.Await(r.proc, gatherCost(r.w.cfg.Size, bytesPerRank))
 }

@@ -140,41 +140,6 @@ func TestComputeDrainsInterference(t *testing.T) {
 	}
 }
 
-func TestInterferencePenalty(t *testing.T) {
-	m := InterferenceModel{Kappa: 0.4, RefRate: 2e9, Exponent: 2}
-	// 1 s at the reference rate: penalty = kappa.
-	if got := m.Penalty(1, 2e9); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("penalty = %v, want 0.4", got)
-	}
-	// Quadratic: twice the rate, 4x the per-second penalty.
-	if got := m.Penalty(1, 4e9); math.Abs(got-1.6) > 1e-12 {
-		t.Fatalf("penalty = %v, want 1.6", got)
-	}
-	// Same bytes moved at double rate (half duration): 2x total penalty.
-	slow := m.Penalty(2, 2e9)
-	fast := m.Penalty(1, 4e9)
-	if math.Abs(fast-2*slow) > 1e-12 {
-		t.Fatalf("burst premium broken: fast=%v slow=%v", fast, slow)
-	}
-	// Linear exponent: rate-independent per byte.
-	lin := InterferenceModel{Kappa: 0.4, RefRate: 2e9, Exponent: 1}
-	if math.Abs(lin.Penalty(2, 2e9)-lin.Penalty(1, 4e9)) > 1e-12 {
-		t.Fatal("linear model should charge equal penalty per byte")
-	}
-	// Disabled / degenerate inputs.
-	if (InterferenceModel{}).Penalty(1, 1e9) != 0 {
-		t.Fatal("zero model must charge nothing")
-	}
-	if m.Penalty(-1, 1e9) != 0 || m.Penalty(1, 0) != 0 {
-		t.Fatal("degenerate inputs must charge nothing")
-	}
-	// Defaults fill in.
-	d := InterferenceModel{Kappa: 1}
-	if got := d.Penalty(1, 2e9); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("default RefRate/Exponent: %v", got)
-	}
-}
-
 func TestFinalizeHooks(t *testing.T) {
 	w := newTestWorld(t, 3)
 	var calls []int

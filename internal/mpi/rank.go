@@ -60,9 +60,9 @@ func (r *Rank) Compute(d des.Duration) {
 	r.computeTime += r.proc.Now().Sub(t0)
 }
 
-// AddInterference charges seconds of compute slowdown to this rank. It is
-// called by the I/O agent after each transfer and may run from function
-// events, not only processes.
+// AddInterference charges seconds of compute slowdown to this rank. The
+// I/O agent calls it when an unpaced request costs a scheduling hiccup,
+// and may do so from function events, not only processes.
 func (r *Rank) AddInterference(seconds float64) {
 	if seconds > 0 {
 		r.penalty += seconds

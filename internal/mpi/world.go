@@ -18,10 +18,10 @@ type Config struct {
 	// Size is the number of ranks. Must be >= 1.
 	Size int
 	// RanksPerNode is the process-per-node count (96 on Lichtenberg). It
-	// feeds the node-aggregate interference model. Defaults to 96.
+	// maps ranks to nodes: MPI-IO tags each rank's flows with its node
+	// and picks collective-I/O aggregators per node, and traces record
+	// it. Defaults to 96.
 	RanksPerNode int
-	// Cost is the network cost model for collectives.
-	Cost CostModel
 }
 
 func (c *Config) applyDefaults() {
@@ -30,9 +30,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RanksPerNode <= 0 {
 		c.RanksPerNode = 96
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCostModel()
 	}
 }
 

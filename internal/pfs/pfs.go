@@ -133,9 +133,6 @@ func (p *PFS) SetFaultFactors(write, read float64) {
 // channel (1 when healthy).
 func (p *PFS) FaultFactor(class Class) float64 { return p.chans[class].faultFactor }
 
-// ActiveFlows returns the number of in-flight flows on the class channel.
-func (p *PFS) ActiveFlows(c Class) int { return p.chans[c].active() }
-
 // NoteOp records an operation submission on the class channel and returns
 // the burst concurrency: the number of operations (including this one)
 // submitted within the last second. The MPI-IO layer calls it per

@@ -140,14 +140,14 @@ func TestActiveFlows(t *testing.T) {
 		f1 := p.StartFlow(Write, 1000, Tag{})
 		f2 := p.StartFlow(Write, 1000, Tag{})
 		proc.Yield()
-		if got := p.ActiveFlows(Write); got != 2 {
+		if got := p.chans[Write].active(); got != 2 {
 			t.Errorf("active = %d, want 2", got)
 		}
 		f1.Wait(proc)
 		f2.Wait(proc)
 	})
 	runAll(t, e)
-	if p.ActiveFlows(Write) != 0 {
+	if p.chans[Write].active() != 0 {
 		t.Fatal("flows left active")
 	}
 }
@@ -290,7 +290,7 @@ func TestFluidConservationProperty(t *testing.T) {
 				}
 			}
 		}
-		return p.ActiveFlows(Write) == 0
+		return p.chans[Write].active() == 0
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(6))}
 	if err := quick.Check(f, cfg); err != nil {

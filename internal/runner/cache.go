@@ -126,10 +126,13 @@ func ValidCacheKey(key string) bool {
 
 // EncodeEntry serializes a point result into the cache's entry format —
 // the exact bytes a *Cache stores on disk and the fabric moves over the
-// wire. The encoding is deterministic for a given value as long as result
-// structs hold no maps (gob writes a map in iteration order), which is
-// what makes entries content-addressable and duplicate completions
-// byte-comparable.
+// wire. The bytes are deterministic for a given value as long as result
+// structs hold no maps (gob writes a map in iteration order) and the
+// value's types got their gob type numbers in the same order in every
+// process: gob numbers a type when the process first encodes it, so the
+// package defining the result types encodes one of each at init (see
+// internal/experiments). That is what makes entries content-addressable
+// and duplicate completions byte-comparable.
 func EncodeEntry(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {

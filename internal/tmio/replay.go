@@ -130,14 +130,3 @@ func Replay(phases []region.Phase, strat StrategyConfig) *ReplayResult {
 	}
 	return res
 }
-
-// CompareStrategies replays several strategies over the same recorded
-// phases and returns the results in the given order — the offline
-// strategy-selection workflow.
-func CompareStrategies(phases []region.Phase, strategies []StrategyConfig) []*ReplayResult {
-	out := make([]*ReplayResult, len(strategies))
-	for i, s := range strategies {
-		out[i] = Replay(phases, s)
-	}
-	return out
-}

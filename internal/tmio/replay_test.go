@@ -148,13 +148,10 @@ func TestReplayFrequentUsesMode(t *testing.T) {
 
 func TestCompareStrategies(t *testing.T) {
 	phases := steadyPhases(5)
-	results := CompareStrategies(phases, []StrategyConfig{
-		{Strategy: Direct, Tol: 1.1},
-		{Strategy: UpOnly, Tol: 1.1},
-		{},
-	})
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
+	results := []*ReplayResult{
+		Replay(phases, StrategyConfig{Strategy: Direct, Tol: 1.1}),
+		Replay(phases, StrategyConfig{Strategy: UpOnly, Tol: 1.1}),
+		Replay(phases, StrategyConfig{}),
 	}
 	// On steady load, direct and up-only agree; 'none' never exploits.
 	if math.Abs(results[0].ExploitShare()-results[1].ExploitShare()) > 1e-9 {

@@ -510,7 +510,6 @@ func (t *Tracer) emitPhase(rank int, rec phaseRecord) {
 	}
 	sr := StreamRecord{
 		V:       StreamVersion,
-		App:     t.cfg.StreamID,
 		Rank:    rank,
 		Phase:   rec.index,
 		TsSec:   rec.ts.Seconds(),

@@ -484,10 +484,10 @@ func TestSinkBuffersDuringOutage(t *testing.T) {
 }
 
 // TestStreamRecordVersionAndIdentity: emitted records carry the schema
-// version, the tracer's StreamID, and the throughput window of completed
-// transfers; a sink-level AppID fills in when the tracer has none.
+// version and the throughput window of completed transfers.
+// TestSinkAppIDStamping covers the App field, which the sink stamps.
 func TestStreamRecordVersionAndIdentity(t *testing.T) {
-	h := newHarness(1, Config{DisableOverhead: true, StreamID: "run-42"})
+	h := newHarness(1, Config{DisableOverhead: true})
 	sink := &CollectSink{}
 	h.tr.SetSink(sink)
 	h.run(t, phasedWriter(3, 10e6, des.Second))
@@ -497,9 +497,6 @@ func TestStreamRecordVersionAndIdentity(t *testing.T) {
 	for _, rec := range sink.Records {
 		if rec.V != StreamVersion {
 			t.Fatalf("record version = %d, want %d", rec.V, StreamVersion)
-		}
-		if rec.App != "run-42" {
-			t.Fatalf("record app = %q, want run-42", rec.App)
 		}
 		// 10 MB at 100 MB/s completes long before the 1 s compute phase
 		// ends, so the throughput window must be present.

@@ -5,8 +5,8 @@
 // rank-level metrics into the application-level series B, B_L, and T.
 //
 // Attach installs the tracer the way LD_PRELOAD installs TMIO: the
-// application code is unchanged; every interception costs a small,
-// configurable peri-runtime overhead, and the MPI_Finalize hook models the
+// application code is unchanged; every interception costs a small
+// peri-runtime overhead, and the MPI_Finalize hook models the
 // post-runtime aggregation the paper separates out in Fig. 6.
 package tmio
 
@@ -44,39 +44,28 @@ const (
 	Average
 )
 
-// OverheadModel parameterizes the tracing cost the tracer charges to the
-// application, mirroring TMIO's measured overheads.
-type OverheadModel struct {
-	// PerCall is charged at every intercepted call (peri-runtime).
-	// Defaults to 300 ns.
-	PerCall des.Duration
-	// FinalizeBase is the fixed post-runtime cost on the root rank.
-	// Defaults to 5 ms.
-	FinalizeBase des.Duration
-	// FinalizePerRank is the root's per-rank aggregation cost; this is
+// The tracing cost the tracer charges to the application, mirroring
+// TMIO's measured overheads (Config.DisableOverhead waives all of it).
+const (
+	// perCallOverhead is charged at every intercepted call (peri-runtime).
+	perCallOverhead des.Duration = 300 * des.Nanosecond
+	// finalizeBase is the fixed post-runtime cost on the root rank.
+	finalizeBase des.Duration = 5 * des.Millisecond
+	// finalizePerRank is the root's per-rank aggregation cost; this is
 	// what makes the post-runtime overhead grow with the rank count
-	// (Fig. 6). Defaults to 150 µs.
-	FinalizePerRank des.Duration
-	// PayloadPerRank is the metric payload gathered from each rank and
-	// then written out by the root. Defaults to 4 KiB.
-	PayloadPerRank int64
-}
+	// (Fig. 6).
+	finalizePerRank des.Duration = 150 * des.Microsecond
+	// payloadPerRank is the metric payload gathered from each rank and
+	// then written out by the root.
+	payloadPerRank int64 = 4096
+)
 
-func (m OverheadModel) withDefaults() OverheadModel {
-	if m.PerCall <= 0 {
-		m.PerCall = 300 * des.Nanosecond
-	}
-	if m.FinalizeBase <= 0 {
-		m.FinalizeBase = 5 * des.Millisecond
-	}
-	if m.FinalizePerRank <= 0 {
-		m.FinalizePerRank = 150 * des.Microsecond
-	}
-	if m.PayloadPerRank <= 0 {
-		m.PayloadPerRank = 4096
-	}
-	return m
-}
+// minWindow is the smallest usable required-bandwidth window. A request
+// whose matching wait arrives sooner (e.g. the application's final
+// request, waited immediately after submission) provides no meaningful
+// requirement — the window only measures interception overhead — and is
+// excluded from B_ij.
+const minWindow des.Duration = des.Millisecond
 
 // Config configures a tracer.
 type Config struct {
@@ -86,9 +75,8 @@ type Config struct {
 	PhaseEnd PhaseEndRule
 	// Aggregation defaults to Sum.
 	Aggregation Aggregation
-	// Overhead defaults to the values above. Set DisableOverhead to trace
-	// at zero simulated cost instead.
-	Overhead        OverheadModel
+	// DisableOverhead traces at zero simulated cost instead of charging
+	// the overheads above.
 	DisableOverhead bool
 	// UniformLimit applies the application-level aggregate instead of each
 	// rank's own measurement: every rank is capped at tol × (Σ_i B_i)/n,
@@ -104,17 +92,6 @@ type Config struct {
 	// window the longer compute block); per-class limits keep the two
 	// control loops independent.
 	PerClassLimits bool
-	// StreamID identifies this application/run in streamed records (the
-	// App field), so a collector can demultiplex several concurrent runs
-	// on one listener. A sink-level AppID (SinkOptions) wins over an
-	// empty StreamID.
-	StreamID string
-	// MinWindow is the smallest usable required-bandwidth window. A
-	// request whose matching wait arrives sooner (e.g. the application's
-	// final request, waited immediately after submission) provides no
-	// meaningful requirement — the window only measures interception
-	// overhead — and is excluded from B_ij. Defaults to 1 ms.
-	MinWindow des.Duration
 	// FaultOracle, when non-nil, reports whether a fault window overlapped
 	// [from, to) on the class (internal/faults.Injector.Overlaps fits).
 	// A phase measured inside a fault window is tainted: it is recorded
@@ -144,10 +121,6 @@ type Tracer struct {
 // registers the MPI-IO interceptor and the MPI_Finalize hook.
 func Attach(sys *mpiio.System, cfg Config) *Tracer {
 	cfg.Strategy = cfg.Strategy.WithDefaults()
-	cfg.Overhead = cfg.Overhead.withDefaults()
-	if cfg.MinWindow <= 0 {
-		cfg.MinWindow = des.Millisecond
-	}
 	t := &Tracer{sys: sys, cfg: cfg}
 	for _, r := range sys.World().Ranks() {
 		t.ranks = append(t.ranks, &rankTracer{
@@ -228,9 +201,8 @@ func (rt *rankTracer) charge() {
 	if rt.t.cfg.DisableOverhead {
 		return
 	}
-	d := rt.t.cfg.Overhead.PerCall
-	rt.rank.Proc().Sleep(d)
-	rt.peri += d
+	rt.rank.Proc().Sleep(perCallOverhead)
+	rt.peri += perCallOverhead
 }
 
 // AsyncSubmitted implements mpiio.Interceptor.
@@ -314,7 +286,7 @@ func (rt *rankTracer) closePhase(te des.Time, applyLimit bool) {
 	for _, p := range rt.open {
 		reqs = append(reqs, p.req)
 		window := te.Sub(p.ts)
-		if window < rt.t.cfg.MinWindow {
+		if window < minWindow {
 			continue
 		}
 		b += float64(p.req.Bytes()) / window.Seconds()
@@ -417,14 +389,13 @@ func (t *Tracer) finalize(r *mpi.Rank) {
 	if t.cfg.DisableOverhead {
 		return
 	}
-	m := t.cfg.Overhead
 	start := r.Now()
-	r.Gather(0, m.PayloadPerRank)
+	r.Gather(0, payloadPerRank)
 	if r.ID() == 0 {
 		n := r.World().Size()
-		r.Sleep(m.FinalizeBase + des.Duration(n)*m.FinalizePerRank)
+		r.Sleep(finalizeBase + des.Duration(n)*finalizePerRank)
 		t.sys.FS().Transfer(r.Proc(), pfs.Write,
-			int64(n)*m.PayloadPerRank, pfs.Tag{Job: -1, Rank: -1})
+			int64(n)*payloadPerRank, pfs.Tag{Job: -1, Rank: -1})
 	}
 	rt.post = r.Now().Sub(start)
 }

@@ -84,8 +84,8 @@ func TestParseToleratesUnknownOpsAndVersions(t *testing.T) {
 }
 
 // testFS returns a modest file system so the dogfood traces have phases
-// with meaningful (> MinWindow) required-bandwidth windows. No noise: the
-// replay identity needs an I/O path free of random draws.
+// with meaningful (> tmio's 1 ms minimum) required-bandwidth windows. No
+// noise: the replay identity needs an I/O path free of random draws.
 func testFS() *pfs.Config {
 	return &pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9}
 }

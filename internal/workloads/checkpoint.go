@@ -35,10 +35,10 @@ type CheckpointConfig struct {
 	MTBF des.Duration
 	// RestartRead re-reads the last checkpoint after a failure.
 	RestartRead bool
-	// RestartCost is the fixed re-initialization time after a failure.
-	// Default 10 s when MTBF is set.
-	RestartCost des.Duration
 }
+
+// ckptRestartCost is the fixed re-initialization time after a failure.
+const ckptRestartCost des.Duration = 10 * des.Second
 
 // WithDefaults fills zero fields.
 func (c CheckpointConfig) WithDefaults() CheckpointConfig {
@@ -50,9 +50,6 @@ func (c CheckpointConfig) WithDefaults() CheckpointConfig {
 	}
 	if c.CheckpointBytes <= 0 {
 		c.CheckpointBytes = 256 << 20
-	}
-	if c.RestartCost <= 0 && c.MTBF > 0 {
-		c.RestartCost = 10 * des.Second
 	}
 	return c
 }
@@ -156,7 +153,7 @@ func checkpointMainWith(sys *mpiio.System, cfg CheckpointConfig, ctl *ckptContro
 					pending = nil
 				}
 				r.Compute(des.Duration(float64(segTime) * v.waste))
-				r.Sleep(cfg.RestartCost)
+				r.Sleep(ckptRestartCost)
 				if cfg.RestartRead {
 					f.ReadAt(0, cfg.CheckpointBytes)
 				}

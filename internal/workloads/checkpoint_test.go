@@ -137,11 +137,4 @@ func TestCheckpointDefaults(t *testing.T) {
 	if cfg.ComputeTotal != 10*des.Minute || cfg.Interval != des.Minute {
 		t.Fatalf("defaults: %+v", cfg)
 	}
-	if cfg.RestartCost != 10*des.Second {
-		t.Fatalf("restart cost: %v", cfg.RestartCost)
-	}
-	noFail := CheckpointConfig{}.WithDefaults()
-	if noFail.RestartCost != 0 {
-		t.Fatal("restart cost without MTBF")
-	}
 }

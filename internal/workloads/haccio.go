@@ -29,12 +29,6 @@ type HaccConfig struct {
 	// (the nine HACC-IO variables). Default 5.5e6, calibrated so the
 	// 1-rank required bandwidth lands at the paper's ≈0.7 GB/s.
 	ParticlesPerRank int64
-	// BytesPerParticle defaults to 38.
-	BytesPerParticle int64
-	// HeaderBytes is the synchronous metadata header write. Default 4 KiB.
-	HeaderBytes int64
-	// ComputeBase is the compute-block duration at 1 rank. Default 300 ms.
-	ComputeBase des.Duration
 	// VerifyFactor scales the verify block relative to compute. Default 1:
 	// the verify block re-reads and compares the full arrays, costing
 	// about as much as filling them. Symmetric blocks also give the write
@@ -42,23 +36,35 @@ type HaccConfig struct {
 	// alternating limiter stable — the paper reports near-zero waiting for
 	// all strategies.
 	VerifyFactor float64
-	// PhaseGrowthExp makes phases grow as ranks^exp, the empirical fit to
-	// the paper's reported phase lengths (0.6 s at 1 rank → 105 s at 9216,
-	// attributed to the global broadcasts added "for more variability").
-	// Default 0.565. Set 0 for scale-independent phases (used for the
-	// Fig. 13/14 time-series runs, whose x-axes show ~10 s loops).
-	PhaseGrowthExp float64
-	// FixedPhase overrides the grown compute duration when positive.
+	// FixedPhase overrides the grown compute duration when positive:
+	// scale-independent phases, used for the Fig. 13/14 time-series
+	// runs, whose x-axes show ~10 s loops.
 	FixedPhase des.Duration
-	// BcastBytes is the payload of the per-block global broadcast. Default 8.
-	BcastBytes int64
-	// MemcpyRate models the data copy before the write's wait, bytes/s.
-	// Default 10 GB/s.
-	MemcpyRate float64
 	// JitterFraction de-synchronizes ranks: each block is stretched by a
 	// uniform random fraction in [0, JitterFraction). Default 0.03.
 	JitterFraction float64
 }
+
+// The fixed parameters of the HACC-IO model.
+const (
+	// haccBytesPerParticle is the size of one particle's nine HACC-IO
+	// variables.
+	haccBytesPerParticle int64 = 38
+	// haccHeaderBytes is the synchronous metadata header write.
+	haccHeaderBytes int64 = 4096
+	// haccComputeBase is the compute-block duration at 1 rank.
+	haccComputeBase des.Duration = 300 * des.Millisecond
+	// haccPhaseGrowthExp makes phases grow as ranks^exp, the empirical
+	// fit to the paper's reported phase lengths (0.6 s at 1 rank → 105 s
+	// at 9216, attributed to the global broadcasts added "for more
+	// variability"). FixedPhase overrides the grown duration.
+	haccPhaseGrowthExp float64 = 0.565
+	// haccBcastBytes is the payload of the per-block global broadcast.
+	haccBcastBytes int64 = 8
+	// haccMemcpyRate models the data copy before the write's wait, in
+	// bytes/s.
+	haccMemcpyRate float64 = 10e9
+)
 
 // WithDefaults fills zero fields.
 func (c HaccConfig) WithDefaults() HaccConfig {
@@ -68,26 +74,8 @@ func (c HaccConfig) WithDefaults() HaccConfig {
 	if c.ParticlesPerRank <= 0 {
 		c.ParticlesPerRank = 5_500_000
 	}
-	if c.BytesPerParticle <= 0 {
-		c.BytesPerParticle = 38
-	}
-	if c.HeaderBytes <= 0 {
-		c.HeaderBytes = 4096
-	}
-	if c.ComputeBase <= 0 {
-		c.ComputeBase = 300 * des.Millisecond
-	}
 	if c.VerifyFactor <= 0 {
 		c.VerifyFactor = 1
-	}
-	if c.PhaseGrowthExp == 0 && c.FixedPhase <= 0 {
-		c.PhaseGrowthExp = 0.565
-	}
-	if c.BcastBytes <= 0 {
-		c.BcastBytes = 8
-	}
-	if c.MemcpyRate <= 0 {
-		c.MemcpyRate = 10e9
 	}
 	if c.JitterFraction < 0 {
 		c.JitterFraction = 0
@@ -100,7 +88,7 @@ func (c HaccConfig) WithDefaults() HaccConfig {
 // DataBytes returns the per-rank array size written and read each loop.
 func (c HaccConfig) DataBytes() int64 {
 	d := c.WithDefaults()
-	return d.ParticlesPerRank * d.BytesPerParticle
+	return d.ParticlesPerRank * haccBytesPerParticle
 }
 
 // ComputeDuration returns the compute-block length for a world of n ranks.
@@ -109,7 +97,7 @@ func (c HaccConfig) ComputeDuration(n int) des.Duration {
 	if d.FixedPhase > 0 {
 		return d.FixedPhase
 	}
-	return des.DurationOf(d.ComputeBase.Seconds() * math.Pow(float64(n), d.PhaseGrowthExp))
+	return des.DurationOf(haccComputeBase.Seconds() * math.Pow(float64(n), haccPhaseGrowthExp))
 }
 
 // VerifyDuration returns the verify-block length for n ranks.
@@ -136,7 +124,7 @@ func HaccMain(sys *mpiio.System, cfg HaccConfig) func(*mpi.Rank) {
 		dataBytes := cfg.DataBytes()
 		compute := cfg.ComputeDuration(n)
 		verify := cfg.VerifyDuration(n)
-		memcpyDur := des.DurationOf(float64(dataBytes) / cfg.MemcpyRate)
+		memcpyDur := des.DurationOf(float64(dataBytes) / haccMemcpyRate)
 		f := sys.Open(r, fmt.Sprintf("hacc-%06d.bin", r.ID()))
 
 		jitter := func(d des.Duration) des.Duration {
@@ -152,7 +140,7 @@ func HaccMain(sys *mpiio.System, cfg HaccConfig) func(*mpi.Rank) {
 			// Compute block: fill the arrays; the previous loop's read
 			// proceeds in the background.
 			r.Compute(jitter(compute))
-			r.Bcast(0, cfg.BcastBytes)
+			r.Bcast(0, haccBcastBytes)
 			if readReq != nil {
 				readReq.Wait()
 				readReq = nil
@@ -160,13 +148,13 @@ func HaccMain(sys *mpiio.System, cfg HaccConfig) func(*mpi.Rank) {
 
 			// Header (metadata) is written synchronously, then the data
 			// write is issued asynchronously over the verify block.
-			f.WriteAt(0, cfg.HeaderBytes)
+			f.WriteAt(0, haccHeaderBytes)
 			writeReq := f.IwriteAt(int64(loop)*dataBytes, dataBytes)
 
 			// Verify block: compare the previous data, broadcast, and
 			// memcpy the fresh arrays aside just before the write fence.
 			r.Compute(jitter(verify))
-			r.Bcast(0, cfg.BcastBytes)
+			r.Bcast(0, haccBcastBytes)
 			r.Compute(memcpyDur)
 			writeReq.Wait()
 

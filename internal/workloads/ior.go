@@ -11,6 +11,7 @@ import (
 // IorConfig models an IOR-style parallel I/O benchmark: every rank writes
 // (and optionally reads back) Segments blocks of BlockSize bytes, in
 // TransferSize pieces, with an optional compute delay between segments.
+// Each phase ends in a synchronizing barrier, like IOR's fsync option.
 // IOR is the community-standard harness this library's file-system model
 // can be sanity-checked against; it also demonstrates the collective
 // (write_at_all) versus individual-file-pointer access modes the paper
@@ -33,9 +34,6 @@ type IorConfig struct {
 	// ComputeBetween is inserted between segments (and overlapped by the
 	// asynchronous variant). Default 0.
 	ComputeBetween des.Duration
-	// Fsync issues a synchronizing barrier after each phase, like IOR's
-	// fsync option. Default true.
-	NoFsync bool
 }
 
 // WithDefaults fills zero fields.
@@ -112,9 +110,7 @@ func IorMain(sys *mpiio.System, cfg IorConfig) func(*mpi.Rank) {
 			if pending != nil {
 				pending.Wait()
 			}
-			if !cfg.NoFsync {
-				r.Barrier()
-			}
+			r.Barrier()
 		}
 
 		phase(true)

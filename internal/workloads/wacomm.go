@@ -21,29 +21,33 @@ type WacommConfig struct {
 	Particles int64
 	// Iterations is the number of simulated hours (paper: 50).
 	Iterations int
-	// BytesPerParticle sizes the I/O. Default 48.
-	BytesPerParticle int64
-	// PerParticleCost is the Lagrangian step per particle. Default
-	// 27.5 µs, calibrated to ≈0.6 s iterations at 96 ranks (Fig. 8).
-	PerParticleCost des.Duration
-	// DistributionPerRank is rank 0's serial per-rank cost to scatter
-	// particles and gather results each hour; it dominates large runs
-	// (≈2.3 s iterations at 9216 ranks, Fig. 10). Default 225 µs.
-	DistributionPerRank des.Duration
-	// FixedIteration is the per-iteration fixed overhead (model setup,
-	// OpenMP fork/join). Default 20 ms.
-	FixedIteration des.Duration
-	// HourlyRead makes rank 0 re-read new particles every ReadEvery
+	// ReadEvery makes rank 0 re-read new particles every ReadEvery
 	// iterations ("in some cases, a new read operation is executed after
 	// every hour"). 0 disables.
 	ReadEvery int
-	// FinalWriteFactor scales the synchronous result files written at the
-	// end, relative to one iteration's data. Default 3 (several files).
-	FinalWriteFactor float64
 	// JitterFraction stretches each rank's compute by a uniform random
 	// fraction. Default 0.05.
 	JitterFraction float64
 }
+
+// The fixed parameters of the WaComM++ model.
+const (
+	// wacommBytesPerParticle sizes the I/O.
+	wacommBytesPerParticle int64 = 48
+	// wacommPerParticleCost is the Lagrangian step per particle,
+	// calibrated to ≈0.6 s iterations at 96 ranks (Fig. 8).
+	wacommPerParticleCost des.Duration = 27500 // 27.5 µs
+	// wacommDistributionPerRank is rank 0's serial per-rank cost to
+	// scatter particles and gather results each hour; it dominates large
+	// runs (≈2.3 s iterations at 9216 ranks, Fig. 10).
+	wacommDistributionPerRank des.Duration = 225 * des.Microsecond
+	// wacommFixedIteration is the per-iteration fixed overhead (model
+	// setup, OpenMP fork/join).
+	wacommFixedIteration des.Duration = 20 * des.Millisecond
+	// wacommFinalWriteFactor scales the synchronous result files written
+	// at the end, relative to one iteration's data (several files).
+	wacommFinalWriteFactor float64 = 3
+)
 
 // WithDefaults fills zero fields.
 func (c WacommConfig) WithDefaults() WacommConfig {
@@ -52,21 +56,6 @@ func (c WacommConfig) WithDefaults() WacommConfig {
 	}
 	if c.Iterations <= 0 {
 		c.Iterations = 50
-	}
-	if c.BytesPerParticle <= 0 {
-		c.BytesPerParticle = 48
-	}
-	if c.PerParticleCost <= 0 {
-		c.PerParticleCost = des.Duration(27500) // 27.5 µs
-	}
-	if c.DistributionPerRank <= 0 {
-		c.DistributionPerRank = 225 * des.Microsecond
-	}
-	if c.FixedIteration <= 0 {
-		c.FixedIteration = 20 * des.Millisecond
-	}
-	if c.FinalWriteFactor <= 0 {
-		c.FinalWriteFactor = 3
 	}
 	if c.JitterFraction < 0 {
 		c.JitterFraction = 0
@@ -79,7 +68,7 @@ func (c WacommConfig) WithDefaults() WacommConfig {
 // TotalBytes returns the total particle payload per iteration.
 func (c WacommConfig) TotalBytes() int64 {
 	d := c.WithDefaults()
-	return d.Particles * d.BytesPerParticle
+	return d.Particles * wacommBytesPerParticle
 }
 
 // BytesPerRank returns the per-rank write size per iteration for n ranks.
@@ -96,9 +85,9 @@ func (c WacommConfig) BytesPerRank(n int) int64 {
 // distribution cost + fixed overhead.
 func (c WacommConfig) IterationDuration(n int) des.Duration {
 	d := c.WithDefaults()
-	particleWork := des.Duration(d.Particles / int64(n) * int64(d.PerParticleCost))
-	distribution := des.Duration(int64(n) * int64(d.DistributionPerRank))
-	return particleWork + distribution + d.FixedIteration
+	particleWork := des.Duration(d.Particles / int64(n) * int64(wacommPerParticleCost))
+	distribution := des.Duration(int64(n) * int64(wacommDistributionPerRank))
+	return particleWork + distribution + wacommFixedIteration
 }
 
 // WacommMain returns the per-rank main of the modified WaComM++: the
@@ -147,7 +136,7 @@ func WacommMain(sys *mpiio.System, cfg WacommConfig) func(*mpi.Rank) {
 
 		// The last result files have no compute left to hide behind: they
 		// are written synchronously, as in the original code.
-		f.WriteAt(0, int64(float64(perRank)*cfg.FinalWriteFactor))
+		f.WriteAt(0, int64(float64(perRank)*wacommFinalWriteFactor))
 		r.Finalize()
 	}
 }

@@ -32,7 +32,7 @@ func newStack(t *testing.T, ranks int, strat tmio.StrategyConfig) *stack {
 
 func TestHaccConfigDefaults(t *testing.T) {
 	cfg := HaccConfig{}.WithDefaults()
-	if cfg.Loops != 10 || cfg.BytesPerParticle != 38 {
+	if cfg.Loops != 10 {
 		t.Fatalf("defaults: %+v", cfg)
 	}
 	if got := cfg.DataBytes(); got != 5_500_000*38 {

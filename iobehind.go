@@ -79,12 +79,8 @@ type (
 	// BurstBufferConfig interposes a node-local buffer tier for writes.
 	BurstBufferConfig = pfs.BurstBufferConfig
 	// AgentConfig parameterizes the per-rank I/O agents (sub-request
-	// size, interference model, storm latencies).
+	// size, scheduling hiccups, storm latencies).
 	AgentConfig = adio.Config
-	// CostModel is the α–β interconnect model.
-	CostModel = mpi.CostModel
-	// InterferenceModel couples background I/O to compute slowdown.
-	InterferenceModel = mpi.InterferenceModel
 	// Rank is one MPI process; workload mains receive it.
 	Rank = mpi.Rank
 	// Duration is a span of virtual time (nanoseconds).
@@ -138,8 +134,6 @@ type Options struct {
 	FS *FSConfig
 	// Agent configures the I/O agents.
 	Agent AgentConfig
-	// Cost is the interconnect model; zero value uses the default.
-	Cost CostModel
 	// RanksPerNode defaults to 96 (Lichtenberg nodes).
 	RanksPerNode int
 	// Strategy drives the limiter; the zero value traces without limiting.
@@ -167,21 +161,13 @@ func NewSim(opts Options) *Sim {
 		seed = 1
 	}
 	e := des.NewEngine(seed)
-	w := mpi.NewWorld(e, mpi.Config{
-		Size:         opts.Ranks,
-		RanksPerNode: opts.RanksPerNode,
-		Cost:         opts.Cost,
-	})
+	w := mpi.NewWorld(e, mpi.Config{Size: opts.Ranks, RanksPerNode: opts.RanksPerNode})
 	fsCfg := pfs.LichtenbergConfig()
 	if opts.FS != nil {
 		fsCfg = *opts.FS
 	}
 	fs := pfs.New(e, fsCfg)
-	agentCfg := opts.Agent
-	if agentCfg.RanksPerNode <= 0 {
-		agentCfg.RanksPerNode = w.Config().RanksPerNode
-	}
-	sys := mpiio.NewSystem(w, fs, agentCfg)
+	sys := mpiio.NewSystem(w, fs, opts.Agent)
 	s := &Sim{Engine: e, World: w, FS: fs, IO: sys}
 	if !opts.NoTracer {
 		tcfg := opts.Tracer
