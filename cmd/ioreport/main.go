@@ -1,10 +1,11 @@
-// Command ioreport renders a TMIO JSON report (written by Report.WriteJSON
-// or `haccio -json`) back into tables and series — the offline analysis
-// path, like the paper's plotting scripts consuming TMIO's result files.
+// Command ioreport renders a TMIO report file (written by Report.WriteJSON
+// or `iorun -json`) as the same tables and series iorun printed for the
+// live run — the offline analysis path, like the paper's plotting scripts
+// consuming TMIO's result files.
 //
-//	haccio -ranks 96 -json run.json
+//	iorun -workload hacc -ranks 96 -json run.json
 //	ioreport run.json
-//	ioreport -replay -j 4 run.json   # what-if replay, strategies in parallel
+//	ioreport -replay run.json   # what-if replay of every strategy
 //
 // With -trace, the argument is instead an I/O trace file in the format of
 // docs/TRACE_FORMAT.md (written by `iosweep -emit-trace` or converted from
@@ -17,146 +18,68 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"iobehind/internal/des"
 	"iobehind/internal/region"
 	"iobehind/internal/report"
-	"iobehind/internal/runner"
 	"iobehind/internal/tmio"
 	"iobehind/internal/trace"
 )
 
-// reportJSON mirrors the WriteJSON payload.
-type reportJSON struct {
-	Ranks    int `json:"ranks"`
-	Strategy struct {
-		Strategy int     `json:"Strategy"`
-		Tol      float64 `json:"Tol"`
-	} `json:"strategy"`
-	Runtime           int64       `json:"runtime"`
-	AppTime           int64       `json:"app_time"`
-	PeriOverhead      int64       `json:"peri_overhead"`
-	PostOverhead      int64       `json:"post_overhead"`
-	RequiredBandwidth float64     `json:"required_bandwidth"`
-	FirstLimitAt      int64       `json:"first_limit_at"`
-	SyncOps           int         `json:"sync_ops"`
-	AsyncOps          int         `json:"async_ops"`
-	TotalBytes        [2]int64    `json:"total_bytes"`
-	Distribution      distJSON    `json:"distribution"`
-	B                 seriesJSON  `json:"b_series"`
-	T                 seriesJSON  `json:"t_series"`
-	BL                seriesJSON  `json:"bl_series"`
-	Phases            []phaseJSON `json:"phases"`
-}
-
-type phaseJSON struct {
-	Rank  int     `json:"rank"`
-	Index int     `json:"index"`
-	Ts    float64 `json:"ts"`
-	Te    float64 `json:"te"`
-	B     float64 `json:"b"`
-}
-
-type distJSON struct {
-	SyncWrite         float64 `json:"sync_write"`
-	SyncRead          float64 `json:"sync_read"`
-	AsyncWriteLost    float64 `json:"async_write_lost"`
-	AsyncReadLost     float64 `json:"async_read_lost"`
-	AsyncWriteExploit float64 `json:"async_write_exploit"`
-	AsyncReadExploit  float64 `json:"async_read_exploit"`
-	OverheadPeri      float64 `json:"overhead_peri"`
-	OverheadPost      float64 `json:"overhead_post"`
-	ComputeFree       float64 `json:"compute_free"`
-}
-
-type seriesJSON struct {
-	Name   string       `json:"name"`
-	Points [][2]float64 `json:"points"`
-}
-
 func main() {
-	replay := flag.Bool("replay", false,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ioreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	replay := fs.Bool("replay", false,
 		"replay all limiting strategies over the recorded phases (what-if analysis)")
-	workers := flag.Int("j", 1, "worker pool size for -replay (0 = GOMAXPROCS)")
-	traceFile := flag.Bool("trace", false,
+	traceFile := fs.Bool("trace", false,
 		"the argument is an I/O trace file (docs/TRACE_FORMAT.md); print its summary")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ioreport [-replay] <report.json>\n       ioreport -trace <file.trace>")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	data, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: ioreport [-replay] <report.json>\n       ioreport -trace <file.trace>")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ioreport:", err)
+		return 1
+	}
+	data, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ioreport:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *traceFile {
-		if err := summarizeTrace(data); err != nil {
-			fmt.Fprintln(os.Stderr, "ioreport:", err)
-			os.Exit(1)
+		if err := summarizeTrace(stdout, data); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
-	var rep reportJSON
-	if err := json.Unmarshal(data, &rep); err != nil {
-		fmt.Fprintln(os.Stderr, "ioreport: parse:", err)
-		os.Exit(1)
+	f, err := tmio.ReadJSON(bytes.NewReader(data))
+	if err != nil {
+		return fail(err)
 	}
-
-	secs := func(ns int64) float64 { return float64(ns) / 1e9 }
-	t := report.NewTable(fmt.Sprintf("TMIO report — %d ranks", rep.Ranks), "metric", "value")
-	t.AddRow("runtime", fmt.Sprintf("%.2f s", secs(rep.Runtime)))
-	t.AddRow("app time", fmt.Sprintf("%.2f s", secs(rep.AppTime)))
-	t.AddRow("required bandwidth B", report.Rate(rep.RequiredBandwidth))
-	t.AddRow("peri overhead", fmt.Sprintf("%.3f s", secs(rep.PeriOverhead)))
-	t.AddRow("post overhead", fmt.Sprintf("%.3f s", secs(rep.PostOverhead)))
-	t.AddRow("async / sync ops", fmt.Sprintf("%d / %d", rep.AsyncOps, rep.SyncOps))
-	t.AddRow("bytes written / read", fmt.Sprintf("%d / %d", rep.TotalBytes[0], rep.TotalBytes[1]))
-	if rep.FirstLimitAt > 0 {
-		t.AddRow("limit first applied", fmt.Sprintf("%.2f s", secs(rep.FirstLimitAt)))
+	if err := f.WriteText(stdout); err != nil {
+		return fail(err)
 	}
-	fmt.Print(t.Render())
-
-	d := rep.Distribution
-	dt := report.NewTable("time distribution (percent of total rank time)", "category", "share")
-	dt.AddRow("sync write", report.Pct(d.SyncWrite))
-	dt.AddRow("sync read", report.Pct(d.SyncRead))
-	dt.AddRow("async write lost", report.Pct(d.AsyncWriteLost))
-	dt.AddRow("async read lost", report.Pct(d.AsyncReadLost))
-	dt.AddRow("async write exploit", report.Pct(d.AsyncWriteExploit))
-	dt.AddRow("async read exploit", report.Pct(d.AsyncReadExploit))
-	dt.AddRow("overhead (peri)", report.Pct(d.OverheadPeri))
-	dt.AddRow("overhead (post)", report.Pct(d.OverheadPost))
-	dt.AddRow("compute (I/O free)", report.Pct(d.ComputeFree))
-	fmt.Print(dt.Render())
-
-	for _, s := range []seriesJSON{rep.T, rep.B, rep.BL} {
-		if len(s.Points) == 0 {
-			continue
-		}
-		fmt.Printf("%-4s %d points, peak %s |%s|\n",
-			s.Name, len(s.Points), report.Rate(peak(s)), spark(s, 60))
-	}
-
 	if *replay {
-		if err := replayStrategies(rep.Phases, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "ioreport:", err)
-			os.Exit(1)
-		}
+		replayStrategies(stdout, f.BPhases)
 	}
+	return 0
 }
 
 // summarizeTrace parses raw as a JSON-lines I/O trace and prints its
 // per-rank and per-op summary — the "inspect" step between emitting a
 // trace and replaying it.
-func summarizeTrace(raw []byte) error {
+func summarizeTrace(w io.Writer, raw []byte) error {
 	tr, err := trace.Parse(bytes.NewReader(raw))
 	if err != nil {
 		return err
@@ -169,7 +92,7 @@ func summarizeTrace(raw []byte) error {
 	if tr.Skipped > 0 {
 		head.AddRow("skipped unknown ops", fmt.Sprintf("%d", tr.Skipped))
 	}
-	fmt.Print(head.Render())
+	fmt.Fprint(w, head.Render())
 
 	perRank := report.NewTable("per rank", "rank", "ops", "files", "written", "read", "async", "span")
 	opCounts := map[string]int{}
@@ -204,7 +127,7 @@ func summarizeTrace(raw []byte) error {
 			fmt.Sprintf("%d", files), report.Bytes(written), report.Bytes(read),
 			fmt.Sprintf("%d", async), report.Seconds(des.Duration(last-first)))
 	}
-	fmt.Print(perRank.Render())
+	fmt.Fprint(w, perRank.Render())
 
 	kinds := make([]string, 0, len(opCounts))
 	for op := range opCounts {
@@ -215,100 +138,31 @@ func summarizeTrace(raw []byte) error {
 	for _, op := range kinds {
 		ops.AddRow(op, fmt.Sprintf("%d", opCounts[op]))
 	}
-	fmt.Print(ops.Render())
+	fmt.Fprint(w, ops.Render())
 	return nil
 }
 
 // replayStrategies runs the what-if analysis: what would each strategy
-// have done on the recorded required bandwidths? Each strategy's replay
-// is an independent pass over the same read-only phase record, so they
-// fan across the worker pool; the table rows keep strategy order.
-func replayStrategies(raw []phaseJSON, workers int) error {
-	if len(raw) == 0 {
-		fmt.Println("\nno recorded phases: cannot replay (report was written by an older version?)")
-		return nil
+// have done on the recorded required bandwidths?
+func replayStrategies(w io.Writer, phases []region.Phase) {
+	if len(phases) == 0 {
+		fmt.Fprintln(w, "\nno recorded phases: cannot replay (report was written by an older version?)")
+		return
 	}
-	phases := make([]region.Phase, 0, len(raw))
-	for _, ph := range raw {
-		phases = append(phases, region.Phase{
-			Rank:  ph.Rank,
-			Index: ph.Index,
-			Start: des.Time(des.DurationOf(ph.Ts)),
-			End:   des.Time(des.DurationOf(ph.Te)),
-			Value: ph.B,
-		})
-	}
-	strategies := []tmio.StrategyConfig{
+	t := report.NewTable("strategy replay over the recorded phases (projected)",
+		"strategy", "wait share", "exploit share")
+	for _, s := range []tmio.StrategyConfig{
 		{Strategy: tmio.Direct, Tol: 1.1},
 		{Strategy: tmio.Direct, Tol: 2},
 		{Strategy: tmio.UpOnly, Tol: 1.1},
 		{Strategy: tmio.Adaptive, Tol: 1.1},
 		{Strategy: tmio.Frequent, Tol: 1.1},
-	}
-	points := make([]runner.Point, len(strategies))
-	for i, s := range strategies {
-		s := s
-		points[i] = runner.Point{
-			Key: "replay/" + s.Label(),
-			Run: func(context.Context) (any, error) { return tmio.Replay(phases, s), nil },
-		}
-	}
-	results, err := runner.New(runner.Options{Workers: workers}).Run(context.Background(), points)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("strategy replay over the recorded phases (projected)",
-		"strategy", "wait share", "exploit share")
-	for _, pr := range results {
-		if pr.Err != nil {
-			return pr.Err
-		}
-		res := pr.Value.(*tmio.ReplayResult)
+	} {
+		res := tmio.Replay(phases, s)
 		t.AddRow(res.Strategy.Label(),
 			report.Pct(100*res.WaitShare()),
 			report.Pct(100*res.ExploitShare()))
 	}
-	fmt.Println()
-	fmt.Print(t.Render())
-	return nil
-}
-
-func peak(s seriesJSON) float64 {
-	var max float64
-	for _, p := range s.Points {
-		if p[1] > max {
-			max = p[1]
-		}
-	}
-	return max
-}
-
-// spark renders the JSON series as a sparkline by step-sampling it.
-func spark(s seriesJSON, width int) string {
-	if len(s.Points) == 0 {
-		return ""
-	}
-	max := peak(s)
-	if max <= 0 {
-		return strings.Repeat("▁", width)
-	}
-	end := s.Points[len(s.Points)-1][0]
-	levels := []rune("▁▂▃▄▅▆▇█")
-	var b strings.Builder
-	for i := 0; i < width; i++ {
-		at := end * float64(i) / float64(width)
-		v := 0.0
-		for _, p := range s.Points {
-			if p[0] > at {
-				break
-			}
-			v = p[1]
-		}
-		idx := int(v / max * float64(len(levels)-1))
-		if idx >= len(levels) {
-			idx = len(levels) - 1
-		}
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
+	fmt.Fprintln(w)
+	fmt.Fprint(w, t.Render())
 }

@@ -4,7 +4,6 @@ package iobehind_test
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"iobehind"
@@ -84,8 +83,12 @@ func TestEndToEndKitchenSink(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"phases"`) {
-		t.Fatal("phases missing from JSON")
+	saved, err := tmio.ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved.BPhases) == 0 || len(saved.BPhases) != len(rep.BPhases) {
+		t.Fatalf("JSON carries %d of %d phases", len(saved.BPhases), len(rep.BPhases))
 	}
 	// The overhead model ran (default enabled here).
 	if rep.PostOverhead <= 0 {

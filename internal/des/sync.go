@@ -87,7 +87,6 @@ type Barrier struct {
 	n       int
 	arrived int
 	waiters []waiter
-	rounds  int // releases so far
 }
 
 // NewBarrier returns a reusable barrier for n parties.
@@ -110,7 +109,6 @@ func (b *Barrier) Await(p *Proc, delay Duration) {
 		}
 		b.waiters = b.waiters[:0]
 		b.arrived = 0
-		b.rounds++
 		if delay > 0 {
 			p.SleepUntil(release)
 		}

@@ -1,10 +1,9 @@
-// Package metrics provides the small time-series and statistics toolkit
+// Package metrics provides the small time-series and interval toolkit
 // shared by the tracer, the aggregators, and the experiment harness.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"iobehind/internal/des"
@@ -173,15 +172,6 @@ func (s *Intervals) Add(iv Interval) {
 	s.list = append(s.list, iv)
 }
 
-// Total returns the summed duration of all intervals.
-func (s *Intervals) Total() des.Duration {
-	var d des.Duration
-	for _, iv := range s.list {
-		d += iv.Duration()
-	}
-	return d
-}
-
 // Len returns the number of stored intervals.
 func (s *Intervals) Len() int { return len(s.list) }
 
@@ -194,61 +184,6 @@ func (s *Intervals) OverlapWith(iv Interval) des.Duration {
 		d += s.list[i].Overlap(iv)
 	}
 	return d
-}
-
-// Summary holds the basic statistics of a sample set.
-type Summary struct {
-	N         int
-	Min, Max  float64
-	Mean, Std float64
-}
-
-// Summarize computes the summary of values.
-func Summarize(values []float64) Summary {
-	s := Summary{N: len(values)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = values[0], values[0]
-	sum := 0.0
-	for _, v := range values {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		sum += v
-	}
-	s.Mean = sum / float64(s.N)
-	var sq float64
-	for _, v := range values {
-		d := v - s.Mean
-		sq += d * d
-	}
-	s.Std = math.Sqrt(sq / float64(s.N))
-	return s
-}
-
-// Percentile returns the p-th percentile (0..100) of values using
-// nearest-rank on a sorted copy. An empty input yields 0.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }
 
 // List returns the stored intervals in time order (a copy).

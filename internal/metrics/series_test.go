@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -149,8 +150,8 @@ func TestIntervalsAddMergeAndOverlap(t *testing.T) {
 	if set.Len() != 2 {
 		t.Fatalf("len = %d, want 2", set.Len())
 	}
-	if set.Total() != 25 {
-		t.Fatalf("total = %v", set.Total())
+	if got, want := set.List(), []Interval{{0, 15}, {20, 30}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("list = %v, want %v", got, want)
 	}
 	if got := set.OverlapWith(Interval{5, 25}); got != 15 {
 		t.Fatalf("overlap = %v, want 15", got)
@@ -171,34 +172,6 @@ func TestIntervalsOutOfOrderPanics(t *testing.T) {
 	set.Add(Interval{5, 8})
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Min != 2 || s.Max != 9 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if math.Abs(s.Mean-5) > 1e-9 || math.Abs(s.Std-2) > 1e-9 {
-		t.Fatalf("mean/std = %v/%v", s.Mean, s.Std)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
-		t.Fatalf("empty summary = %+v", z)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := map[float64]float64{0: 1, 50: 5, 90: 9, 100: 10, 150: 10, -5: 1}
-	for p, want := range cases {
-		if got := Percentile(vals, p); got != want {
-			t.Errorf("P%v = %v, want %v", p, got, want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile")
-	}
-}
-
-// TestIntervalsOverlapProperty compares OverlapWith against brute force on
-// random disjoint interval sets.
 func TestIntervalsOverlapProperty(t *testing.T) {
 	f := func(gaps []uint8, q0, ql uint16) bool {
 		var set Intervals

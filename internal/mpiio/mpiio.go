@@ -297,60 +297,5 @@ func (q *Request) Wait() {
 	}
 }
 
-// Test reports whether the operation has completed (MPI_Test).
-func (q *Request) Test() bool { return q.inner.Done() }
-
 // Stats exposes the agent-side execution record; valid only after Wait.
 func (q *Request) Stats() *adio.RequestStats { return &q.inner.Stats }
-
-// Waitall waits on every request in order (MPI_Waitall).
-func Waitall(reqs []*Request) {
-	for _, q := range reqs {
-		q.Wait()
-	}
-}
-
-// Info hints: the user-level control surface of the modified MPICH ("we
-// provide means to control the consumed bandwidth at the user-level").
-// Applications — or tools like TMIO — set hints on a file handle the way
-// MPI_Info objects attach to MPI_File_open; the bandwidth hints reach the
-// rank's I/O agent.
-const (
-	// HintBandwidthLimit caps both classes, bytes/s (float64 or int64).
-	HintBandwidthLimit = "io_bandwidth_limit"
-	// HintWriteLimit and HintReadLimit cap one class only.
-	HintWriteLimit = "io_write_bandwidth_limit"
-	HintReadLimit  = "io_read_bandwidth_limit"
-)
-
-// SetHint applies an info hint to the file's rank-level I/O agent. Unknown
-// keys are ignored, as the MPI standard prescribes for info hints. Numeric
-// values may be float64, int64, or int.
-func (f *File) SetHint(key string, value any) {
-	limit, ok := hintNumber(value)
-	if !ok {
-		return
-	}
-	agent := f.sys.agents[f.r.ID()]
-	switch key {
-	case HintBandwidthLimit:
-		agent.SetLimit(limit)
-	case HintWriteLimit:
-		agent.SetClassLimit(pfs.Write, limit)
-	case HintReadLimit:
-		agent.SetClassLimit(pfs.Read, limit)
-	}
-}
-
-func hintNumber(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int64:
-		return float64(x), true
-	case int:
-		return float64(x), true
-	default:
-		return 0, false
-	}
-}

@@ -45,9 +45,6 @@ func TestAsyncOverlapsCompute(t *testing.T) {
 		if got := r.Now().Seconds(); math.Abs(got-2) > 1e-6 {
 			t.Errorf("total = %v, want 2s (fully hidden I/O)", got)
 		}
-		if !req.Test() {
-			t.Error("request not done after Wait")
-		}
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,22 +75,6 @@ func TestDoubleWaitPanics(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("double wait did not fail the run")
-	}
-}
-
-func TestWaitall(t *testing.T) {
-	_, w, sys := newSystem(t, 1)
-	if err := w.Run(func(r *mpi.Rank) {
-		f := sys.Open(r, "out.dat")
-		reqs := []*Request{f.IwriteAt(0, 50e6), f.IreadAt(0, 50e6)}
-		Waitall(reqs)
-		for _, q := range reqs {
-			if !q.Test() {
-				t.Error("request incomplete after Waitall")
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -377,35 +358,5 @@ func TestTeeFansOutInOrder(t *testing.T) {
 	}
 	if len(a.opened) != 1 || len(b.opened) != 1 {
 		t.Errorf("FileOpened fan-out: %v / %v", a.opened, b.opened)
-	}
-}
-
-func TestInfoHints(t *testing.T) {
-	_, w, sys := newSystem(t, 1)
-	if err := w.Run(func(r *mpi.Rank) {
-		f := sys.Open(r, "out.dat")
-		f.SetHint(HintBandwidthLimit, 50e6)
-		a := sys.Agent(0)
-		if a.ClassLimit(pfs.Write) != 50e6 || a.ClassLimit(pfs.Read) != 50e6 {
-			t.Errorf("hint not applied: %v/%v", a.ClassLimit(pfs.Write), a.ClassLimit(pfs.Read))
-		}
-		f.SetHint(HintWriteLimit, int64(25e6))
-		f.SetHint(HintReadLimit, int(10e6))
-		if a.ClassLimit(pfs.Write) != 25e6 || a.ClassLimit(pfs.Read) != 10e6 {
-			t.Errorf("class hints not applied: %v/%v", a.ClassLimit(pfs.Write), a.ClassLimit(pfs.Read))
-		}
-		f.SetHint("unknown_hint", 1.0)   // ignored
-		f.SetHint(HintWriteLimit, "bad") // non-numeric: ignored
-		if a.ClassLimit(pfs.Write) != 25e6 {
-			t.Error("ignored hint changed state")
-		}
-		// The hinted limit actually paces the next write.
-		req := f.IwriteAt(0, 50e6) // 2 s at 25 MB/s
-		req.Wait()
-		if got := r.Now().Seconds(); got < 1.9 {
-			t.Errorf("hinted limit not enforced: write took %v", got)
-		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -86,11 +86,9 @@ func Replay(phases []region.Phase, strat StrategyConfig) *ReplayResult {
 	for _, rank := range ranks {
 		seq := byRank[rank]
 		sort.Slice(seq, func(i, j int) bool { return seq[i].Index < seq[j].Index })
-		limit := pfs.Unlimited
-		lastB := 0.0
-		haveLast := false
-		var freq FrequencyTable
+		loop := newLimiter(strat)
 		for _, ph := range seq {
+			limit := loop.limit
 			window := ph.End.Sub(ph.Start)
 			bytes := ph.Value * window.Seconds()
 
@@ -117,15 +115,9 @@ func Replay(phases []region.Phase, strat StrategyConfig) *ReplayResult {
 			res.TotalWindow += window
 			res.TotalHidden += rp.Exploit
 
-			// Derive the next limit exactly as the online tracer would.
-			if strat.Strategy == Frequent {
-				freq.Observe(ph.Value)
-				limit = freq.Limit(strat.Tol)
-			} else {
-				limit = strat.NextLimit(limit, ph.Value, lastB, haveLast)
-			}
-			lastB = ph.Value
-			haveLast = true
+			// Derive the next limit exactly as the online tracer does.
+			loop.limit = loop.next(ph.Value)
+			loop.lastB = ph.Value
 		}
 	}
 	return res

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"iobehind/internal/des"
+	"iobehind/internal/mpi"
+	"iobehind/internal/mpiio"
 	"iobehind/internal/region"
 )
 
@@ -162,31 +164,48 @@ func TestCompareStrategies(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesLiveRun: the replayed direct strategy predicts the same
-// limits the live tracer applied.
+// TestReplayMatchesLiveRun: for every limiting strategy, the replay
+// derives exactly the limits the live tracer applied from the same B_ij.
 func TestReplayMatchesLiveRun(t *testing.T) {
-	h := newHarness(2, Config{
-		Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.5},
-		DisableOverhead: true,
-	})
-	rep := h.run(t, phasedWriter(6, 20e6, des.Second))
-	replayed := Replay(rep.BPhases, StrategyConfig{Strategy: Direct, Tol: 1.5})
-	// Build a map of live limits (B_L) per rank+index and compare.
-	live := map[[2]int]float64{}
-	for _, ph := range rep.BLPhases {
-		live[[2]int{ph.Rank, ph.Index}] = ph.Value
-	}
-	for _, ph := range replayed.Phases {
-		if ph.Index == 0 {
-			continue // live B_L of phase j records the limit derived FROM it
+	sizes := []int64{20e6, 40e6, 10e6, 30e6, 10e6, 10e6, 80e6, 10e6}
+	for _, s := range []Strategy{Direct, UpOnly, Adaptive, Frequent} {
+		strat := StrategyConfig{Strategy: s, Tol: 1.5}
+		h := newHarness(2, Config{Strategy: strat, DisableOverhead: true})
+		rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
+			var req *mpiio.Request
+			for _, n := range sizes {
+				if req != nil {
+					req.Wait()
+				}
+				req = f.IwriteAt(0, n*int64(r.ID()+1))
+				r.Compute(des.Second)
+			}
+			req.Wait()
+		})
+		replayed := Replay(rep.BPhases, strat)
+		// Live B_L of phase j records the limit derived from it, the
+		// limit the replay applies to phase j+1.
+		live := map[[2]int]float64{}
+		for _, ph := range rep.BLPhases {
+			live[[2]int{ph.Rank, ph.Index}] = ph.Value
 		}
-		want, ok := live[[2]int{ph.Rank, ph.Index - 1}]
-		if !ok {
-			continue
+		matched := 0
+		for _, ph := range replayed.Phases {
+			if ph.Index == 0 {
+				continue
+			}
+			want, ok := live[[2]int{ph.Rank, ph.Index - 1}]
+			if !ok {
+				t.Fatalf("%s: rank %d phase %d has no live limit", s, ph.Rank, ph.Index-1)
+			}
+			if ph.Limit != want {
+				t.Fatalf("%s: rank %d phase %d: replay limit %v, live %v",
+					s, ph.Rank, ph.Index, ph.Limit, want)
+			}
+			matched++
 		}
-		if math.Abs(ph.Limit-want)/want > 1e-6 {
-			t.Fatalf("rank %d phase %d: replay limit %v, live %v",
-				ph.Rank, ph.Index, ph.Limit, want)
+		if want := 2 * (len(sizes) - 1); matched != want {
+			t.Fatalf("%s: compared %d limits, want %d", s, matched, want)
 		}
 	}
 }

@@ -2,15 +2,16 @@ package tmio
 
 import (
 	"encoding/json"
-
+	"fmt"
 	"io"
-	"iobehind/internal/adio"
 	"math"
+	"strings"
 
 	"iobehind/internal/des"
 	"iobehind/internal/metrics"
 	"iobehind/internal/pfs"
 	"iobehind/internal/region"
+	"iobehind/internal/report"
 )
 
 // Report is the aggregated result of one traced run. Build it with
@@ -50,7 +51,7 @@ type Report struct {
 	RequiredBandwidth float64 `json:"required_bandwidth"`
 
 	// Rank-level phases feeding the application-level sweeps.
-	BPhases  []region.Phase `json:"-"`
+	BPhases  []region.Phase `json:"b_phases"`
 	TPhases  []region.Phase `json:"-"`
 	BLPhases []region.Phase `json:"-"`
 
@@ -248,52 +249,91 @@ func (r *Report) OverheadShare() float64 {
 	return 100 * (r.PeriOverhead.Seconds() + r.PostOverhead.Seconds()) / total
 }
 
-// WriteJSON streams the report (including the distribution and the swept
-// series) as JSON, the stand-in for TMIO's result file.
-func (r *Report) WriteJSON(w io.Writer) error {
-	type seriesJSON struct {
-		Name   string       `json:"name"`
-		Points [][2]float64 `json:"points"`
-	}
-	conv := func(s *metrics.Series) seriesJSON {
-		out := seriesJSON{Name: s.Name}
-		for _, p := range s.Points {
-			out.Points = append(out.Points, [2]float64{p.T.Seconds(), p.V})
-		}
-		return out
-	}
-	type phaseJSON struct {
-		Rank  int     `json:"rank"`
-		Index int     `json:"index"`
-		Ts    float64 `json:"ts"`
-		Te    float64 `json:"te"`
-		B     float64 `json:"b"`
-	}
-	phases := make([]phaseJSON, 0, len(r.BPhases))
-	for _, ph := range r.BPhases {
-		phases = append(phases, phaseJSON{
-			Rank: ph.Rank, Index: ph.Index,
-			Ts: ph.Start.Seconds(), Te: ph.End.Seconds(), B: ph.Value,
-		})
-	}
-	payload := struct {
-		*Report
-		Distribution Distribution `json:"distribution"`
-		B            seriesJSON   `json:"b_series"`
-		T            seriesJSON   `json:"t_series"`
-		BL           seriesJSON   `json:"bl_series"`
-		Phases       []phaseJSON  `json:"phases"`
-	}{
-		Report:       r,
+// ReportFile is TMIO's result file: the report's accounting and B phases,
+// its time distribution, and the three swept series with integer-ns
+// points. Report.WriteJSON writes it and ReadJSON decodes it bit for bit,
+// so a saved run prints (WriteText) exactly what the live one does. The
+// file keeps no T or B_L phases: a decoded run's series are B, T and BL,
+// not the embedded report's sweeps.
+type ReportFile struct {
+	Report
+	Distribution Distribution   `json:"distribution"`
+	B            metrics.Series `json:"b_series"`
+	T            metrics.Series `json:"t_series"`
+	BL           metrics.Series `json:"bl_series"`
+}
+
+// File sweeps the report's series into its result-file form.
+func (r *Report) File() *ReportFile {
+	return &ReportFile{
+		Report:       *r,
 		Distribution: r.Distribution(),
-		B:            conv(r.BSeries()),
-		T:            conv(r.TSeries()),
-		BL:           conv(r.BLSeries()),
-		Phases:       phases,
+		B:            *r.BSeries(),
+		T:            *r.TSeries(),
+		BL:           *r.BLSeries(),
 	}
+}
+
+// WriteJSON writes the report's result file as indented JSON, the
+// stand-in for TMIO's result file.
+func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(payload)
+	return enc.Encode(r.File())
+}
+
+// ReadJSON decodes a result file written by WriteJSON.
+func ReadJSON(rd io.Reader) (*ReportFile, error) {
+	var f ReportFile
+	if err := json.NewDecoder(rd).Decode(&f); err != nil {
+		return nil, fmt.Errorf("tmio: decode report file: %w", err)
+	}
+	return &f, nil
+}
+
+// WriteText prints the run as tables: the summary titled with the ranks
+// and the strategy, the time distribution, and the peaks of T, B and B_L
+// with sparklines over the runtime.
+func (f *ReportFile) WriteText(w io.Writer) error {
+	t := report.NewTable(fmt.Sprintf("traced run: %d ranks, strategy %s", f.Ranks, f.Strategy.Label()),
+		"metric", "value")
+	t.AddRow("runtime", report.Seconds(f.Runtime))
+	t.AddRow("app time", report.Seconds(f.AppTime))
+	t.AddRow("required bandwidth B", report.Rate(f.RequiredBandwidth))
+	t.AddRow("peri / post overhead", report.Seconds(f.PeriOverhead)+" / "+report.Seconds(f.PostOverhead))
+	t.AddRow("tracing overhead", report.Pct(f.OverheadShare()))
+	t.AddRow("async / sync ops", fmt.Sprintf("%d / %d", f.AsyncOps, f.SyncOps))
+	t.AddRow("bytes written / read",
+		report.Bytes(f.TotalBytes[pfs.Write])+" / "+report.Bytes(f.TotalBytes[pfs.Read]))
+	if f.FirstLimitAt != 0 {
+		t.AddRow("limit first applied", report.Seconds(des.Duration(f.FirstLimitAt)))
+	}
+
+	d := f.Distribution
+	dt := report.NewTable("time distribution (percent of total rank time)", "category", "share")
+	dt.AddRow("sync write", report.Pct(d.SyncWrite))
+	dt.AddRow("sync read", report.Pct(d.SyncRead))
+	dt.AddRow("async write lost", report.Pct(d.AsyncWriteLost))
+	dt.AddRow("async read lost", report.Pct(d.AsyncReadLost))
+	dt.AddRow("async write exploit", report.Pct(d.AsyncWriteExploit))
+	dt.AddRow("async read exploit", report.Pct(d.AsyncReadExploit))
+	dt.AddRow("overhead (peri)", report.Pct(d.OverheadPeri))
+	dt.AddRow("overhead (post)", report.Pct(d.OverheadPost))
+	dt.AddRow("compute (I/O free)", report.Pct(d.ComputeFree))
+	dt.AddRow("visible I/O", report.Pct(d.VisibleIO()))
+	dt.AddRow("hidden I/O (exploit)", report.Pct(d.ExploitTotal()))
+
+	var b strings.Builder
+	b.WriteString(t.Render())
+	b.WriteString(dt.Render())
+	end := des.Time(f.Runtime)
+	for _, s := range []*metrics.Series{&f.T, &f.B, &f.BL} {
+		if len(s.Points) > 0 {
+			fmt.Fprintf(&b, "%-4s peak %-12s |%s|\n", s.Name, report.Rate(s.Max()), report.Sparkline(s, 0, end, 60))
+		}
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Speedup returns how much faster this run's AppTime is than other's, in
@@ -322,15 +362,15 @@ type RankStats struct {
 // the tracer's live records (call after the run).
 func (t *Tracer) RankBreakdown() []RankStats {
 	out := make([]RankStats, 0, len(t.ranks))
-	for _, rt := range t.ranks {
+	for i, rt := range t.ranks {
 		st := RankStats{
 			Rank:     rt.rank.ID(),
 			Runtime:  rt.rank.Ended().Sub(rt.rank.Started()),
 			Phases:   len(rt.phases),
-			LastB:    rt.lastB,
+			LastB:    t.RequiredBandwidth(i),
 			WaitTime: rt.waitTotal[0] + rt.waitTotal[1],
 			SyncTime: rt.syncTotal[0] + rt.syncTotal[1],
-			Limit:    rt.limit,
+			Limit:    t.Limit(i),
 		}
 		for _, ph := range rt.phases {
 			for _, req := range ph.requests {
@@ -340,34 +380,4 @@ func (t *Tracer) RankBreakdown() []RankStats {
 		out = append(out, st)
 	}
 	return out
-}
-
-// PollingThroughput estimates a request's throughput the way an
-// application polling MPI_Test every interval would: the completion is
-// only observed at the first poll after the actual end, so the measured
-// window rounds up to the polling grid and the throughput is
-// underestimated. The paper's modified MPICH avoids this by timing inside
-// the I/O thread ("this removes the need for less accurate methods, like
-// frequent calls to MPI_Test"); this helper quantifies what that buys.
-func PollingThroughput(st *adio.RequestStats, interval des.Duration) float64 {
-	if st.End <= st.Start || st.Bytes <= 0 {
-		return 0
-	}
-	window := st.End.Sub(st.Start)
-	if interval > 0 {
-		polls := (int64(window) + int64(interval) - 1) / int64(interval)
-		window = des.Duration(polls) * interval
-	}
-	return float64(st.Bytes) / window.Seconds()
-}
-
-// ThroughputError returns the relative underestimation of
-// PollingThroughput at the given interval versus the I/O thread's exact
-// measurement, in [0, 1).
-func ThroughputError(st *adio.RequestStats, interval des.Duration) float64 {
-	exact := PollingThroughput(st, 0)
-	if exact <= 0 {
-		return 0
-	}
-	return 1 - PollingThroughput(st, interval)/exact
 }

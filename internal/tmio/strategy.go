@@ -1,9 +1,8 @@
 package tmio
 
 import (
-	"math"
-
 	"fmt"
+	"math"
 
 	"iobehind/internal/pfs"
 )
@@ -88,96 +87,76 @@ func (c StrategyConfig) WithDefaults() StrategyConfig {
 	return c
 }
 
-// NextLimit computes the limit for phase j+1 from the bandwidth measured in
-// phase j (b), the previous phase's bandwidth (prevB, with havePrev false
-// on the first phase), and the limit currently in force. The Frequent
-// strategy is stateful; it is computed by FrequencyTable instead.
-func (c StrategyConfig) NextLimit(current, b, prevB float64, havePrev bool) float64 {
-	c = c.WithDefaults()
+// limiter is one control loop of the limiting strategy: the limit in
+// force, the last clean required bandwidth, and the Frequent strategy's
+// histogram. The tracer keeps one per rank (one per class under
+// PerClassLimits) and Replay one per replayed rank, so both derive limits
+// through next.
+type limiter struct {
+	strat StrategyConfig // with defaults applied
+	// limit is in force for the current phase (pfs.Unlimited before the
+	// first); lastB is the last clean B fed to the loop (0 before any).
+	limit float64
+	lastB float64
+	// Frequent's histogram over logarithmic buckets: observation count
+	// and largest B seen per bucket.
+	counts map[int]int
+	peak   map[int]float64
+}
+
+func newLimiter(strat StrategyConfig) limiter {
+	return limiter{strat: strat.WithDefaults(), limit: pfs.Unlimited}
+}
+
+// next derives the limit for the phase after one that measured the clean
+// requirement b > 0. It neither applies the limit nor records b: the
+// caller sets limit and lastB.
+func (l *limiter) next(b float64) float64 {
+	c := l.strat
 	switch c.Strategy {
 	case Direct:
 		return b * c.Tol
 	case UpOnly:
-		next := b * c.Tol
-		if current != pfs.Unlimited && current > next {
-			return current
+		if next := b * c.Tol; l.limit == pfs.Unlimited || l.limit <= next {
+			return next
 		}
-		return next
+		return l.limit
 	case Adaptive:
 		next := b * c.Tol
-		if havePrev {
-			next += (b - prevB) * c.TolD
+		if l.lastB > 0 {
+			next += (b - l.lastB) * c.TolD
 		}
 		// The trend term must not push the limit below the requirement
 		// just measured: a limit under B guarantees waiting, and the wait
 		// inflates the next window, which lowers the next B — a feedback
 		// spiral down to the floor. Clamping at B keeps the strategy
 		// "between" direct and up-only, as the paper describes it.
-		if next < b {
-			next = b
+		return math.Max(next, b)
+	case Frequent:
+		if l.counts == nil {
+			l.counts = make(map[int]int)
+			l.peak = make(map[int]float64)
 		}
-		return next
+		k := bucketOf(b)
+		l.counts[k]++
+		l.peak[k] = math.Max(l.peak[k], b)
+		// tol times the largest B of the most frequent bucket; ties break
+		// toward the higher bucket (safer).
+		best, bestCount := math.MinInt32, 0
+		for k, n := range l.counts {
+			if n > bestCount || (n == bestCount && k > best) {
+				best, bestCount = k, n
+			}
+		}
+		return l.peak[best] * c.Tol
 	default:
 		return pfs.Unlimited
 	}
 }
 
-// FrequencyTable is the per-rank state of the Frequent strategy: a
-// histogram of measured required bandwidths over logarithmic buckets.
-type FrequencyTable struct {
-	counts map[int]int     // bucket → observation count
-	peak   map[int]float64 // bucket → largest B observed in it
-}
-
 // bucketOf maps a bandwidth to its logarithmic bucket (quarter-octave
-// resolution: buckets per factor-of-two of bandwidth).
-func bucketOf(b float64) int {
-	if b <= 0 {
-		return math.MinInt32
-	}
-	return int(math.Floor(4 * math.Log2(b)))
-}
-
-// Observe records a measured required bandwidth.
-func (f *FrequencyTable) Observe(b float64) {
-	if b <= 0 {
-		return
-	}
-	if f.counts == nil {
-		f.counts = make(map[int]int)
-		f.peak = make(map[int]float64)
-	}
-	k := bucketOf(b)
-	f.counts[k]++
-	if b > f.peak[k] {
-		f.peak[k] = b
-	}
-}
-
-// Limit returns tol times the largest bandwidth seen in the most frequent
-// bucket (ties break toward the higher bucket: safer). It returns
-// pfs.Unlimited before any observation.
-func (f *FrequencyTable) Limit(tol float64) float64 {
-	if len(f.counts) == 0 {
-		return pfs.Unlimited
-	}
-	bestBucket, bestCount := math.MinInt32, 0
-	for k, n := range f.counts {
-		if n > bestCount || (n == bestCount && k > bestBucket) {
-			bestBucket, bestCount = k, n
-		}
-	}
-	return f.peak[bestBucket] * tol
-}
-
-// Observations returns the total number of recorded bandwidths.
-func (f *FrequencyTable) Observations() int {
-	total := 0
-	for _, n := range f.counts {
-		total += n
-	}
-	return total
-}
+// resolution: four buckets per factor of two).
+func bucketOf(b float64) int { return int(math.Floor(4 * math.Log2(b))) }
 
 // Limits reports whether the strategy applies bandwidth limits at all.
 func (c StrategyConfig) Limits() bool { return c.Strategy != None }

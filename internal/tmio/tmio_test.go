@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,20 +166,23 @@ func TestThroughputFollowsPreviousPhaseLimit(t *testing.T) {
 }
 
 func TestAdaptiveTracksTrend(t *testing.T) {
-	cfg := StrategyConfig{Strategy: Adaptive, Tol: 1, TolD: 1}
+	strat := StrategyConfig{Strategy: Adaptive, Tol: 1, TolD: 1}
+	l := newLimiter(strat)
+	// No previous phase: pure level.
+	if got := l.next(10); got != 10 {
+		t.Fatalf("adaptive first = %v, want 10", got)
+	}
 	// Level 10, rising to 20: limit = 20 + (20-10) = 30.
-	if got := cfg.NextLimit(10, 20, 10, true); got != 30 {
+	l.limit, l.lastB = 10, 10
+	if got := l.next(20); got != 30 {
 		t.Fatalf("adaptive = %v, want 30", got)
 	}
 	// Falling: 10 + (10−20) would be 0, but the limit is clamped at the
 	// measured B — anything lower guarantees waiting and starts the
 	// downward feedback spiral.
-	if got := cfg.NextLimit(20, 10, 20, true); got != 10 {
+	l.limit, l.lastB = 20, 20
+	if got := l.next(10); got != 10 {
 		t.Fatalf("adaptive falling = %v, want 10 (clamped at B)", got)
-	}
-	// No previous phase: pure level.
-	if got := cfg.NextLimit(0, 10, 0, false); got != 10 {
-		t.Fatalf("adaptive first = %v, want 10", got)
 	}
 }
 
@@ -463,20 +467,15 @@ func newLocalListener() (net.Listener, error) {
 }
 
 func TestFrequencyTable(t *testing.T) {
-	var ft FrequencyTable
-	if !math.IsInf(ft.Limit(1.1), 1) {
-		t.Fatal("empty table must be unlimited")
+	l := newLimiter(StrategyConfig{Strategy: Frequent, Tol: 1.1})
+	if !math.IsInf(l.limit, 1) {
+		t.Fatal("a fresh loop must be unlimited")
 	}
 	// Mode around ~100 MB/s with one huge outlier.
 	for i := 0; i < 5; i++ {
-		ft.Observe(100e6 + float64(i)*1e6)
+		l.next(100e6 + float64(i)*1e6)
 	}
-	ft.Observe(5e9) // outlier
-	ft.Observe(-1)  // ignored
-	if ft.Observations() != 6 {
-		t.Fatalf("observations = %d", ft.Observations())
-	}
-	limit := ft.Limit(1.1)
+	limit := l.next(5e9) // outlier
 	want := 104e6 * 1.1
 	if math.Abs(limit-want)/want > 0.01 {
 		t.Fatalf("limit = %v, want ~%v (mode bucket peak × tol)", limit, want)
@@ -545,6 +544,45 @@ func TestPerClassLimitsIndependent(t *testing.T) {
 	}
 	if math.Abs(rLimit-22e6)/22e6 > 0.05 {
 		t.Fatalf("read limit = %v, want ~22e6", rLimit)
+	}
+	// The rank's requirement is its newest clean B of either class: the
+	// final read's.
+	if got := h.tr.RequiredBandwidth(0); math.Abs(got-20e6)/20e6 > 0.05 {
+		t.Fatalf("required bandwidth = %v, want ~20e6 (the last read)", got)
+	}
+}
+
+// TestFrequentPerClassKeepsClassesApart: under PerClassLimits each class
+// has its own control loop, Frequent's histogram included. Two 10 MB
+// reads per 80 MB write must not make the reads' mode the write limit.
+func TestFrequentPerClassKeepsClassesApart(t *testing.T) {
+	h := newHarness(1, Config{
+		Strategy:        StrategyConfig{Strategy: Frequent, Tol: 1.1},
+		PerClassLimits:  true,
+		DisableOverhead: true,
+	})
+	rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
+		var rq *mpiio.Request
+		for j := 0; j < 6; j++ {
+			if rq != nil {
+				rq.Wait()
+			}
+			wq := f.IwriteAt(0, 80e6) // needs 80 MB/s over 1 s
+			r.Compute(des.Second)
+			wq.Wait()
+			rq = f.IreadAt(0, 10e6) // needs 10 MB/s over 1 s
+			r.Compute(des.Second)
+			rq.Wait()
+			rq = f.IreadAt(0, 10e6)
+			r.Compute(des.Second)
+		}
+		rq.Wait()
+	})
+	if got := h.sys.Agent(0).ClassLimit(pfs.Write); math.Abs(got-88e6)/88e6 > 0.05 {
+		t.Fatalf("write limit = %v, want ~88e6 (the writes' own mode)", got)
+	}
+	if lost := rep.Distribution().AsyncWriteLost; lost > 1 {
+		t.Fatalf("writes blocked %.1f%% of rank time under per-class Frequent", lost)
 	}
 }
 
@@ -761,36 +799,55 @@ func TestWaitForClosedPhaseRequestIgnored(t *testing.T) {
 	}
 }
 
-func TestPollingThroughputAccuracy(t *testing.T) {
-	st := &adio.RequestStats{
-		Bytes: 100e6,
-		Start: 0,
-		End:   des.Time(des.Second), // exact: 100 MB/s
-	}
-	exact := PollingThroughput(st, 0)
-	if math.Abs(exact-100e6) > 1 {
-		t.Fatalf("exact = %v", exact)
-	}
-	// Polling every 300 ms: completion observed at 1.2 s → 83.3 MB/s.
-	coarse := PollingThroughput(st, 300*des.Millisecond)
-	if math.Abs(coarse-100e6/1.2) > 1 {
-		t.Fatalf("coarse = %v", coarse)
-	}
-	// The error grows with the polling interval.
-	prev := 0.0
-	for _, iv := range []des.Duration{des.Millisecond, 100 * des.Millisecond,
-		400 * des.Millisecond, 900 * des.Millisecond} {
-		e := ThroughputError(st, iv)
-		if e < prev-1e-9 {
-			t.Fatalf("error not monotone at %v: %v < %v", iv, e, prev)
+// TestReportFileRoundTrip: a saved report decodes to the live report's
+// accounting, B phases and series bit for bit, and renders the same text.
+func TestReportFileRoundTrip(t *testing.T) {
+	h := newHarness(3, Config{Strategy: StrategyConfig{Strategy: Adaptive}})
+	rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
+		var req *mpiio.Request
+		for j := 0; j < 5; j++ {
+			if req != nil {
+				req.Wait()
+			}
+			req = f.IwriteAt(0, int64(j+r.ID()+1)*3e6)
+			r.Compute(des.Duration(700+100*j) * des.Millisecond)
+			f.ReadAt(0, 1e6)
 		}
-		prev = e
+		req.Wait()
+	})
+	live := rep.File()
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if prev < 0.4 {
-		t.Fatalf("900 ms polling should underestimate badly, got %v", prev)
+	saved, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Degenerate stats.
-	if PollingThroughput(&adio.RequestStats{}, des.Second) != 0 {
-		t.Fatal("degenerate")
+	// The file keeps the B phases but not the T and B_L phases or the
+	// fault spans, whose information reaches it only through the series.
+	want := *live
+	want.TPhases, want.BLPhases, want.FaultSpans = nil, nil, nil
+	if !reflect.DeepEqual(*saved, want) {
+		t.Fatalf("decoded file differs from the live report:\n got %+v\nwant %+v", saved.Report, want.Report)
+	}
+	if len(saved.BPhases) == 0 || len(saved.T.Points) == 0 || len(saved.BL.Points) == 0 {
+		t.Fatalf("empty round trip: %d B phases, %d T points, %d B_L points",
+			len(saved.BPhases), len(saved.T.Points), len(saved.BL.Points))
+	}
+	var liveText, savedText bytes.Buffer
+	if err := live.WriteText(&liveText); err != nil {
+		t.Fatal(err)
+	}
+	if err := saved.WriteText(&savedText); err != nil {
+		t.Fatal(err)
+	}
+	if liveText.String() != savedText.String() {
+		t.Fatalf("saved report renders differently:\n%s\nlive:\n%s", savedText.String(), liveText.String())
+	}
+	for _, want := range []string{"3 ranks, strategy adaptive(tol=1.1,tolD=0.5)", "visible I/O", "B_L  peak"} {
+		if !strings.Contains(liveText.String(), want) {
+			t.Fatalf("render lacks %q:\n%s", want, liveText.String())
+		}
 	}
 }

@@ -123,11 +123,8 @@ func Attach(sys *mpiio.System, cfg Config) *Tracer {
 	cfg.Strategy = cfg.Strategy.WithDefaults()
 	t := &Tracer{sys: sys, cfg: cfg}
 	for _, r := range sys.World().Ranks() {
-		t.ranks = append(t.ranks, &rankTracer{
-			t: t, rank: r,
-			limit:      pfs.Unlimited,
-			classLimit: [2]float64{pfs.Unlimited, pfs.Unlimited},
-		})
+		loop := newLimiter(cfg.Strategy)
+		t.ranks = append(t.ranks, &rankTracer{t: t, rank: r, loops: [2]limiter{loop, loop}})
 	}
 	sys.SetInterceptor(t)
 	sys.World().AddFinalizeHook(t.finalize)
@@ -144,24 +141,17 @@ type rankTracer struct {
 	rank *mpi.Rank
 
 	// open is the current phase's request queue.
-	open      []pendingReq
-	phases    []phaseRecord
-	lastB     float64
-	haveLastB bool
-	// Per-class history for PerClassLimits (the adaptive trend must not
-	// mix read and write measurements).
-	classLastB [2]float64
-	classHave  [2]bool
+	open   []pendingReq
+	phases []phaseRecord
+	// loops are the rank's control loops: loops[0] serves every phase,
+	// or loops[class] the phases of that class under PerClassLimits, so
+	// read and write measurements never mix. latest is the loop that saw
+	// the rank's most recent clean B (nil before the first).
+	loops  [2]limiter
+	latest *limiter
 	// uniformB is this rank's latest contribution to the uniform sum.
 	uniformB float64
 
-	// freq is the Frequent strategy's histogram.
-	freq FrequencyTable
-
-	// limit currently in force (pfs.Unlimited when none applied yet);
-	// classLimit carries the per-class values under PerClassLimits.
-	limit        float64
-	classLimit   [2]float64
 	firstLimitAt des.Time
 	limitApplied bool
 
@@ -323,29 +313,21 @@ func (rt *rankTracer) closePhase(te des.Time, applyLimit bool) {
 		rec.faulty = true
 		applyLimit = false
 	}
+	loop := &rt.loops[0]
+	if rt.t.cfg.PerClassLimits {
+		loop = &rt.loops[class]
+	}
 	if applyLimit && rt.t.cfg.Strategy.Limits() {
-		var next float64
-		if rt.t.cfg.Strategy.Strategy == Frequent {
-			rt.freq.Observe(b)
-			next = rt.freq.Limit(rt.t.cfg.Strategy.WithDefaults().Tol)
-		} else {
-			if rt.t.cfg.PerClassLimits {
-				next = rt.t.cfg.Strategy.NextLimit(
-					rt.classLimit[class], b, rt.classLastB[class], rt.classHave[class])
-			} else {
-				next = rt.t.cfg.Strategy.NextLimit(rt.limit, b, rt.lastB, rt.haveLastB)
-			}
-		}
+		next := loop.next(b)
 		if rt.t.cfg.UniformLimit {
 			next = rt.t.uniformLimit(rt, b)
 		}
+		loop.limit = next
 		rec.bl = next
 		rec.limited = true
 		if rt.t.cfg.PerClassLimits {
-			rt.classLimit[class] = next
 			rt.t.sys.Agent(rt.rank.ID()).SetClassLimit(class, next)
 		} else {
-			rt.limit = next
 			rt.t.sys.Agent(rt.rank.ID()).SetLimit(next)
 		}
 		if !rt.limitApplied {
@@ -354,10 +336,8 @@ func (rt *rankTracer) closePhase(te des.Time, applyLimit bool) {
 		}
 	}
 	if b > 0 && !rec.faulty {
-		rt.lastB = b
-		rt.haveLastB = true
-		rt.classLastB[class] = b
-		rt.classHave[class] = true
+		loop.lastB = b
+		rt.latest = loop
 	}
 	rt.phases = append(rt.phases, rec)
 	rt.open = rt.open[:0]
@@ -401,19 +381,19 @@ func (t *Tracer) finalize(r *mpi.Rank) {
 }
 
 // Limit returns the limit currently applied to rank (pfs.Unlimited if
-// none).
-func (t *Tracer) Limit(rank int) float64 { return t.ranks[rank].limit }
+// none); under PerClassLimits, the write limit.
+func (t *Tracer) Limit(rank int) float64 { return t.ranks[rank].loops[pfs.Write].limit }
 
 // RequiredBandwidth returns the rank's most recently measured required
-// bandwidth B_ij in bytes/s (0 before the first phase closes). External
-// controllers — e.g. a cluster-level contention monitor — use it to limit
-// an application to exactly what it needs.
+// bandwidth B_ij in bytes/s, of either class (0 before the first phase
+// closes). External controllers — e.g. a cluster-level contention
+// monitor — use it to limit an application to exactly what it needs.
 func (t *Tracer) RequiredBandwidth(rank int) float64 {
 	rt := t.ranks[rank]
-	if !rt.haveLastB {
+	if rt.latest == nil {
 		return 0
 	}
-	return rt.lastB
+	return rt.latest.lastB
 }
 
 // Phases returns the number of closed phases recorded for rank.
