@@ -34,7 +34,7 @@ ALLOCS_SLACK   ?= 0.05
 # percent of pure noise in ns/op — more than the regression threshold.
 BENCH_FLAGS     = -run xxx -bench=. -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -p 1
 
-.PHONY: all build vet fmt-check lint lint-self test race fuzz-smoke bench bench-json bench-check perfbench-check docs-check sweep gateway-smoke faults-smoke fabric-smoke examples ci clean
+.PHONY: all build vet fmt-check lint lint-self test race fuzz-smoke bench bench-json bench-check perfbench-check sweep gateway-smoke faults-smoke fabric-smoke examples ci clean
 
 all: ci
 
@@ -112,11 +112,6 @@ fuzz-smoke:
 		done; \
 	done
 
-# Fail when a figure experiment in internal/experiments has no row in
-# EXPERIMENTS.md's figure↔code table (see cmd/iodocscheck).
-docs-check:
-	$(GO) run ./cmd/iodocscheck
-
 # End-to-end gateway check on ephemeral ports: gateway up, one traced
 # simulation streamed in over TCP, HTTP surface probed for series and a
 # next-burst forecast.
@@ -192,7 +187,7 @@ perfbench-check:
 sweep:
 	$(GO) run ./cmd/iosweep -figs all -scale quick -j 0 -cache .iosweep-cache
 
-ci: vet fmt-check build lint lint-self test race fuzz-smoke docs-check bench-check perfbench-check gateway-smoke faults-smoke fabric-smoke examples
+ci: vet fmt-check build lint lint-self test race fuzz-smoke bench-check perfbench-check gateway-smoke faults-smoke fabric-smoke examples
 
 clean:
 	rm -rf .iosweep-cache

@@ -112,16 +112,17 @@ func BenchmarkAblationTolerance(b *testing.B) {
 		tol := tol
 		b.Run(formatTol(tol), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := iobehind.RunHacc(iobehind.Options{
+				sim := iobehind.NewSim(iobehind.Options{
 					Ranks:    16,
 					Strategy: iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: tol},
 					Tracer:   iobehind.TracerConfig{DisableOverhead: true},
-				}, iobehind.HaccConfig{
+				})
+				rep, err := sim.Run(iobehind.HaccMain(sim.IO, iobehind.HaccConfig{
 					Loops:            5,
 					ParticlesPerRank: 2_000_000,
 					FixedPhase:       500 * iobehind.Millisecond,
 					JitterFraction:   0.08,
-				})
+				}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -220,11 +221,11 @@ func BenchmarkAblationScaleSweep(b *testing.B) {
 		b.Run("ranks"+name, func(b *testing.B) {
 			var virtual float64
 			for i := 0; i < b.N; i++ {
-				rep, err := iobehind.RunWacomm(iobehind.Options{
-					Ranks:    ranks,
-					NoTracer: false,
-					Tracer:   iobehind.TracerConfig{DisableOverhead: true},
-				}, iobehind.WacommConfig{Iterations: 5})
+				sim := iobehind.NewSim(iobehind.Options{
+					Ranks:  ranks,
+					Tracer: iobehind.TracerConfig{DisableOverhead: true},
+				})
+				rep, err := sim.Run(iobehind.WacommMain(sim.IO, iobehind.WacommConfig{Iterations: 5}))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -14,7 +14,7 @@
 //
 // Both addresses are bound before the startup line is logged; a taken
 // address, or a server failing later, exits 1 (a signal drains and exits
-// 0). Traced applications point tmio.DialSink at the -listen address;
+// 0). Traced applications point tmio.DialSinkWith at the -listen address;
 // schedulers and dashboards query the -http address:
 //
 //	GET /healthz              liveness

@@ -14,10 +14,11 @@ import (
 // -replay: the tables equal the live run's, and the projection covers
 // every strategy.
 func TestReplayRendersSavedReport(t *testing.T) {
-	rep, err := iobehind.RunHacc(iobehind.Options{
+	sim := iobehind.NewSim(iobehind.Options{
 		Ranks:    4,
 		Strategy: iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: 1.1},
-	}, iobehind.HaccConfig{})
+	})
+	rep, err := sim.Run(iobehind.HaccMain(sim.IO, iobehind.HaccConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}

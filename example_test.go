@@ -6,18 +6,19 @@ import (
 	"iobehind"
 )
 
-// The basic workflow: run a traced workload and read the paper's metrics
-// from the report.
+// The basic workflow: assemble a traced simulation, run a workload on
+// it, and read the paper's metrics from the report.
 func Example() {
-	report, err := iobehind.RunPhased(iobehind.Options{
+	sim := iobehind.NewSim(iobehind.Options{
 		Ranks:    16,
 		Strategy: iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: 1.1},
 		Tracer:   iobehind.TracerConfig{DisableOverhead: true},
-	}, iobehind.PhasedConfig{
+	})
+	report, err := sim.Run(iobehind.PhasedMain(sim.IO, iobehind.PhasedConfig{
 		Phases:        10,
 		BytesPerPhase: 64 << 20,
 		Compute:       iobehind.Second,
-	})
+	}))
 	if err != nil {
 		panic(err)
 	}

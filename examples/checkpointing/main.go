@@ -52,11 +52,12 @@ func main() {
 		if c.async {
 			strat = iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: 1.2}
 		}
-		rep, err := iobehind.RunCheckpoint(iobehind.Options{
+		sim := iobehind.NewSim(iobehind.Options{
 			Ranks:    ranks,
 			FS:       &fs,
 			Strategy: strat,
-		}, cfg)
+		})
+		rep, err := sim.Run(iobehind.CheckpointMain(sim.IO, cfg))
 		if err != nil {
 			log.Fatal(err)
 		}

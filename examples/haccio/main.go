@@ -29,14 +29,15 @@ func main() {
 	fmt.Printf("%-20s %10s %12s %10s %10s %10s\n",
 		"strategy", "runtime", "B required", "exploit", "lost", "T peak")
 	for i, strat := range strategies {
-		rep, err := iobehind.RunHacc(iobehind.Options{
+		sim := iobehind.NewSim(iobehind.Options{
 			Ranks:    32,
 			Seed:     int64(i + 1),
 			Strategy: strat,
-		}, iobehind.HaccConfig{
+		})
+		rep, err := sim.Run(iobehind.HaccMain(sim.IO, iobehind.HaccConfig{
 			Loops:            5,
 			ParticlesPerRank: 2_000_000,
-		})
+		}))
 		if err != nil {
 			log.Fatal(err)
 		}

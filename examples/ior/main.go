@@ -48,13 +48,14 @@ func main() {
 	fmt.Println("IOR-style write phase: 64 ranks × 6 segments × 4 MiB, storm latency on")
 	fmt.Printf("%-28s %10s %12s %12s\n", "mode", "runtime", "visible I/O", "ops")
 	for _, m := range modes {
-		rep, err := iobehind.RunIor(iobehind.Options{
+		sim := iobehind.NewSim(iobehind.Options{
 			Ranks:        64,
 			RanksPerNode: 16,
 			Agent: iobehind.AgentConfig{
 				SubmitLatencyPerFlow: 2 * iobehind.Millisecond,
 			},
-		}, m.cfg)
+		})
+		rep, err := sim.Run(iobehind.IorMain(sim.IO, m.cfg))
 		if err != nil {
 			log.Fatal(err)
 		}

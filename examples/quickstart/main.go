@@ -21,14 +21,15 @@ func main() {
 	// 16 ranks, 64 MiB checkpoint per rank per phase, 1 s compute phases.
 	// The direct strategy with tol = 1.1 throttles each rank to 110% of
 	// its measured requirement.
-	report, err := iobehind.RunPhased(iobehind.Options{
+	sim := iobehind.NewSim(iobehind.Options{
 		Ranks:    16,
 		Strategy: iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: 1.1},
-	}, iobehind.PhasedConfig{
+	})
+	report, err := sim.Run(iobehind.PhasedMain(sim.IO, iobehind.PhasedConfig{
 		Phases:        10,
 		BytesPerPhase: 64 << 20,
 		Compute:       iobehind.Second,
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

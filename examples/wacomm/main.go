@@ -36,10 +36,11 @@ func main() {
 }
 
 func run(strat iobehind.StrategyConfig, cfg iobehind.WacommConfig) *iobehind.Report {
-	rep, err := iobehind.RunWacomm(iobehind.Options{
+	sim := iobehind.NewSim(iobehind.Options{
 		Ranks:    24,
 		Strategy: strat,
-	}, cfg)
+	})
+	rep, err := sim.Run(iobehind.WacommMain(sim.IO, cfg))
 	if err != nil {
 		log.Fatal(err)
 	}

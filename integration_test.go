@@ -104,14 +104,15 @@ func TestEndToEndKitchenSink(t *testing.T) {
 // TestFtioOnTracedRun detects the checkpoint period of a traced periodic
 // application from its report.
 func TestFtioOnTracedRun(t *testing.T) {
-	rep, err := iobehind.RunPhased(iobehind.Options{
+	sim := iobehind.NewSim(iobehind.Options{
 		Ranks:    8,
 		Strategy: iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: 1.1},
-	}, iobehind.PhasedConfig{
+	})
+	rep, err := sim.Run(iobehind.PhasedMain(sim.IO, iobehind.PhasedConfig{
 		Phases:        12,
 		BytesPerPhase: 32 << 20,
 		Compute:       2 * iobehind.Second,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +170,19 @@ func TestReplayAgreesWithRerun(t *testing.T) {
 		BytesPerPhase: 64 << 20,
 		Compute:       iobehind.Second,
 	}
-	traced, err := iobehind.RunPhased(iobehind.Options{Ranks: 8, Seed: 5}, cfg)
+	sim := iobehind.NewSim(iobehind.Options{Ranks: 8, Seed: 5})
+	traced, err := sim.Run(iobehind.PhasedMain(sim.IO, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	projected := tmio.Replay(traced.BPhases,
 		tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.1})
 
-	actual, err := iobehind.RunPhased(iobehind.Options{
+	sim = iobehind.NewSim(iobehind.Options{
 		Ranks: 8, Seed: 5,
 		Strategy: iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: 1.1},
-	}, cfg)
+	})
+	actual, err := sim.Run(iobehind.PhasedMain(sim.IO, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,12 @@ import (
 	"context"
 	"fmt"
 
+	"iobehind"
 	"iobehind/internal/adio"
 	"iobehind/internal/cluster"
 	"iobehind/internal/des"
-	"iobehind/internal/faults"
 	"iobehind/internal/mpi"
 	"iobehind/internal/mpiio"
-	"iobehind/internal/pfs"
 	"iobehind/internal/region"
 	"iobehind/internal/runner"
 	"iobehind/internal/tmio"
@@ -54,72 +53,26 @@ func (s Scale) String() string {
 	return "quick"
 }
 
-// stormAgent returns the calibrated I/O-agent configuration used by the
-// paper-shape runs: server queuing that makes burst operations visible
-// (≈3% exploit for unthrottled runs at 9216 ranks) and the rare scheduling
-// hiccups of unpaced I/O threads that slow the unthrottled runs at scale
-// (the ≈11.6% effect of Fig. 10). See DESIGN.md for the calibration.
-func stormAgent() adio.Config {
-	return adio.Config{
-		HiccupProb:          6e-4,
-		HiccupMean:          150 * des.Millisecond,
-		QueueLatencyPerFlow: 10 * des.Microsecond,
+// stormRun returns the options of a paper-shape traced run. Its I/O
+// agents carry the calibrated storm: server queuing that makes burst
+// operations visible (≈3% exploit for unthrottled runs at 9216 ranks)
+// and the rare scheduling hiccups of unpaced I/O threads that slow the
+// unthrottled runs at scale (the ≈11.6% effect of Fig. 10); see
+// DESIGN.md for the calibration. Its tracer charges no simulated time
+// (Fig. 5, which measures the tracer's overhead, turns the charge back
+// on).
+func stormRun(ranks int, seed int64, strat tmio.StrategyConfig) iobehind.Options {
+	return iobehind.Options{
+		Ranks:    ranks,
+		Seed:     seed,
+		Strategy: strat,
+		Agent: adio.Config{
+			HiccupProb:          6e-4,
+			HiccupMean:          150 * des.Millisecond,
+			QueueLatencyPerFlow: 10 * des.Microsecond,
+		},
+		Tracer: tmio.Config{DisableOverhead: true},
 	}
-}
-
-// stack is one assembled simulation.
-type stack struct {
-	engine   *des.Engine
-	world    *mpi.World
-	fs       *pfs.PFS
-	sys      *mpiio.System
-	tracer   *tmio.Tracer
-	injector *faults.Injector
-}
-
-// spec describes one traced run.
-type spec struct {
-	ranks    int
-	seed     int64
-	strategy tmio.StrategyConfig
-	agent    adio.Config
-	tracer   tmio.Config
-	fsCfg    *pfs.Config
-	faults   *faults.Config
-}
-
-// build assembles the stack for a spec.
-func build(sp spec) *stack {
-	seed := sp.seed
-	if seed == 0 {
-		seed = 1
-	}
-	e := des.NewEngine(seed)
-	w := mpi.NewWorld(e, mpi.Config{Size: sp.ranks})
-	fsCfg := pfs.LichtenbergConfig()
-	if sp.fsCfg != nil {
-		fsCfg = *sp.fsCfg
-	}
-	fs := pfs.New(e, fsCfg)
-	sys := mpiio.NewSystem(w, fs, sp.agent)
-	tcfg := sp.tracer
-	tcfg.Strategy = sp.strategy
-	var inj *faults.Injector
-	if sp.faults != nil && !sp.faults.Empty() {
-		inj = faults.New(e, fs, *sp.faults)
-		sys.SetFaults(inj)
-		tcfg.FaultOracle = inj.Overlaps
-	}
-	tr := tmio.Attach(sys, tcfg)
-	return &stack{engine: e, world: w, fs: fs, sys: sys, tracer: tr, injector: inj}
-}
-
-// execute runs main on the stack's world and returns the report.
-func (s *stack) execute(main func(*mpi.Rank)) (*tmio.Report, error) {
-	if err := s.world.Run(main); err != nil {
-		return nil, err
-	}
-	return s.tracer.Report(), nil
 }
 
 // Renderer is any experiment result that can print itself.
@@ -176,60 +129,68 @@ func ByFig(fig string, scale Scale) (*Experiment, bool) {
 	return ctor(scale), true
 }
 
-// pointConfig is the canonical, hashable identity of one sweep point:
-// everything that determines the point's result. It is JSON-encoded into
-// the cache key, so any change here (or to the structs it embeds)
-// invalidates exactly the affected points.
+// pointConfig is the canonical, hashable identity of one sweep point,
+// and the whole of its input: newPoint builds the point's Run from the
+// config alone. It is JSON-encoded into the cache key, so any change
+// here (or to the structs it embeds) invalidates exactly the affected
+// points. A traced run is the embedded facade Options plus exactly one
+// workload config; Cluster and Phases carry the inputs of Figs. 1 and 4.
 type pointConfig struct {
 	Fig      string
 	Scale    string
 	Workload string
-	Ranks    int   `json:",omitempty"`
-	Seed     int64 `json:",omitempty"`
-	Strategy tmio.StrategyConfig
-	Agent    adio.Config
-	Tracer   tmio.Config
-	FS       *pfs.Config             `json:",omitempty"`
-	Faults   *faults.Config          `json:",omitempty"`
-	Hacc     *workloads.HaccConfig   `json:",omitempty"`
-	Wacomm   *workloads.WacommConfig `json:",omitempty"`
-	Phased   *workloads.PhasedConfig `json:",omitempty"`
-	Ior      *workloads.IorConfig    `json:",omitempty"`
-	Cluster  *cluster.Config         `json:",omitempty"`
-	Phases   []region.Phase          `json:",omitempty"` // Fig. 4's exact inputs
+	iobehind.Options
+	Hacc    *workloads.HaccConfig   `json:",omitempty"`
+	Wacomm  *workloads.WacommConfig `json:",omitempty"`
+	Phased  *workloads.PhasedConfig `json:",omitempty"`
+	Ior     *workloads.IorConfig    `json:",omitempty"`
+	Cluster *cluster.Config         `json:",omitempty"`
+	Phases  []region.Phase          `json:",omitempty"` // Fig. 4's exact inputs
 	// TraceSHA is the SHA-256 of a replayed trace file's raw bytes: the
 	// trace *content* is the point's input, so any byte change must miss.
 	TraceSHA string `json:",omitempty"`
 }
 
-// config derives the hashable point identity from a spec.
-func (sp spec) config(fig string, scale Scale, workload string) pointConfig {
-	return pointConfig{
-		Fig:      fig,
-		Scale:    scale.String(),
-		Workload: workload,
-		Ranks:    sp.ranks,
-		Seed:     sp.seed,
-		Strategy: sp.strategy,
-		Agent:    sp.agent,
-		Tracer:   sp.tracer,
-		FS:       sp.fsCfg,
-		Faults:   sp.faults,
+// main returns the per-rank main of the workload cfg configures.
+func (cfg pointConfig) main(sys *mpiio.System) func(*mpi.Rank) {
+	switch {
+	case cfg.Hacc != nil:
+		return workloads.HaccMain(sys, *cfg.Hacc)
+	case cfg.Wacomm != nil:
+		return workloads.WacommMain(sys, *cfg.Wacomm)
+	case cfg.Phased != nil:
+		return workloads.PhasedMain(sys, *cfg.Phased)
+	case cfg.Ior != nil:
+		return workloads.IorMain(sys, *cfg.Ior)
 	}
+	panic(fmt.Sprintf("experiments: point %s/%s configures no workload", cfg.Fig, cfg.Workload))
 }
 
-// simPoint wraps one traced simulation as a cacheable sweep point:
-// build the stack, run mainOf's per-rank main, return the report.
-func simPoint(key string, cfg pointConfig, sp spec, mainOf func(*mpiio.System) func(*mpi.Rank)) runner.Point {
-	return runner.Point{
-		Key:    key,
-		Config: cfg,
-		New:    func() any { return new(tmio.Report) },
-		Run: func(context.Context) (any, error) {
-			st := build(sp)
-			return st.execute(mainOf(st.sys))
-		},
+// newPoint wraps the run cfg describes as a cacheable sweep point. Its
+// Run reads nothing but cfg, the value the cache key hashes: a scenario
+// of Fig. 1, the exact aggregation of Fig. 4, the emit→replay round trip
+// of the trace figure, or one traced simulation assembled by
+// iobehind.NewSim.
+func newPoint(key string, cfg pointConfig) runner.Point {
+	p := runner.Point{Key: key, Config: cfg}
+	switch {
+	case cfg.Cluster != nil:
+		p.New = func() any { return new(cluster.Result) }
+		p.Run = func(context.Context) (any, error) { return cluster.Run(*cfg.Cluster) }
+	case cfg.Phases != nil:
+		p.New = func() any { return new(fig04Payload) }
+		p.Run = func(context.Context) (any, error) { return &fig04Payload{Phases: cfg.Phases}, nil }
+	case cfg.Fig == "trace":
+		p.New = func() any { return new(TracePointResult) }
+		p.Run = func(context.Context) (any, error) { return traceRoundTrip(cfg) }
+	default:
+		p.New = func() any { return new(tmio.Report) }
+		p.Run = func(context.Context) (any, error) {
+			sim := iobehind.NewSim(cfg.Options)
+			return sim.Run(cfg.main(sim.IO))
+		}
 	}
+	return p
 }
 
 // reportAt extracts point i's report from the sweep results.

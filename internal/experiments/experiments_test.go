@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,6 +64,25 @@ func TestByFigRegistry(t *testing.T) {
 	canon, _ := ByFig("1", Quick)
 	if shared.Fig != canon.Fig {
 		t.Fatalf("fig 2 canonical id = %s", shared.Fig)
+	}
+}
+
+// TestExperimentsDocumented keeps EXPERIMENTS.md honest: every
+// constructor behind a figure id must be named in its figure↔code
+// table as experiments.<Constructor>, the form the code column uses. A
+// bare experiments.Fig01 does not count, so a stale mention of a deleted
+// function cannot pass for a row.
+func TestExperimentsDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fig, ctor := range experimentsByFig {
+		full := runtime.FuncForPC(reflect.ValueOf(ctor).Pointer()).Name()
+		name := full[strings.LastIndex(full, "/")+1:] // experiments.FigNNExperiment
+		if !strings.Contains(string(doc), name) {
+			t.Errorf("EXPERIMENTS.md: no entry for %s (figure %s)", name, fig)
+		}
 	}
 }
 

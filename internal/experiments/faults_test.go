@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"iobehind"
 	"iobehind/internal/faults"
 	"iobehind/internal/runner"
 )
@@ -37,8 +38,9 @@ func TestFigFaultsParallelMatchesSerial(t *testing.T) {
 func TestFaultConfigChangesCacheKey(t *testing.T) {
 	keyOf := func(f *faults.Config) string {
 		t.Helper()
-		sp := spec{ranks: 2, seed: 7, faults: f}
-		p := runner.Point{Key: "same", Config: sp.config("faults", Quick, "phased")}
+		cfg := pointConfig{Fig: "faults", Scale: Quick.String(), Workload: "phased",
+			Options: iobehind.Options{Ranks: 2, Seed: 7, Faults: f}}
+		p := runner.Point{Key: "same", Config: cfg}
 		k, err := runner.CacheKey(p)
 		if err != nil {
 			t.Fatal(err)

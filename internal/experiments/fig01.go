@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -25,13 +24,7 @@ type ClusterResult struct {
 
 // clusterPoint wraps one multi-job scenario run as a cacheable point.
 func clusterPoint(key string, scale Scale, cfg cluster.Config) runner.Point {
-	cfgCopy := cfg
-	return runner.Point{
-		Key:    key,
-		Config: pointConfig{Fig: "1", Scale: scale.String(), Workload: "cluster", Cluster: &cfgCopy},
-		New:    func() any { return new(cluster.Result) },
-		Run:    func(context.Context) (any, error) { return cluster.Run(cfg) },
-	}
+	return newPoint(key, pointConfig{Fig: "1", Scale: scale.String(), Workload: "cluster", Cluster: &cfg})
 }
 
 // Fig01Experiment enumerates the scenario's two independent runs.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"iobehind/internal/des"
-	"iobehind/internal/mpi"
-	"iobehind/internal/mpiio"
 	"iobehind/internal/pfs"
 	"iobehind/internal/report"
 	"iobehind/internal/runner"
@@ -35,24 +33,18 @@ func Fig03Experiment(scale Scale) *Experiment {
 			Amplitude: 0.6,
 		},
 	}
-	_ = scale // the example is fixed-size; it runs in milliseconds
-	sp := spec{
-		ranks:  4,
-		seed:   3,
-		agent:  stormAgent(),
-		tracer: tmio.Config{DisableOverhead: true},
-		fsCfg:  &fs,
-	}
-	cfg := workloads.PhasedConfig{
-		Phases:         8,
-		BytesPerPhase:  256 << 20,
-		Compute:        des.Second,
-		JitterFraction: 0.05,
-	}
-	pcfg := sp.config("3", scale, "phased")
-	pcfg.Phased = &cfg
-	point := simPoint("fig03/"+scale.String(), pcfg, sp,
-		func(sys *mpiio.System) func(*mpi.Rank) { return workloads.PhasedMain(sys, cfg) })
+	// The example is fixed-size; it runs in milliseconds at either scale.
+	opts := stormRun(4, 3, tmio.StrategyConfig{})
+	opts.FS = &fs
+	point := newPoint("fig03/"+scale.String(), pointConfig{
+		Fig: "3", Scale: scale.String(), Workload: "phased", Options: opts,
+		Phased: &workloads.PhasedConfig{
+			Phases:         8,
+			BytesPerPhase:  256 << 20,
+			Compute:        des.Second,
+			JitterFraction: 0.05,
+		},
+	})
 	return &Experiment{
 		Fig:    "3",
 		Points: []runner.Point{point},

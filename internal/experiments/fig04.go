@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -44,14 +43,8 @@ func Fig04Experiment(scale Scale) *Experiment {
 		{Rank: 2, Index: 0, Start: sec(2), End: sec(8), Value: 20e6},
 		{Rank: 0, Index: 0, Start: sec(3), End: sec(10), Value: 50e6},
 	}
-	point := runner.Point{
-		Key:    "fig04/" + scale.String(),
-		Config: pointConfig{Fig: "4", Scale: scale.String(), Workload: "exact", Phases: phases},
-		New:    func() any { return new(fig04Payload) },
-		Run: func(context.Context) (any, error) {
-			return &fig04Payload{Phases: phases}, nil
-		},
-	}
+	point := newPoint("fig04/"+scale.String(),
+		pointConfig{Fig: "4", Scale: scale.String(), Workload: "exact", Phases: phases})
 	return &Experiment{
 		Fig:    "4",
 		Points: []runner.Point{point},

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"iobehind/internal/des"
-	"iobehind/internal/mpi"
-	"iobehind/internal/mpiio"
 	"iobehind/internal/report"
 	"iobehind/internal/runner"
 	"iobehind/internal/tmio"
@@ -27,14 +25,6 @@ type HaccRuntimeResult struct {
 	Rows  []HaccRuntimeRow
 }
 
-// haccPoint wraps one traced HACC-IO run as a cacheable point.
-func haccPoint(key, fig string, scale Scale, sp spec, cfg workloads.HaccConfig) runner.Point {
-	pcfg := sp.config(fig, scale, "hacc")
-	pcfg.Hacc = &cfg
-	return simPoint(key, pcfg, sp,
-		func(sys *mpiio.System) func(*mpi.Rank) { return workloads.HaccMain(sys, cfg) })
-}
-
 // Fig05Experiment enumerates the rank sweep: every rank count is run
 // with the direct strategy (run 0) and without limiting (run 1), with
 // the tracing overhead model enabled.
@@ -53,15 +43,13 @@ func Fig05Experiment(scale Scale) *Experiment {
 			{Strategy: tmio.Direct, Tol: 1.1},
 			{},
 		} {
-			sp := spec{
-				ranks:    n,
-				seed:     int64(100*n + run + 1),
-				strategy: strat,
-				agent:    stormAgent(),
-			}
+			opts := stormRun(n, int64(100*n+run+1), strat)
+			opts.Tracer = tmio.Config{} // this figure measures the tracing overhead
 			key := fmt.Sprintf("fig05/%s/ranks=%d/run=%d", scale, n, run)
 			cells = append(cells, cell{n, run})
-			points = append(points, haccPoint(key, "5", scale, sp, cfg))
+			points = append(points, newPoint(key, pointConfig{
+				Fig: "5", Scale: scale.String(), Workload: "hacc", Options: opts, Hacc: &cfg,
+			}))
 		}
 	}
 	return &Experiment{

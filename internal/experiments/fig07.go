@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"iobehind/internal/mpi"
-	"iobehind/internal/mpiio"
 	"iobehind/internal/report"
 	"iobehind/internal/runner"
 	"iobehind/internal/tmio"
@@ -37,14 +35,6 @@ type WacommDistResult struct {
 	Rows  []WacommDistRow
 }
 
-// wacommPoint wraps one traced WaComM++ run as a cacheable point.
-func wacommPoint(key, fig string, scale Scale, sp spec, cfg workloads.WacommConfig) runner.Point {
-	pcfg := sp.config(fig, scale, "wacomm")
-	pcfg.Wacomm = &cfg
-	return simPoint(key, pcfg, sp,
-		func(sys *mpiio.System) func(*mpi.Rank) { return workloads.WacommMain(sys, cfg) })
-}
-
 // Fig07Experiment enumerates the six-run matrix per rank count.
 func Fig07Experiment(scale Scale) *Experiment {
 	ranks := []int{8, 24}
@@ -61,16 +51,12 @@ func Fig07Experiment(scale Scale) *Experiment {
 	var points []runner.Point
 	for _, n := range ranks {
 		for run, strat := range wacommSixRuns() {
-			sp := spec{
-				ranks:    n,
-				seed:     int64(1000*n + run + 1),
-				strategy: strat,
-				agent:    stormAgent(),
-				tracer:   tmio.Config{DisableOverhead: true},
-			}
 			key := fmt.Sprintf("fig07/%s/ranks=%d/run=%d", scale, n, run)
 			cells = append(cells, cell{n, run, strat})
-			points = append(points, wacommPoint(key, "7", scale, sp, cfg))
+			points = append(points, newPoint(key, pointConfig{
+				Fig: "7", Scale: scale.String(), Workload: "wacomm",
+				Options: stormRun(n, int64(1000*n+run+1), strat), Wacomm: &cfg,
+			}))
 		}
 	}
 	return &Experiment{

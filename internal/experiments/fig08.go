@@ -83,20 +83,6 @@ func (s *SeriesResult) Render() string {
 	return b.String()
 }
 
-// wacommSeriesPoint enumerates one WaComM++ run destined to become a
-// series result.
-func wacommSeriesPoint(key, fig string, scale Scale, ranks int, seed int64,
-	strat tmio.StrategyConfig, cfg workloads.WacommConfig) runner.Point {
-	sp := spec{
-		ranks:    ranks,
-		seed:     seed,
-		strategy: strat,
-		agent:    stormAgent(),
-		tracer:   tmio.Config{DisableOverhead: true},
-	}
-	return wacommPoint(key, fig, scale, sp, cfg)
-}
-
 // seriesAt wraps point i's report as the named series result, preserving
 // the serial path's error wrapping ("<name>: <cause>").
 func seriesAt(results []runner.Result, i int, name string, strat tmio.StrategyConfig) (*SeriesResult, error) {
@@ -109,16 +95,17 @@ func seriesAt(results []runner.Result, i int, name string, strat tmio.StrategyCo
 
 // singleSeriesExperiment builds a one-point experiment rendering as a
 // series result.
-func singleSeriesExperiment(fig, name string, point runner.Point, strat tmio.StrategyConfig) *Experiment {
+func singleSeriesExperiment(name, key string, cfg pointConfig) *Experiment {
 	return &Experiment{
-		Fig:    fig,
-		Points: []runner.Point{point},
+		Fig:    cfg.Fig,
+		Points: []runner.Point{newPoint(key, cfg)},
 		Assemble: func(results []runner.Result) (Renderer, error) {
-			return seriesAt(results, 0, name, strat)
+			return seriesAt(results, 0, name, cfg.Strategy)
 		},
 	}
 }
 
+// wacommSeriesConfig is the 96-rank run of Figs. 8 and 9.
 func wacommSeriesConfig(scale Scale) (ranks int, cfg workloads.WacommConfig) {
 	if scale == Paper {
 		return 96, workloads.WacommConfig{}
@@ -130,18 +117,20 @@ func wacommSeriesConfig(scale Scale) (ranks int, cfg workloads.WacommConfig) {
 // bursts reach orders of magnitude above the requirement.
 func Fig08Experiment(scale Scale) *Experiment {
 	ranks, cfg := wacommSeriesConfig(scale)
-	strat := tmio.StrategyConfig{}
-	point := wacommSeriesPoint("fig08/"+scale.String(), "8", scale, ranks, 8, strat, cfg)
-	return singleSeriesExperiment("8", "Fig. 8 — WaComM++ 96 ranks, no limit", point, strat)
+	return singleSeriesExperiment("Fig. 8 — WaComM++ 96 ranks, no limit", "fig08/"+scale.String(), pointConfig{
+		Fig: "8", Scale: scale.String(), Workload: "wacomm",
+		Options: stormRun(ranks, 8, tmio.StrategyConfig{}), Wacomm: &cfg,
+	})
 }
 
 // Fig09Experiment enumerates the up-only 96-rank WaComM++ run: T follows
 // the previous phase's B_L instead of bursting.
 func Fig09Experiment(scale Scale) *Experiment {
 	ranks, cfg := wacommSeriesConfig(scale)
-	strat := tmio.StrategyConfig{Strategy: tmio.UpOnly, Tol: 1.1}
-	point := wacommSeriesPoint("fig09/"+scale.String(), "9", scale, ranks, 8, strat, cfg)
-	return singleSeriesExperiment("9", "Fig. 9 — WaComM++ 96 ranks, up-only", point, strat)
+	return singleSeriesExperiment("Fig. 9 — WaComM++ 96 ranks, up-only", "fig09/"+scale.String(), pointConfig{
+		Fig: "9", Scale: scale.String(), Workload: "wacomm",
+		Options: stormRun(ranks, 8, tmio.StrategyConfig{Strategy: tmio.UpOnly, Tol: 1.1}), Wacomm: &cfg,
+	})
 }
 
 // Fig10Result compares the 9216-rank WaComM++ run with the up-only
@@ -160,12 +149,15 @@ func Fig10Experiment(scale Scale) *Experiment {
 	}
 	upStrat := tmio.StrategyConfig{Strategy: tmio.UpOnly, Tol: 1.1}
 	noneStrat := tmio.StrategyConfig{}
+	run := func(slug string, strat tmio.StrategyConfig) runner.Point {
+		return newPoint("fig10/"+scale.String()+"/"+slug, pointConfig{
+			Fig: "10", Scale: scale.String(), Workload: "wacomm",
+			Options: stormRun(ranks, 10, strat), Wacomm: &cfg,
+		})
+	}
 	return &Experiment{
-		Fig: "10",
-		Points: []runner.Point{
-			wacommSeriesPoint("fig10/"+scale.String()+"/up-only", "10", scale, ranks, 10, upStrat, cfg),
-			wacommSeriesPoint("fig10/"+scale.String()+"/no-limit", "10", scale, ranks, 10, noneStrat, cfg),
-		},
+		Fig:    "10",
+		Points: []runner.Point{run("up-only", upStrat), run("no-limit", noneStrat)},
 		Assemble: func(results []runner.Result) (Renderer, error) {
 			up, err := seriesAt(results, 0, "Fig. 10 (top) — WaComM++ 9216 ranks, up-only", upStrat)
 			if err != nil {

@@ -54,16 +54,12 @@ func Fig11Experiment(scale Scale) *Experiment {
 	var points []runner.Point
 	for _, n := range ranks {
 		for run, strat := range haccEightRuns() {
-			sp := spec{
-				ranks:    n,
-				seed:     int64(10_000*n + run + 1),
-				strategy: strat,
-				agent:    stormAgent(),
-				tracer:   tmio.Config{DisableOverhead: true},
-			}
 			key := fmt.Sprintf("fig11/%s/ranks=%d/run=%d", scale, n, run)
 			cells = append(cells, cell{n, run, strat})
-			points = append(points, haccPoint(key, "11", scale, sp, cfg))
+			points = append(points, newPoint(key, pointConfig{
+				Fig: "11", Scale: scale.String(), Workload: "hacc",
+				Options: stormRun(n, int64(10_000*n+run+1), strat), Hacc: &cfg,
+			}))
 		}
 	}
 	return &Experiment{
@@ -123,21 +119,6 @@ func (r *HaccDistResult) ExploitByStrategy() map[tmio.Strategy]float64 {
 	return out
 }
 
-// haccSeriesPoint enumerates one HACC-IO run destined to become a series
-// result.
-func haccSeriesPoint(key, fig string, scale Scale, ranks int, seed int64,
-	strat tmio.StrategyConfig, cfg workloads.HaccConfig, fsCfg *pfs.Config) runner.Point {
-	sp := spec{
-		ranks:    ranks,
-		seed:     seed,
-		strategy: strat,
-		agent:    stormAgent(),
-		tracer:   tmio.Config{DisableOverhead: true},
-		fsCfg:    fsCfg,
-	}
-	return haccPoint(key, fig, scale, sp, cfg)
-}
-
 // Fig13Result holds the four 9216-rank HACC-IO series runs: direct,
 // up-only, adaptive, and no limit.
 type Fig13Result struct {
@@ -171,7 +152,10 @@ func Fig13Experiment(scale Scale) *Experiment {
 	var points []runner.Point
 	for i, s := range strategies {
 		key := fmt.Sprintf("fig13/%s/%s", scale, s.slug)
-		points = append(points, haccSeriesPoint(key, "13", scale, ranks, int64(13_000+i), s.strat, cfg, nil))
+		points = append(points, newPoint(key, pointConfig{
+			Fig: "13", Scale: scale.String(), Workload: "hacc",
+			Options: stormRun(ranks, int64(13_000+i), s.strat), Hacc: &cfg,
+		}))
 	}
 	return &Experiment{
 		Fig:    "13",
@@ -225,7 +209,8 @@ func Fig14Experiment(scale Scale) *Experiment {
 		DipProbability: 0.1,
 		DipFloor:       0.15,
 	}
-	strat := tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.1}
-	point := haccSeriesPoint("fig14/"+scale.String(), "14", scale, ranks, 14, strat, cfg, &fs)
-	return singleSeriesExperiment("14", "Fig. 14 — HACC-IO 1536 ranks, direct, noisy file system", point, strat)
+	opts := stormRun(ranks, 14, tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.1})
+	opts.FS = &fs
+	return singleSeriesExperiment("Fig. 14 — HACC-IO 1536 ranks, direct, noisy file system", "fig14/"+scale.String(),
+		pointConfig{Fig: "14", Scale: scale.String(), Workload: "hacc", Options: opts, Hacc: &cfg})
 }

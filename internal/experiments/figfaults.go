@@ -5,8 +5,6 @@ import (
 
 	"iobehind/internal/des"
 	"iobehind/internal/faults"
-	"iobehind/internal/mpi"
-	"iobehind/internal/mpiio"
 	"iobehind/internal/pfs"
 	"iobehind/internal/report"
 	"iobehind/internal/runner"
@@ -71,57 +69,40 @@ func FigFaultsExperimentSeeded(scale Scale, seed int64) *Experiment {
 	if scale == Paper {
 		ranks, phases = 16, 12
 	}
-	base := spec{
-		ranks:    ranks,
-		seed:     7,
-		strategy: tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.1},
-		agent:    stormAgent(),
-		tracer:   tmio.Config{DisableOverhead: true},
-		fsCfg:    &fs,
+	clean := pointConfig{
+		Fig: "faults", Scale: scale.String(), Workload: "phased",
+		Options: stormRun(ranks, 7, tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.1}),
+		Phased: &workloads.PhasedConfig{
+			Phases:         phases,
+			BytesPerPhase:  256 << 20,
+			Compute:        des.Second,
+			JitterFraction: 0.05,
+		},
 	}
-	wl := workloads.PhasedConfig{
-		Phases:         phases,
-		BytesPerPhase:  256 << 20,
-		Compute:        des.Second,
-		JitterFraction: 0.05,
-	}
-	scenario := figFaultsScenario(seed)
-
-	point := func(sp spec, tag string) runner.Point {
-		pcfg := sp.config("faults", scale, "phased")
-		pcfg.Phased = &wl
-		key := fmt.Sprintf("figfaults/%s/s%d/%s", scale.String(), seed, tag)
-		return simPoint(key, pcfg, sp,
-			func(sys *mpiio.System) func(*mpi.Rank) { return workloads.PhasedMain(sys, wl) })
-	}
-	faulted := base
-	faulted.faults = scenario
+	clean.FS = &fs
+	faulted := clean
+	faulted.Faults = figFaultsScenario(seed)
+	key := func(tag string) string { return fmt.Sprintf("figfaults/%s/s%d/%s", scale.String(), seed, tag) }
 
 	return &Experiment{
-		Fig:  "faults",
-		Seed: seed,
-		Points: []runner.Point{
-			point(base, "clean"),
-			point(faulted, "faulted"),
-		},
+		Fig:    "faults",
+		Seed:   seed,
+		Points: []runner.Point{newPoint(key("clean"), clean), newPoint(key("faulted"), faulted)},
 		Assemble: func(results []runner.Result) (Renderer, error) {
-			clean, err := reportAt(results, 0)
+			cleanRep, err := reportAt(results, 0)
 			if err != nil {
 				return nil, fmt.Errorf("figfaults: clean: %w", err)
 			}
-			fr, err := reportAt(results, 1)
+			faultedRep, err := reportAt(results, 1)
 			if err != nil {
 				return nil, fmt.Errorf("figfaults: faulted: %w", err)
 			}
-			// Re-resolve the window list (scripted + generated) the way the
-			// run did, without touching a live engine.
-			inj := faults.New(des.NewEngine(1), nil, *scenario)
 			return &FigFaultsResult{
 				Scale:   scale,
 				Seed:    seed,
-				Windows: inj.Windows(),
-				Clean:   clean,
-				Faulted: fr,
+				Windows: faulted.Faults.Resolve(),
+				Clean:   cleanRep,
+				Faulted: faultedRep,
 			}, nil
 		},
 	}

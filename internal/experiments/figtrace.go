@@ -7,9 +7,8 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"iobehind/internal/adio"
+	"iobehind"
 	"iobehind/internal/des"
-	"iobehind/internal/mpi"
 	"iobehind/internal/mpiio"
 	"iobehind/internal/pfs"
 	"iobehind/internal/report"
@@ -28,39 +27,12 @@ import (
 // the bandwidth analysis needs, so replaying *external* traces is on the
 // same footing as running the hand-coded models.
 
-// traceWorkload is one dogfood case: a named workload plus the stack
-// configuration it is traced and replayed under.
-type traceWorkload struct {
-	name     string
-	ranks    int
-	rpn      int
-	strategy tmio.StrategyConfig
-	fs       pfs.Config
-	phased   *workloads.PhasedConfig
-	hacc     *workloads.HaccConfig
-	wacomm   *workloads.WacommConfig
-	ior      *workloads.IorConfig
-}
-
-func (wl traceWorkload) main(sys *mpiio.System) func(*mpi.Rank) {
-	switch {
-	case wl.phased != nil:
-		return workloads.PhasedMain(sys, *wl.phased)
-	case wl.hacc != nil:
-		return workloads.HaccMain(sys, *wl.hacc)
-	case wl.wacomm != nil:
-		return workloads.WacommMain(sys, *wl.wacomm)
-	case wl.ior != nil:
-		return workloads.IorMain(sys, *wl.ior)
-	}
-	panic("experiments: traceWorkload with no workload config")
-}
-
-// traceWorkloads enumerates the dogfood cases. The file system is modest
-// and noise-free and the agent config is zero: the replay identity needs
-// an I/O path without random draws (application-side randomness — jitter,
+// traceWorkloads enumerates the dogfood cases, one point config each;
+// the workload name tags the trace. The file system is modest and
+// noise-free and the agent config is zero: the replay identity needs an
+// I/O path without random draws (application-side randomness — jitter,
 // failure schedules — is fine, it is frozen into the trace).
-func traceWorkloads(scale Scale) []traceWorkload {
+func traceWorkloads(scale Scale) []pointConfig {
 	fs := pfs.Config{WriteCapacity: 2e9, ReadCapacity: 2e9}
 	adaptive := tmio.StrategyConfig{Strategy: tmio.Adaptive}
 	direct := tmio.StrategyConfig{Strategy: tmio.Direct}
@@ -70,44 +42,50 @@ func traceWorkloads(scale Scale) []traceWorkload {
 		phases, loops, iters = 10, 6, 8
 		ranks = 8
 	}
-	return []traceWorkload{
-		{name: "phased", ranks: ranks, rpn: 2, strategy: adaptive, fs: fs,
-			phased: &workloads.PhasedConfig{
-				Phases: phases, BytesPerPhase: 16 << 20,
-				Compute: 50 * des.Millisecond, JitterFraction: 0.05,
-			}},
-		{name: "hacc", ranks: 2, rpn: 2, strategy: direct, fs: fs,
-			hacc: &workloads.HaccConfig{
-				Loops: loops, ParticlesPerRank: 200_000,
-				FixedPhase: 40 * des.Millisecond,
-			}},
-		{name: "wacomm", ranks: ranks, rpn: 2, strategy: direct, fs: fs,
-			wacomm: &workloads.WacommConfig{
-				Particles: 100_000, Iterations: iters, ReadEvery: 2,
-			}},
-		{name: "ior", ranks: ranks, rpn: 2, strategy: adaptive, fs: fs,
-			ior: &workloads.IorConfig{
-				Segments: 2, BlockSize: 16 << 20, TransferSize: 8 << 20,
-				Async: true, ComputeBetween: 20 * des.Millisecond,
-			}},
+	run := func(name string, n int, strat tmio.StrategyConfig) pointConfig {
+		return pointConfig{
+			Fig: "trace", Scale: scale.String(), Workload: name,
+			Options: iobehind.Options{Ranks: n, RanksPerNode: 2, Strategy: strat, FS: &fs},
+		}
 	}
+	phased := run("phased", ranks, adaptive)
+	phased.Phased = &workloads.PhasedConfig{
+		Phases: phases, BytesPerPhase: 16 << 20,
+		Compute: 50 * des.Millisecond, JitterFraction: 0.05,
+	}
+	hacc := run("hacc", 2, direct)
+	hacc.Hacc = &workloads.HaccConfig{
+		Loops: loops, ParticlesPerRank: 200_000,
+		FixedPhase: 40 * des.Millisecond,
+	}
+	wacomm := run("wacomm", ranks, direct)
+	wacomm.Wacomm = &workloads.WacommConfig{
+		Particles: 100_000, Iterations: iters, ReadEvery: 2,
+	}
+	ior := run("ior", ranks, adaptive)
+	ior.Ior = &workloads.IorConfig{
+		Segments: 2, BlockSize: 16 << 20, TransferSize: 8 << 20,
+		Async: true, ComputeBetween: 20 * des.Millisecond,
+	}
+	return []pointConfig{phased, hacc, wacomm, ior}
 }
 
-// emitWorkloadTrace runs the workload with the emitter composed in front
-// of the charging tracer (see trace.NewEmitter on the ordering) and
-// returns the trace bytes plus the rendered report.
-func emitWorkloadTrace(wl traceWorkload) (traceBytes, reportBytes []byte, rep *tmio.Report, err error) {
-	e := des.NewEngine(1)
-	w := mpi.NewWorld(e, mpi.Config{Size: wl.ranks, RanksPerNode: wl.rpn})
-	fs := pfs.New(e, wl.fs)
-	sys := mpiio.NewSystem(w, fs, adio.Config{})
-	em := trace.NewEmitter(sys, wl.name)
-	tr := tmio.Attach(sys, tmio.Config{Strategy: wl.strategy})
-	sys.SetInterceptor(mpiio.Tee(em, tr))
-	if err := w.Run(wl.main(sys)); err != nil {
+// emitWorkloadTrace runs cfg's workload with the emitter composed in
+// front of the charging tracer and returns the trace bytes plus the
+// rendered report. The emitter must exist before the tracer attaches,
+// so that its finalize hook fires first (see trace.NewEmitter).
+func emitWorkloadTrace(cfg pointConfig) (traceBytes, reportBytes []byte, rep *tmio.Report, err error) {
+	opts := cfg.Options
+	opts.NoTracer = true
+	sim := iobehind.NewSim(opts)
+	em := trace.NewEmitter(sim.IO, cfg.Workload)
+	tcfg := cfg.Tracer
+	tcfg.Strategy = cfg.Strategy
+	sim.Tracer = tmio.Attach(sim.IO, tcfg)
+	sim.IO.SetInterceptor(mpiio.Tee(em, sim.Tracer))
+	if rep, err = sim.Run(cfg.main(sim.IO)); err != nil {
 		return nil, nil, nil, err
 	}
-	rep = tr.Report()
 	var repBuf, trBuf bytes.Buffer
 	if err := rep.WriteJSON(&repBuf); err != nil {
 		return nil, nil, nil, err
@@ -118,32 +96,13 @@ func emitWorkloadTrace(wl traceWorkload) (traceBytes, reportBytes []byte, rep *t
 	return trBuf.Bytes(), repBuf.Bytes(), rep, nil
 }
 
-// replayParsedTrace replays a parsed trace on a stack configured like wl's
-// emit run (tracer only, no emitter) and returns the rendered report.
-func replayParsedTrace(parsed *trace.Trace, wl traceWorkload) ([]byte, *tmio.Report, error) {
-	e := des.NewEngine(1)
-	w := mpi.NewWorld(e, mpi.Config{Size: parsed.Ranks, RanksPerNode: wl.rpn})
-	fs := pfs.New(e, wl.fs)
-	sys := mpiio.NewSystem(w, fs, adio.Config{})
-	tr := tmio.Attach(sys, tmio.Config{Strategy: wl.strategy})
-	if err := w.Run(trace.ReplayMain(sys, parsed)); err != nil {
-		return nil, nil, err
-	}
-	rep := tr.Report()
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		return nil, nil, err
-	}
-	return buf.Bytes(), rep, nil
-}
-
 // EmitBuiltinTrace runs the named built-in workload ("phased", "hacc",
 // "wacomm", "ior") at the given scale and returns its trace file bytes —
 // the implementation behind iosweep's -emit-trace flag.
 func EmitBuiltinTrace(workload string, scale Scale) ([]byte, error) {
-	for _, wl := range traceWorkloads(scale) {
-		if wl.name == workload {
-			traceBytes, _, _, err := emitWorkloadTrace(wl)
+	for _, cfg := range traceWorkloads(scale) {
+		if cfg.Workload == workload {
+			traceBytes, _, _, err := emitWorkloadTrace(cfg)
 			return traceBytes, err
 		}
 	}
@@ -174,56 +133,9 @@ type FigTraceResult struct {
 // trace subsystem's core invariant is enforced on every run, not only in
 // tests.
 func FigTraceExperiment(scale Scale) *Experiment {
-	wls := traceWorkloads(scale)
-	points := make([]runner.Point, 0, len(wls))
-	for _, wl := range wls {
-		wl := wl
-		pcfg := pointConfig{
-			Fig:      "trace",
-			Scale:    scale.String(),
-			Workload: wl.name,
-			Ranks:    wl.ranks,
-			Strategy: wl.strategy,
-			Tracer:   tmio.Config{Strategy: wl.strategy},
-			FS:       &wl.fs,
-			Phased:   wl.phased,
-			Hacc:     wl.hacc,
-			Wacomm:   wl.wacomm,
-			Ior:      wl.ior,
-		}
-		points = append(points, runner.Point{
-			Key:    fmt.Sprintf("figtrace/%s/%s", scale.String(), wl.name),
-			Config: pcfg,
-			New:    func() any { return new(TracePointResult) },
-			Run: func(context.Context) (any, error) {
-				traceBytes, reportBytes, rep, err := emitWorkloadTrace(wl)
-				if err != nil {
-					return nil, fmt.Errorf("figtrace/%s: emit: %w", wl.name, err)
-				}
-				parsed, err := trace.Parse(bytes.NewReader(traceBytes))
-				if err != nil {
-					return nil, fmt.Errorf("figtrace/%s: parse own trace: %w", wl.name, err)
-				}
-				replayed, _, err := replayParsedTrace(parsed, wl)
-				if err != nil {
-					return nil, fmt.Errorf("figtrace/%s: replay: %w", wl.name, err)
-				}
-				if !bytes.Equal(reportBytes, replayed) {
-					return nil, fmt.Errorf("figtrace/%s: replayed report diverged from original", wl.name)
-				}
-				sum := sha256.Sum256(traceBytes)
-				return &TracePointResult{
-					Workload:   wl.name,
-					Ranks:      wl.ranks,
-					Ops:        parsed.Ops(),
-					TraceBytes: len(traceBytes),
-					TraceSHA:   hex.EncodeToString(sum[:]),
-					Identical:  true,
-					Runtime:    rep.Runtime,
-					RequiredBW: rep.RequiredBandwidth,
-				}, nil
-			},
-		})
+	var points []runner.Point
+	for _, cfg := range traceWorkloads(scale) {
+		points = append(points, newPoint(fmt.Sprintf("figtrace/%s/%s", scale.String(), cfg.Workload), cfg))
 	}
 	return &Experiment{
 		Fig:    "trace",
@@ -244,6 +156,44 @@ func FigTraceExperiment(scale Scale) *Experiment {
 			return out, nil
 		},
 	}
+}
+
+// traceRoundTrip is one trace-figure point: emit cfg's workload, parse
+// its trace, replay it on a stack built from the same options, and
+// require the two reports to match byte for byte.
+func traceRoundTrip(cfg pointConfig) (*TracePointResult, error) {
+	name := cfg.Workload
+	traceBytes, reportBytes, rep, err := emitWorkloadTrace(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("figtrace/%s: emit: %w", name, err)
+	}
+	parsed, err := trace.Parse(bytes.NewReader(traceBytes))
+	if err != nil {
+		return nil, fmt.Errorf("figtrace/%s: parse own trace: %w", name, err)
+	}
+	sim := iobehind.NewSim(cfg.Options)
+	replayed, err := sim.Run(trace.ReplayMain(sim.IO, parsed))
+	if err != nil {
+		return nil, fmt.Errorf("figtrace/%s: replay: %w", name, err)
+	}
+	var buf bytes.Buffer
+	if err := replayed.WriteJSON(&buf); err != nil {
+		return nil, fmt.Errorf("figtrace/%s: replay: %w", name, err)
+	}
+	if !bytes.Equal(reportBytes, buf.Bytes()) {
+		return nil, fmt.Errorf("figtrace/%s: replayed report diverged from original", name)
+	}
+	sum := sha256.Sum256(traceBytes)
+	return &TracePointResult{
+		Workload:   name,
+		Ranks:      cfg.Ranks,
+		Ops:        parsed.Ops(),
+		TraceBytes: len(traceBytes),
+		TraceSHA:   hex.EncodeToString(sum[:]),
+		Identical:  true,
+		Runtime:    rep.Runtime,
+		RequiredBW: rep.RequiredBandwidth,
+	}, nil
 }
 
 // Render prints one row per workload: the emit→replay round trip.
@@ -294,7 +244,7 @@ func TraceReplayExperiment(name string, raw []byte, scale Scale) (*Experiment, e
 		Fig:      "trace-replay",
 		Scale:    scale.String(),
 		Workload: "trace:" + name,
-		Ranks:    parsed.Ranks,
+		Options:  iobehind.Options{Ranks: parsed.Ranks, RanksPerNode: parsed.RanksPerNode},
 		TraceSHA: hex.EncodeToString(sum[:]),
 	}
 	return &Experiment{
@@ -304,15 +254,8 @@ func TraceReplayExperiment(name string, raw []byte, scale Scale) (*Experiment, e
 			Config: pcfg,
 			New:    func() any { return new(tmio.Report) },
 			Run: func(context.Context) (any, error) {
-				e := des.NewEngine(1)
-				w := mpi.NewWorld(e, mpi.Config{Size: parsed.Ranks, RanksPerNode: parsed.RanksPerNode})
-				fs := pfs.New(e, pfs.LichtenbergConfig())
-				sys := mpiio.NewSystem(w, fs, adio.Config{})
-				tr := tmio.Attach(sys, tmio.Config{})
-				if err := w.Run(trace.ReplayMain(sys, parsed)); err != nil {
-					return nil, err
-				}
-				return tr.Report(), nil
+				sim := iobehind.NewSim(pcfg.Options)
+				return sim.Run(trace.ReplayMain(sim.IO, parsed))
 			},
 		}},
 		Assemble: func(results []runner.Result) (Renderer, error) {

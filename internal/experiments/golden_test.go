@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -52,6 +53,63 @@ func TestGoldenRenders(t *testing.T) {
 			continue
 		}
 		checkGolden(t, "figure "+e.ID, filepath.Join("testdata", "golden", "fig"+e.ID+".txt"), res.Render())
+	}
+}
+
+// TestCacheKeyIsComplete requires each quick-plan point's config, the
+// value its cache key hashes, to be the whole of its input: it
+// JSON-round-trips the config, builds a fresh point from the decoded
+// value alone, runs it, and requires the result digest that
+// testdata/golden/points.txt pins. A field that changes a result but
+// never reaches the key (tagged json:"-", unexported, or read from
+// outside the config) fails here; TestGoldenRenders runs the enumerated
+// points themselves and cannot see one.
+func TestCacheKeyIsComplete(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "points.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		key, digest, _ := strings.Cut(line, " ")
+		pinned[key] = digest
+	}
+	plan, err := BuildPlan(nil, Quick, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Points) != len(pinned) {
+		t.Fatalf("plan has %d points, points.txt pins %d", len(plan.Points), len(pinned))
+	}
+	for _, p := range plan.Points {
+		data, err := json.Marshal(p.Config)
+		if err != nil {
+			t.Fatalf("point %s: %v", p.Key, err)
+		}
+		var cfg pointConfig
+		if err := json.Unmarshal(data, &cfg); err != nil {
+			t.Fatalf("point %s: %v", p.Key, err)
+		}
+		rebuilt := newPoint(p.Key, cfg)
+		want, err := runner.CacheKey(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := runner.CacheKey(rebuilt); err != nil || got != want {
+			t.Errorf("point %s: rebuilt cache key %s (%v), enumerated %s", p.Key, got, err, want)
+		}
+		v, err := rebuilt.Run(context.Background())
+		if err != nil {
+			t.Errorf("point %s: %v", p.Key, err)
+			continue
+		}
+		entry, err := runner.EncodeEntry(v)
+		if err != nil {
+			t.Fatalf("point %s: %v", p.Key, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(entry)); got != pinned[p.Key] {
+			t.Errorf("point %s: rebuilt from its config it digests to %s, points.txt pins %s", p.Key, got, pinned[p.Key])
+		}
 	}
 }
 

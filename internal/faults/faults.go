@@ -164,6 +164,30 @@ func (c Config) Empty() bool {
 	return len(c.Windows) == 0 && (c.Random == nil || c.Random.Count <= 0)
 }
 
+// Resolve returns the scenario's window list: the scripted windows plus
+// the generated batch, sorted deterministically. It is a pure function
+// of the config; New schedules exactly this list.
+func (c Config) Resolve() []Window {
+	ws := append([]Window(nil), c.Windows...)
+	if c.Random != nil {
+		ws = append(ws, c.Random.generate()...)
+	}
+	sort.Slice(ws, func(i, j int) bool {
+		a, b := ws[i], ws[j]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		if a.Class != b.Class {
+			return a.Class < b.Class
+		}
+		return a.Node < b.Node
+	})
+	return ws
+}
+
 // generate materializes the random batch.
 func (rc RandomConfig) generate() []Window {
 	if rc.Count <= 0 || rc.Horizon <= 0 {
@@ -229,33 +253,17 @@ type Injector struct {
 	activations int // window starts reached so far
 }
 
-// New resolves cfg (scripted + generated windows, sorted deterministically),
-// schedules every window boundary on the engine, and returns the injector.
-// Invalid windows panic: a fault scenario is configuration, and bad
-// configuration should fail loudly at construction, not mid-run.
+// New resolves cfg, schedules every window boundary on the engine, and
+// returns the injector. Invalid windows panic: a fault scenario is
+// configuration, and bad configuration should fail loudly at
+// construction, not mid-run.
 func New(e *des.Engine, fs *pfs.PFS, cfg Config) *Injector {
-	ws := append([]Window(nil), cfg.Windows...)
-	if cfg.Random != nil {
-		ws = append(ws, cfg.Random.generate()...)
-	}
+	ws := cfg.Resolve()
 	for _, w := range ws {
 		if err := w.validate(); err != nil {
 			panic(err.Error())
 		}
 	}
-	sort.Slice(ws, func(i, j int) bool {
-		a, b := ws[i], ws[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		return a.Node < b.Node
-	})
 	inj := &Injector{
 		e: e, fs: fs,
 		windows: ws,
@@ -315,11 +323,6 @@ func (inj *Injector) refresh() {
 	if inj.fs != nil {
 		inj.fs.SetFaultFactors(capf[pfs.Write], capf[pfs.Read])
 	}
-}
-
-// Windows returns the resolved window list (scripted + generated, sorted).
-func (inj *Injector) Windows() []Window {
-	return append([]Window(nil), inj.windows...)
 }
 
 // Activations returns how many window starts the simulation has reached.

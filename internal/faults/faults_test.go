@@ -112,10 +112,13 @@ func TestInjectorResolvesSameWindowsForSameConfig(t *testing.T) {
 			Start: des.Time(des.Second), Dur: des.Second, Factor: 0.5}},
 		Random: &RandomConfig{Seed: 7, Count: 5, Horizon: 8 * des.Second},
 	}
-	w1 := New(des.NewEngine(1), nil, cfg).Windows()
-	w2 := New(des.NewEngine(99), nil, cfg).Windows()
+	w1 := New(des.NewEngine(1), nil, cfg).windows
+	w2 := New(des.NewEngine(99), nil, cfg).windows
 	if !reflect.DeepEqual(w1, w2) {
 		t.Fatal("window resolution depends on the engine, not only the config")
+	}
+	if !reflect.DeepEqual(w1, cfg.Resolve()) {
+		t.Fatal("the injector schedules other windows than Config.Resolve lists")
 	}
 	for i := 1; i < len(w1); i++ {
 		if w1[i].Start < w1[i-1].Start {

@@ -64,26 +64,6 @@ func (s *Series) Max() float64 {
 	return max
 }
 
-// Integral returns ∫ s dt over [from, to), in value·seconds.
-func (s *Series) Integral(from, to des.Time) float64 {
-	if to <= from || len(s.Points) == 0 {
-		return 0
-	}
-	total := 0.0
-	cur := from
-	for cur < to {
-		v := s.At(cur)
-		next := to
-		i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T > cur })
-		if i < len(s.Points) && s.Points[i].T < to {
-			next = s.Points[i].T
-		}
-		total += v * next.Sub(cur).Seconds()
-		cur = next
-	}
-	return total
-}
-
 // TimeAbove returns the total time the series is strictly above threshold
 // within [from, to). One binary search finds the step holding from; the
 // rest is a forward walk over the points inside the window.

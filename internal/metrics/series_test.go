@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -44,26 +43,6 @@ func TestSeriesBackwardsPanics(t *testing.T) {
 		}
 	}()
 	s.Append(5, 2)
-}
-
-func TestSeriesIntegral(t *testing.T) {
-	var s Series
-	sec := func(x float64) des.Time { return des.Time(des.DurationOf(x)) }
-	s.Append(sec(0), 10)
-	s.Append(sec(2), 0)
-	s.Append(sec(3), 5)
-	s.Append(sec(5), 0)
-	// ∫ = 10*2 + 0*1 + 5*2 = 30
-	if got := s.Integral(sec(0), sec(5)); math.Abs(got-30) > 1e-9 {
-		t.Fatalf("Integral = %v, want 30", got)
-	}
-	// Partial window [1, 4): 10*1 + 0*1 + 5*1 = 15.
-	if got := s.Integral(sec(1), sec(4)); math.Abs(got-15) > 1e-9 {
-		t.Fatalf("partial Integral = %v, want 15", got)
-	}
-	if got := s.Integral(sec(4), sec(4)); got != 0 {
-		t.Fatalf("empty Integral = %v", got)
-	}
 }
 
 func TestSeriesTimeAbove(t *testing.T) {
@@ -192,28 +171,6 @@ func TestIntervalsOverlapProperty(t *testing.T) {
 		return set.OverlapWith(q) == want
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(21))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestIntegralNonNegativeProperty: integrals of non-negative series are
-// non-negative and additive over adjacent windows.
-func TestIntegralNonNegativeProperty(t *testing.T) {
-	f := func(vals []uint8) bool {
-		var s Series
-		tm := des.Time(0)
-		for _, v := range vals {
-			s.Append(tm, float64(v%100))
-			tm += des.Time(des.Second)
-		}
-		end := tm + des.Time(des.Second)
-		mid := end / 2
-		whole := s.Integral(0, end)
-		split := s.Integral(0, mid) + s.Integral(mid, end)
-		return whole >= 0 && math.Abs(whole-split) < 1e-6
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(22))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package report renders experiment results as aligned ASCII tables,
-// sampled series, sparklines, and CSV — the textual equivalents of the
+// sparklines, and Gantt timelines — the textual equivalents of the
 // paper's figures.
 package report
 
@@ -26,11 +26,6 @@ func NewTable(title string, headers ...string) *Table {
 // AddRow appends a row; cells beyond the header count are kept as-is.
 func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
-}
-
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
 }
 
 // Render returns the aligned table.
@@ -72,19 +67,6 @@ func (t *Table) Render() string {
 	b.WriteByte('\n')
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV returns the table as comma-separated values (quotes are not needed
-// for the numeric content we emit).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Headers, ","))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -164,29 +146,6 @@ func Sparkline(s *metrics.Series, from, to des.Time, width int) string {
 		b.WriteRune(sparkLevels[idx])
 	}
 	return b.String()
-}
-
-// SampleSeries renders several series sampled at n uniformly spaced
-// instants between from and to, one row per instant.
-func SampleSeries(title string, from, to des.Time, n int, series ...*metrics.Series) *Table {
-	headers := []string{"t"}
-	for _, s := range series {
-		headers = append(headers, s.Name)
-	}
-	t := NewTable(title, headers...)
-	if n < 2 {
-		n = 2
-	}
-	span := to.Sub(from)
-	for i := 0; i < n; i++ {
-		at := from.Add(des.Duration(int64(span) * int64(i) / int64(n-1)))
-		row := []string{fmt.Sprintf("%.1f", at.Seconds())}
-		for _, s := range series {
-			row = append(row, Rate(s.At(at)))
-		}
-		t.AddRow(row...)
-	}
-	return t
 }
 
 // GanttRow is one bar of a Gantt chart.

@@ -29,15 +29,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "x", "y")
-	tb.AddRowf("%d|%d", 1, 2)
-	csv := tb.CSV()
-	if csv != "x,y\n1,2\n" {
-		t.Fatalf("csv = %q", csv)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	cases := map[float64]string{
 		2.5e9: "2.50 GB/s",
@@ -82,21 +73,6 @@ func TestSparkline(t *testing.T) {
 	var empty metrics.Series
 	if got := Sparkline(&empty, 0, des.Time(des.Second), 4); got != "▁▁▁▁" {
 		t.Fatalf("flat sparkline = %q", got)
-	}
-}
-
-func TestSampleSeries(t *testing.T) {
-	a := &metrics.Series{Name: "T"}
-	a.Append(0, 1e9)
-	b := &metrics.Series{Name: "B"}
-	b.Append(0, 5e8)
-	tb := SampleSeries("x", 0, des.Time(10*des.Second), 5, a, b)
-	if tb.Rows() != 5 {
-		t.Fatalf("rows = %d", tb.Rows())
-	}
-	out := tb.Render()
-	if !strings.Contains(out, "1.00 GB/s") || !strings.Contains(out, "500.00 MB/s") {
-		t.Fatalf("missing values:\n%s", out)
 	}
 }
 

@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-// TestRedialRateBoundedWithZeroBackoff pins the hot-spin guard in redial:
-// a sink constructed through newSink never went through withDefaults, so
-// zero backoff bounds used to collapse the sleep to zero and hammer the
-// dead collector with thousands of dials per second. With the floor, an
-// unreachable address costs a handful of attempts over half a second.
-func TestRedialRateBoundedWithZeroBackoff(t *testing.T) {
+// TestRedialRateBounded pins the reconnect backoff: against a dead
+// collector the writer redials on a doubling, jittered backoff, so an
+// unreachable address costs a handful of attempts over half a second,
+// not a hot spin of thousands of dials.
+func TestRedialRateBounded(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("cannot listen on loopback: %v", err)
@@ -19,13 +18,9 @@ func TestRedialRateBoundedWithZeroBackoff(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // the port is now dead: every dial fails fast
 
-	// Zero BackoffMin/BackoffMax on purpose — the guard under test.
-	s := newSink(nil, SinkOptions{
-		BufferRecords: 8,
-		DialTimeout:   100 * time.Millisecond,
-		WriteTimeout:  time.Second,
-		Seed:          1,
-	})
+	s := newSink(nil, SinkOptions{})
+	s.bufferRecords = 8
+	s.dialTimeout = 100 * time.Millisecond
 	s.addr = addr
 	s.start()
 	if err := s.Emit(StreamRecord{Rank: 1, B: 1e6}); err != nil {
@@ -39,7 +34,7 @@ func TestRedialRateBoundedWithZeroBackoff(t *testing.T) {
 	if dials < 1 {
 		t.Fatal("writer never attempted to dial the collector")
 	}
-	// The floored, doubling backoff allows at most ~6 attempts in 600 ms
+	// The 50 ms doubling backoff allows at most ~6 attempts in 600 ms
 	// even with maximal -50% jitter; a hot spin would make thousands.
 	if dials > 12 {
 		t.Fatalf("%d dials in 600ms — redial backoff is not bounding the rate", dials)

@@ -274,12 +274,10 @@ func (r *Report) File() *ReportFile {
 	}
 }
 
-// WriteJSON writes the report's result file as indented JSON, the
-// stand-in for TMIO's result file.
+// WriteJSON writes the report's result file as one line of compact
+// JSON, the stand-in for TMIO's result file.
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.File())
+	return json.NewEncoder(w).Encode(r.File())
 }
 
 // ReadJSON decodes a result file written by WriteJSON.

@@ -61,30 +61,12 @@ type StreamRecord struct {
 	Retries int  `json:"retries,omitempty"`
 }
 
-// SinkOptions tunes the TCP sink's buffering and reconnection behaviour.
-// The zero value selects the defaults noted on each field.
+// SinkOptions selects how a TCP sink labels and encodes its records.
 type SinkOptions struct {
 	// AppID is stamped into every record's App field (unless the record
 	// already carries one), so one collector can tell concurrent runs
 	// apart.
 	AppID string
-	// BufferRecords bounds the in-memory queue that absorbs records while
-	// the collector is slow or down. When full, the oldest record is
-	// dropped and counted. Defaults to 4096.
-	BufferRecords int
-	// WriteTimeout bounds each flush to the collector; a stalled peer
-	// costs at most this much writer-goroutine time per batch (the
-	// emitting application is never the one waiting). Defaults to 5s.
-	WriteTimeout time.Duration
-	// DialTimeout bounds each (re)connection attempt. Defaults to 2s.
-	DialTimeout time.Duration
-	// BackoffMin/BackoffMax bound the exponential reconnect backoff
-	// (jittered ±50%). Default 50ms / 5s.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
-	// Seed drives the backoff jitter; defaults to 1 so tests are
-	// reproducible.
-	Seed int64
 	// Binary selects the binary frame encoding (docs/STREAM_FORMAT.md):
 	// each flush packs the whole batch into a pooled frame buffer and
 	// writes it with one syscall, with zero steady-state allocations.
@@ -93,27 +75,27 @@ type SinkOptions struct {
 	Binary bool
 }
 
-func (o SinkOptions) withDefaults() SinkOptions {
-	if o.BufferRecords <= 0 {
-		o.BufferRecords = 4096
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 5 * time.Second
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 5 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The TCP sink's buffering and reconnection tuning. newSink copies them
+// into the sink, where in-package tests may shorten them before the
+// writer starts.
+const (
+	// sinkBufferRecords bounds the in-memory queue that absorbs records
+	// while the collector is slow or down. When full, the oldest record
+	// is dropped and counted.
+	sinkBufferRecords = 4096
+	// sinkWriteTimeout bounds each flush to the collector; a stalled peer
+	// costs at most this much writer-goroutine time per batch (the
+	// emitting application is never the one waiting).
+	sinkWriteTimeout = 5 * time.Second
+	// sinkDialTimeout bounds each (re)connection attempt.
+	sinkDialTimeout = 2 * time.Second
+	// sinkBackoffMin and sinkBackoffMax bound the exponential reconnect
+	// backoff, which is jittered ±50%.
+	sinkBackoffMin = 50 * time.Millisecond
+	sinkBackoffMax = 5 * time.Second
+	// sinkSeed drives the backoff jitter, so reconnect timing repeats.
+	sinkSeed = 1
+)
 
 // TCPSink streams records over a TCP connection — JSON lines by
 // default, length-prefixed binary frames with SinkOptions.Binary.
@@ -128,6 +110,11 @@ func (o SinkOptions) withDefaults() SinkOptions {
 type TCPSink struct {
 	opts SinkOptions
 	addr string // redial target; empty when wrapping a foreign conn
+
+	// Tuning, set from the sink* constants by newSink.
+	bufferRecords             int
+	writeTimeout, dialTimeout time.Duration
+	backoffMin, backoffMax    time.Duration
 
 	mu      sync.Mutex
 	ring    []StreamRecord // fixed-capacity drop-oldest queue, allocated on first use
@@ -157,17 +144,11 @@ type TCPSink struct {
 // Dials returns how many TCP connection attempts the sink has made.
 func (s *TCPSink) Dials() int64 { return s.dials.Load() }
 
-// DialSink connects to addr (e.g. "127.0.0.1:5555") with default options.
-func DialSink(addr string) (*TCPSink, error) {
-	return DialSinkWith(addr, SinkOptions{})
-}
-
-// DialSinkWith connects to addr with explicit options. The initial dial
-// is synchronous so an unreachable collector is reported immediately;
-// after that the sink reconnects on its own.
+// DialSinkWith connects to addr (e.g. "127.0.0.1:5555"). The initial
+// dial is synchronous so an unreachable collector is reported
+// immediately; after that the sink reconnects on its own.
 func DialSinkWith(addr string, opts SinkOptions) (*TCPSink, error) {
-	opts = opts.withDefaults()
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, sinkDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("tmio: dial sink: %w", err)
 	}
@@ -177,27 +158,22 @@ func DialSinkWith(addr string, opts SinkOptions) (*TCPSink, error) {
 	return s, nil
 }
 
-// NewTCPSinkWith wraps an established connection. A wrapped connection
-// cannot be redialled: if it fails, the sink drops records (counted by
-// Dropped) instead of blocking.
-func NewTCPSinkWith(conn net.Conn, opts SinkOptions) *TCPSink {
-	s := newSink(conn, opts.withDefaults())
-	s.start()
-	return s
-}
-
+// newSink builds a sink around conn with the tuning constants; the
+// writer starts with start. A sink without an addr cannot redial: if
+// its connection fails, it drops records (counted by Dropped) instead
+// of blocking.
 func newSink(conn net.Conn, opts SinkOptions) *TCPSink {
-	// Floor the ring capacity here too: tests build sinks through newSink
-	// without withDefaults, and a zero-capacity ring could never queue.
-	if opts.BufferRecords <= 0 {
-		opts.BufferRecords = 4096
-	}
 	return &TCPSink{
-		opts: opts,
-		conn: conn,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(opts.Seed)),
+		opts:          opts,
+		bufferRecords: sinkBufferRecords,
+		writeTimeout:  sinkWriteTimeout,
+		dialTimeout:   sinkDialTimeout,
+		backoffMin:    sinkBackoffMin,
+		backoffMax:    sinkBackoffMax,
+		conn:          conn,
+		wake:          make(chan struct{}, 1),
+		done:          make(chan struct{}),
+		rng:           rand.New(rand.NewSource(sinkSeed)),
 	}
 }
 
@@ -222,7 +198,7 @@ func (s *TCPSink) Emit(rec StreamRecord) error {
 		return ErrSinkClosed
 	}
 	if s.ring == nil {
-		s.ring = make([]StreamRecord, s.opts.BufferRecords)
+		s.ring = make([]StreamRecord, s.bufferRecords)
 	}
 	if s.queued == len(s.ring) {
 		// Drop-oldest is one head advance on the ring. (The previous slice
@@ -373,7 +349,7 @@ func (s *TCPSink) flush(batch []StreamRecord, final bool) {
 		}
 		out = s.jbuf.Bytes()
 	}
-	s.conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+	s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 	if _, err := s.conn.Write(out); err != nil {
 		s.conn.Close()
 		s.conn = nil
@@ -393,24 +369,10 @@ func (s *TCPSink) redial(final bool) bool {
 	if s.addr == "" {
 		return false
 	}
-	// Guard against zero-valued options reaching this loop (a sink built
-	// through newSink skips withDefaults): a zero BackoffMin would make
-	// Int63n(0+1) return 0 and backoff*2 stay 0 — a busy-loop hammering
-	// the collector with dials. Floor both bounds.
-	backoff := s.opts.BackoffMin
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	maxBackoff := s.opts.BackoffMax
-	if maxBackoff <= 0 {
-		maxBackoff = 5 * time.Second
-	}
-	if maxBackoff < backoff {
-		maxBackoff = backoff
-	}
-	for attempt := 0; ; attempt++ {
+	backoff := s.backoffMin
+	for {
 		s.dials.Add(1)
-		conn, err := net.DialTimeout("tcp", s.addr, s.opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", s.addr, s.dialTimeout)
 		if err == nil {
 			s.conn = conn
 			return true
@@ -424,17 +386,14 @@ func (s *TCPSink) redial(final bool) bool {
 		if !s.sleep(d) {
 			// Close arrived mid-backoff: one last immediate attempt.
 			s.dials.Add(1)
-			conn, err := net.DialTimeout("tcp", s.addr, s.opts.DialTimeout)
+			conn, err := net.DialTimeout("tcp", s.addr, s.dialTimeout)
 			if err == nil {
 				s.conn = conn
 				return true
 			}
 			return false
 		}
-		backoff *= 2
-		if backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+		backoff = min(2*backoff, s.backoffMax)
 	}
 }
 
@@ -471,7 +430,7 @@ func (s *TCPSink) requeue(batch []StreamRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ring == nil {
-		s.ring = make([]StreamRecord, s.opts.BufferRecords)
+		s.ring = make([]StreamRecord, s.bufferRecords)
 	}
 	if over := len(batch) + s.queued - len(s.ring); over > 0 {
 		s.dropped += uint64(over)

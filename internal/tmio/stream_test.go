@@ -14,12 +14,40 @@ import (
 	"iobehind/internal/des"
 )
 
+// pipeSink starts a sink on one end of a net.Pipe, which cannot be
+// redialled, with a 20 ms write timeout and, when bufferRecords is
+// positive, that ring size.
+func pipeSink(conn net.Conn, bufferRecords int) *TCPSink {
+	s := newSink(conn, SinkOptions{})
+	if bufferRecords > 0 {
+		s.bufferRecords = bufferRecords
+	}
+	s.writeTimeout = 20 * time.Millisecond
+	s.start()
+	return s
+}
+
+// dialFastSink dials addr like DialSinkWith, with a 2–20 ms reconnect
+// backoff so the reconnect tests take milliseconds.
+func dialFastSink(t *testing.T, addr string) *TCPSink {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, sinkDialTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSink(conn, SinkOptions{})
+	s.addr = addr
+	s.backoffMin, s.backoffMax = 2*time.Millisecond, 20*time.Millisecond
+	s.start()
+	return s
+}
+
 // TestSinkCloseThenEmit: emitting on a closed sink must fail cleanly (no
 // panic, no block) and Close must be idempotent.
 func TestSinkCloseThenEmit(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	sink := NewTCPSinkWith(client, SinkOptions{WriteTimeout: 20 * time.Millisecond})
+	sink := pipeSink(client, 0)
 	if err := sink.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -39,10 +67,7 @@ func TestSinkCloseThenEmit(t *testing.T) {
 func TestSinkStalledPeerNeverBlocks(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	sink := NewTCPSinkWith(client, SinkOptions{
-		BufferRecords: 8,
-		WriteTimeout:  20 * time.Millisecond,
-	})
+	sink := pipeSink(client, 8)
 	start := time.Now()
 	for i := 0; i < 200; i++ {
 		if err := sink.Emit(StreamRecord{Rank: 0, Phase: i, B: 1}); err != nil {
@@ -67,10 +92,7 @@ func TestSinkStalledPeerNeverBlocks(t *testing.T) {
 func TestTracedAppSurvivesStalledCollector(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	sink := NewTCPSinkWith(client, SinkOptions{
-		BufferRecords: 16,
-		WriteTimeout:  20 * time.Millisecond,
-	})
+	sink := pipeSink(client, 16)
 
 	h := newHarness(2, Config{DisableOverhead: true})
 	h.tr.SetSink(sink)
@@ -97,10 +119,7 @@ func TestTracedAppSurvivesStalledCollector(t *testing.T) {
 func TestSinkCloseReportsDrops(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	sink := NewTCPSinkWith(client, SinkOptions{
-		BufferRecords: 4,
-		WriteTimeout:  20 * time.Millisecond,
-	})
+	sink := pipeSink(client, 4)
 	// net.Pipe is unbuffered and the peer never reads: flushes time out,
 	// batches drop, then the 4-slot ring overflows too.
 	for i := 0; i < 100; i++ {
@@ -131,7 +150,8 @@ func TestSinkCloseReportsDrops(t *testing.T) {
 // the wrap, and requeue re-inserts an unflushed batch ahead of newer
 // records with the same oldest-first trimming.
 func TestSinkRingDropOldest(t *testing.T) {
-	s := newSink(nil, SinkOptions{BufferRecords: 4})
+	s := newSink(nil, SinkOptions{})
+	s.bufferRecords = 4
 	for i := 0; i < 10; i++ {
 		if err := s.Emit(StreamRecord{Phase: i}); err != nil {
 			t.Fatal(err)
@@ -357,13 +377,7 @@ func TestSinkReconnectsAfterPeerClose(t *testing.T) {
 	srv := newLineServer(t, true)
 	defer srv.ln.Close()
 
-	sink, err := DialSinkWith(srv.ln.Addr().String(), SinkOptions{
-		BackoffMin: 2 * time.Millisecond,
-		BackoffMax: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink := dialFastSink(t, srv.ln.Addr().String())
 	defer sink.Close()
 
 	deadline := time.After(5 * time.Second)
@@ -407,13 +421,7 @@ func TestSinkBuffersDuringOutage(t *testing.T) {
 		accepted <- conn
 	}()
 
-	sink, err := DialSinkWith(addr, SinkOptions{
-		BackoffMin: 2 * time.Millisecond,
-		BackoffMax: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink := dialFastSink(t, addr)
 	defer sink.Close()
 
 	// Take the collector down: close its side of the connection and stop
@@ -578,7 +586,7 @@ func TestSinkSlowReaderDoesNotSlowSimulation(t *testing.T) {
 		}
 	}()
 
-	sink, err := DialSink(ln.Addr().String())
+	sink, err := DialSinkWith(ln.Addr().String(), SinkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

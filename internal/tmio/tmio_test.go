@@ -416,7 +416,7 @@ func TestTCPSinkRoundTrip(t *testing.T) {
 		n, _ := conn.Read(buf)
 		got <- string(buf[:n])
 	}()
-	sink, err := DialSink(ln.Addr().String())
+	sink, err := DialSinkWith(ln.Addr().String(), SinkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,9 @@
 //	})
 //	report, err := sim.Run(iobehind.PhasedMain(sim.IO, iobehind.PhasedConfig{}))
 //
+// NewSim is the one place the stack is assembled: the experiment suite
+// builds every traced run of every figure through it.
+//
 // The returned Report carries the paper's metrics: the rank-level required
 // bandwidths B_ij and throughputs T_ij, the application-level step series
 // B, B_L and T (Eq. 3), the time-distribution breakdown of Figs. 6/7/11,
@@ -38,6 +41,7 @@ import (
 	"iobehind/internal/adio"
 	"iobehind/internal/cluster"
 	"iobehind/internal/des"
+	"iobehind/internal/faults"
 	"iobehind/internal/ftio"
 	"iobehind/internal/mpi"
 	"iobehind/internal/mpiio"
@@ -81,6 +85,9 @@ type (
 	// AgentConfig parameterizes the per-rank I/O agents (sub-request
 	// size, scheduling hiccups, storm latencies).
 	AgentConfig = adio.Config
+	// FaultConfig is a fault-injection scenario: scripted and seeded-
+	// random windows of degraded capacity, stalls and transient errors.
+	FaultConfig = faults.Config
 	// Rank is one MPI process; workload mains receive it.
 	Rank = mpi.Rank
 	// Duration is a span of virtual time (nanoseconds).
@@ -143,6 +150,10 @@ type Options struct {
 	Tracer TracerConfig
 	// NoTracer skips attaching TMIO entirely (raw runs).
 	NoTracer bool
+	// Faults, when set, injects the scenario's windows into the file
+	// system and the I/O agents, and lets the tracer quarantine the
+	// phases they overlap.
+	Faults *FaultConfig
 }
 
 // Sim is an assembled simulation stack.
@@ -154,7 +165,9 @@ type Sim struct {
 	Tracer *tmio.Tracer
 }
 
-// NewSim assembles a simulation from opts.
+// NewSim assembles a simulation from opts: the engine, the MPI world,
+// the file system, the MPI-IO system with its I/O agents, the fault
+// injector when opts.Faults is set, and the tracer unless opts.NoTracer.
 func NewSim(opts Options) *Sim {
 	seed := opts.Seed
 	if seed == 0 {
@@ -169,9 +182,14 @@ func NewSim(opts Options) *Sim {
 	fs := pfs.New(e, fsCfg)
 	sys := mpiio.NewSystem(w, fs, opts.Agent)
 	s := &Sim{Engine: e, World: w, FS: fs, IO: sys}
+	tcfg := opts.Tracer
+	tcfg.Strategy = opts.Strategy
+	if opts.Faults != nil && !opts.Faults.Empty() {
+		inj := faults.New(e, fs, *opts.Faults)
+		sys.SetFaults(inj)
+		tcfg.FaultOracle = inj.Overlaps
+	}
 	if !opts.NoTracer {
-		tcfg := opts.Tracer
-		tcfg.Strategy = opts.Strategy
 		s.Tracer = tmio.Attach(sys, tcfg)
 	}
 	return s
@@ -187,37 +205,6 @@ func (s *Sim) Run(main func(*Rank)) (*Report, error) {
 		return nil, nil
 	}
 	return s.Tracer.Report(), nil
-}
-
-// RunHacc assembles a simulation and runs the modified HACC-IO benchmark.
-func RunHacc(opts Options, cfg HaccConfig) (*Report, error) {
-	s := NewSim(opts)
-	return s.Run(HaccMain(s.IO, cfg))
-}
-
-// RunWacomm assembles a simulation and runs the WaComM++ model.
-func RunWacomm(opts Options, cfg WacommConfig) (*Report, error) {
-	s := NewSim(opts)
-	return s.Run(WacommMain(s.IO, cfg))
-}
-
-// RunPhased assembles a simulation and runs the generic phased kernel.
-func RunPhased(opts Options, cfg PhasedConfig) (*Report, error) {
-	s := NewSim(opts)
-	return s.Run(PhasedMain(s.IO, cfg))
-}
-
-// RunIor assembles a simulation and runs the IOR-style benchmark.
-func RunIor(opts Options, cfg IorConfig) (*Report, error) {
-	s := NewSim(opts)
-	return s.Run(IorMain(s.IO, cfg))
-}
-
-// RunCheckpoint assembles a simulation and runs the checkpoint/restart
-// pattern with failure injection.
-func RunCheckpoint(opts Options, cfg CheckpointConfig) (*Report, error) {
-	s := NewSim(opts)
-	return s.Run(CheckpointMain(s.IO, cfg))
 }
 
 // Cluster-level simulation (the paper's motivating Figs. 1 and 2): several

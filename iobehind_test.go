@@ -5,17 +5,20 @@ import (
 	"testing"
 
 	"iobehind"
+	"iobehind/internal/faults"
+	"iobehind/internal/pfs"
 )
 
 func TestRunPhasedFacade(t *testing.T) {
-	rep, err := iobehind.RunPhased(iobehind.Options{
+	sim := iobehind.NewSim(iobehind.Options{
 		Ranks:    4,
 		Strategy: iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: 1.1},
-	}, iobehind.PhasedConfig{
+	})
+	rep, err := sim.Run(iobehind.PhasedMain(sim.IO, iobehind.PhasedConfig{
 		Phases:        5,
 		BytesPerPhase: 8 << 20,
 		Compute:       200 * iobehind.Millisecond,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +34,18 @@ func TestRunPhasedFacade(t *testing.T) {
 }
 
 func TestRunHaccAndWacommFacades(t *testing.T) {
-	hacc, err := iobehind.RunHacc(iobehind.Options{Ranks: 2},
-		iobehind.HaccConfig{Loops: 2, ParticlesPerRank: 100_000})
+	sim := iobehind.NewSim(iobehind.Options{Ranks: 2})
+	hacc, err := sim.Run(iobehind.HaccMain(sim.IO,
+		iobehind.HaccConfig{Loops: 2, ParticlesPerRank: 100_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hacc.AsyncOps != 2*2*2 {
 		t.Fatalf("hacc asyncOps = %d", hacc.AsyncOps)
 	}
-	wacomm, err := iobehind.RunWacomm(iobehind.Options{Ranks: 2},
-		iobehind.WacommConfig{Particles: 10_000, Iterations: 3})
+	sim = iobehind.NewSim(iobehind.Options{Ranks: 2})
+	wacomm, err := sim.Run(iobehind.WacommMain(sim.IO,
+		iobehind.WacommConfig{Particles: 10_000, Iterations: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +72,40 @@ func TestNewSimExposesStack(t *testing.T) {
 	}
 	if math.Abs(rep.AppTime.Seconds()-1) > 0.01 {
 		t.Fatalf("app time = %v", rep.AppTime)
+	}
+}
+
+// TestNewSimInjectsFaults: Options.Faults reaches the I/O agents (the
+// transient errors are retried) and the tracer (the phases they overlap
+// are tainted).
+func TestNewSimInjectsFaults(t *testing.T) {
+	fs := iobehind.FSConfig{WriteCapacity: 1e9, ReadCapacity: 1e9}
+	run := func(f *iobehind.FaultConfig) *iobehind.Report {
+		sim := iobehind.NewSim(iobehind.Options{
+			Ranks:    2,
+			FS:       &fs,
+			Strategy: iobehind.StrategyConfig{Strategy: iobehind.Direct, Tol: 1.1},
+			Faults:   f,
+		})
+		rep, err := sim.Run(iobehind.PhasedMain(sim.IO, iobehind.PhasedConfig{
+			Phases:        4,
+			BytesPerPhase: 64 << 20,
+			Compute:       500 * iobehind.Millisecond,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	clean := run(nil)
+	faulted := run(&iobehind.FaultConfig{Windows: []faults.Window{{
+		Kind: faults.IOError, Class: pfs.Write, Start: 0, Dur: 10 * iobehind.Second, Prob: 0.5,
+	}}})
+	if clean.Retries != 0 || clean.FaultPhases != 0 {
+		t.Fatalf("clean run: %d retries, %d fault phases", clean.Retries, clean.FaultPhases)
+	}
+	if faulted.Retries == 0 || faulted.FaultPhases == 0 {
+		t.Fatalf("faulted run: %d retries, %d fault phases", faulted.Retries, faulted.FaultPhases)
 	}
 }
 
@@ -110,8 +149,9 @@ func TestRunClusterFacade(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() *iobehind.Report {
-		rep, err := iobehind.RunHacc(iobehind.Options{Ranks: 4, Seed: 99},
-			iobehind.HaccConfig{Loops: 3, ParticlesPerRank: 200_000})
+		sim := iobehind.NewSim(iobehind.Options{Ranks: 4, Seed: 99})
+		rep, err := sim.Run(iobehind.HaccMain(sim.IO,
+			iobehind.HaccConfig{Loops: 3, ParticlesPerRank: 200_000}))
 		if err != nil {
 			t.Fatal(err)
 		}
