@@ -34,7 +34,7 @@ ALLOCS_SLACK   ?= 0.05
 # percent of pure noise in ns/op — more than the regression threshold.
 BENCH_FLAGS     = -run xxx -bench=. -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -p 1
 
-.PHONY: all build vet fmt-check lint lint-self test race fuzz-smoke bench bench-json bench-check perfbench-check sweep gateway-smoke faults-smoke fabric-smoke examples ci clean
+.PHONY: all build vet fmt-check lint lint-self test race fuzz-smoke bench bench-json bench-check perfbench-check sweep faults-smoke examples ci clean
 
 all: ci
 
@@ -112,27 +112,11 @@ fuzz-smoke:
 		done; \
 	done
 
-# End-to-end gateway check on ephemeral ports: gateway up, one traced
-# simulation streamed in over TCP, HTTP surface probed for series and a
-# next-burst forecast.
-gateway-smoke:
-	$(GO) run ./cmd/iogateway -smoke
-
 # Deterministic seeded fault scenario: runs the 'faults' figure and fails
 # unless its invariants hold (nonzero transient-error retries, limiter
 # recovered after the windows closed).
 faults-smoke:
 	$(GO) run ./cmd/iosweep -figs faults -check-faults
-
-# End-to-end distributed-sweep check on loopback: a coordinator, two
-# workers (one killed after the first accepted result so its leases
-# re-dispatch), and a submission of every figure at quick scale whose
-# rendered output must be byte-identical to the serial runner's. It then
-# requires one cache write per computed point, and a restarted
-# coordinator over the same cache directory that serves a resubmission
-# entirely from the cache with no worker attached.
-fabric-smoke:
-	$(GO) run ./cmd/iofabric -smoke -q
 
 # Run every example under examples/ end to end. go build ./... only
 # compiles them; this fails when one exits non-zero, or when one prints
@@ -187,7 +171,7 @@ perfbench-check:
 sweep:
 	$(GO) run ./cmd/iosweep -figs all -scale quick -j 0 -cache .iosweep-cache
 
-ci: vet fmt-check build lint lint-self test race fuzz-smoke bench-check perfbench-check gateway-smoke faults-smoke fabric-smoke examples
+ci: vet fmt-check build lint lint-self test race fuzz-smoke bench-check perfbench-check faults-smoke examples
 
 clean:
 	rm -rf .iosweep-cache

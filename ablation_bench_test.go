@@ -24,7 +24,7 @@ func multiRequestB(b *testing.B, phaseEnd tmio.PhaseEndRule, agg tmio.Aggregatio
 	w := mpi.NewWorld(e, mpi.Config{Size: 1})
 	fs := pfs.New(e, pfs.LichtenbergConfig())
 	sys := mpiio.NewSystem(w, fs, adio.Config{})
-	tr := tmio.Attach(sys, tmio.Config{
+	tr := tmio.Attach(sys, tmio.StrategyConfig{}, tmio.Config{
 		PhaseEnd: phaseEnd, Aggregation: agg, DisableOverhead: true,
 	})
 	if err := w.Run(func(r *mpi.Rank) {
@@ -161,7 +161,7 @@ func BenchmarkAblationHiccupModel(b *testing.B) {
 		w := mpi.NewWorld(e, mpi.Config{Size: 512})
 		fs := pfs.New(e, pfs.LichtenbergConfig())
 		sys := mpiio.NewSystem(w, fs, agent)
-		tr := tmio.Attach(sys, tmio.Config{Strategy: strat, DisableOverhead: true})
+		tr := tmio.Attach(sys, strat, tmio.Config{DisableOverhead: true})
 		if err := w.Run(workloads.WacommMain(sys, workloads.WacommConfig{
 			Particles: 500_000, Iterations: 20,
 		})); err != nil {
@@ -246,8 +246,7 @@ func BenchmarkAblationPerClassLimits(b *testing.B) {
 		w := mpi.NewWorld(e, mpi.Config{Size: 8})
 		fs := pfs.New(e, pfs.LichtenbergConfig())
 		sys := mpiio.NewSystem(w, fs, adio.Config{})
-		tr := tmio.Attach(sys, tmio.Config{
-			Strategy:        tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.1},
+		tr := tmio.Attach(sys, tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.1}, tmio.Config{
 			PerClassLimits:  perClass,
 			DisableOverhead: true,
 		})
@@ -280,7 +279,7 @@ func BenchmarkAblationCollectiveIO(b *testing.B) {
 		sys := mpiio.NewSystem(w, fs, adio.Config{
 			SubmitLatencyPerFlow: 2 * des.Millisecond,
 		})
-		tr := tmio.Attach(sys, tmio.Config{DisableOverhead: true})
+		tr := tmio.Attach(sys, tmio.StrategyConfig{}, tmio.Config{DisableOverhead: true})
 		if err := w.Run(func(r *mpi.Rank) {
 			f := sys.Open(r, "ckpt.dat")
 			for j := 0; j < 5; j++ {
@@ -317,8 +316,7 @@ func BenchmarkAblationUniformLimit(b *testing.B) {
 		w := mpi.NewWorld(e, mpi.Config{Size: 8})
 		fs := pfs.New(e, pfs.LichtenbergConfig())
 		sys := mpiio.NewSystem(w, fs, adio.Config{})
-		tr := tmio.Attach(sys, tmio.Config{
-			Strategy:        tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.1},
+		tr := tmio.Attach(sys, tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.1}, tmio.Config{
 			UniformLimit:    uniform,
 			DisableOverhead: true,
 		})

@@ -23,18 +23,14 @@
 //	GET /apps/{id}/series     online B/B_L/T step series
 //	GET /apps/{id}/predict    FTIO next-burst forecast
 //
-// With -smoke the command instead runs a self-contained end-to-end check
-// on ephemeral ports — gateway up, one traced simulation streamed in per
-// protocol (JSON lines and binary frames), HTTP surface probed — and
-// exits 0/1. Used by `make gateway-smoke`.
+// internal/gateway's tests drive the same server end to end over both
+// protocols and the HTTP surface; examples/streaming runs it in process
+// under a streamed simulation.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -43,10 +39,8 @@ import (
 	"syscall"
 	"time"
 
-	"iobehind"
 	"iobehind/internal/des"
 	"iobehind/internal/gateway"
-	"iobehind/internal/tmio"
 )
 
 func main() {
@@ -57,17 +51,7 @@ func main() {
 		"per-app history bound in virtual seconds: regions older than this behind an app's activity frontier are compacted into a fixed summary (0 = retain everything)")
 	retentionTail := flag.Int("retention-tail", 64,
 		"coarsened summary points kept per compacted sweep")
-	smoke := flag.Bool("smoke", false, "run a self-contained end-to-end check and exit")
 	flag.Parse()
-
-	if *smoke {
-		if err := runSmoke(*queue); err != nil {
-			fmt.Fprintln(os.Stderr, "iogateway smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("iogateway smoke: OK")
-		return
-	}
 
 	logger := log.New(os.Stderr, "iogateway: ", log.LstdFlags)
 	srv := gateway.New(gateway.Config{
@@ -114,145 +98,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runSmoke exercises the whole pipeline in-process: gateway on ephemeral
-// ports, one traced phased simulation streamed in per wire protocol
-// (JSON lines and binary frames, so the sniffing path and both read
-// loops are covered end to end), and the HTTP surface queried for the
-// resulting series and forecast.
-func runSmoke(queue int) error {
-	srv := gateway.New(gateway.Config{QueueDepth: queue})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	web := &http.Server{Handler: srv.Handler()}
-	webLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go web.Serve(webLn)
-	base := "http://" + webLn.Addr().String()
-
-	// One periodic checkpointing app per wire protocol, streamed live.
-	// A slow file system gives the write bursts real width (~250 ms in
-	// each ~2 s period), so the binned FTIO signal sees them.
-	streamApp := func(appID string, binary bool) error {
-		sim := iobehind.NewSim(iobehind.Options{
-			Ranks: 4,
-			FS:    &iobehind.FSConfig{WriteCapacity: 256e6, ReadCapacity: 256e6},
-		})
-		sink, err := tmio.DialSinkWith(ln.Addr().String(), tmio.SinkOptions{AppID: appID, Binary: binary})
-		if err != nil {
-			return err
-		}
-		sim.Tracer.SetSink(sink)
-		if _, err := sim.Run(iobehind.PhasedMain(sim.IO, iobehind.PhasedConfig{
-			Phases:        10,
-			BytesPerPhase: 16 << 20,
-			Compute:       2 * iobehind.Second,
-		})); err != nil {
-			return err
-		}
-		if err := sink.Close(); err != nil {
-			return fmt.Errorf("sink close (%s): %w", appID, err)
-		}
-		return nil
-	}
-	if err := streamApp("smoke", false); err != nil {
-		return err
-	}
-	if err := streamApp("smoke-bin", true); err != nil {
-		return err
-	}
-
-	// Wait for the ingest side to drain both connections.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		info, ok := srv.AppInfo("smoke")
-		binInfo, binOK := srv.AppInfo("smoke-bin")
-		if ok && binOK && info.Records > 0 && binInfo.Records == info.Records && srv.Stats().ConnsActive == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("records never arrived: %+v", srv.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	get := func(path string) (string, error) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("GET %s: %d %s", path, resp.StatusCode, body)
-		}
-		return string(body), nil
-	}
-	if _, err := get("/healthz"); err != nil {
-		return err
-	}
-	if _, err := get("/metrics"); err != nil {
-		return err
-	}
-	body, err := get("/apps/smoke/series")
-	if err != nil {
-		return err
-	}
-	var series struct {
-		B []struct{ T, V float64 } `json:"b"`
-	}
-	if err := json.Unmarshal([]byte(body), &series); err != nil {
-		return fmt.Errorf("series JSON: %w", err)
-	}
-	if len(series.B) == 0 {
-		return fmt.Errorf("empty B series: %s", body)
-	}
-	// The binary-protocol run is the same deterministic simulation, so
-	// its online series must match the JSON-protocol run point for point.
-	binBody, err := get("/apps/smoke-bin/series")
-	if err != nil {
-		return err
-	}
-	var binSeries struct {
-		B []struct{ T, V float64 } `json:"b"`
-	}
-	if err := json.Unmarshal([]byte(binBody), &binSeries); err != nil {
-		return fmt.Errorf("binary series JSON: %w", err)
-	}
-	if len(binSeries.B) != len(series.B) {
-		return fmt.Errorf("binary B series has %d steps, JSON has %d", len(binSeries.B), len(series.B))
-	}
-	for i := range series.B {
-		if binSeries.B[i] != series.B[i] {
-			return fmt.Errorf("binary B series diverges at step %d: %+v vs %+v", i, binSeries.B[i], series.B[i])
-		}
-	}
-	body, err = get("/apps/smoke/predict")
-	if err != nil {
-		return err
-	}
-	var pred gateway.PredictJSON
-	if err := json.Unmarshal([]byte(body), &pred); err != nil {
-		return fmt.Errorf("predict JSON: %w", err)
-	}
-	if !pred.OK {
-		return fmt.Errorf("no forecast for a periodic app: %s", body)
-	}
-	fmt.Printf("  app %q: %d B-series steps, period %.2f s (confidence %.2f)\n",
-		"smoke", len(series.B), pred.PeriodSec, pred.Confidence)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	web.Shutdown(ctx)
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	return <-served
 }

@@ -125,7 +125,8 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "iosweep: %s: %v\n", *traceFile, err)
 			return 2
 		}
-		// A one-entry plan without refs: the fabric cannot resolve it.
+		// A one-entry plan the fabric cannot run: a worker would need
+		// the trace file, not just the point's config.
 		plan = &experiments.Plan{
 			Entries: []experiments.PlanEntry{{ID: exp.Fig, Exp: exp}},
 			Points:  exp.Points,
@@ -133,10 +134,8 @@ func run() int {
 	} else {
 		// Resolve the figure list to distinct experiments, keeping
 		// request order; figures sharing an experiment (1+2, 5+6) are
-		// swept once. The plan is the same enumeration iofabric's
-		// self-run and any attached worker reproduce, so refs resolve
-		// identically there. The fault-scenario seed lands in the point
-		// configs (and refs), so each seed caches separately.
+		// swept once. The fault-scenario seed lands in the point
+		// configs, so each seed caches separately.
 		var ids []string
 		for _, id := range strings.Split(*figs, ",") {
 			ids = append(ids, strings.TrimSpace(id))
@@ -175,10 +174,10 @@ func run() int {
 	var fabricStats *fabric.SweepStats
 	if *fabricAddr != "" {
 		if *traceFile != "" {
-			fmt.Fprintln(os.Stderr, "iosweep: -trace cannot run on the fabric (trace points resolve from file content, not a figure id)")
+			fmt.Fprintln(os.Stderr, "iosweep: -trace cannot run on the fabric (a trace point's input is file content, not its config)")
 			return 2
 		}
-		manifest, err := fabric.ManifestFor(points, plan.Refs)
+		manifest, err := fabric.ManifestFor(points)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iosweep:", err)
 			return 1

@@ -1,8 +1,8 @@
 // Command ioworker executes sweep points for an iofabric coordinator: it
-// pulls leases over TCP, resolves each serialized point ref through the
-// same experiment registry the submitter enumerated (refusing to run on
-// any cache-key skew), executes it through the runner, and streams the
-// result back. The worker keeps no cache: the coordinator probes its own
+// pulls leases over TCP, builds each point from the config the lease
+// carries with the constructor the submitter's sweep used (refusing to
+// run on any cache-key skew), executes it through the runner, and
+// streams the result back. The worker keeps no cache: the coordinator probes its own
 // before leasing a point and stores the result it accepts, where every
 // later sweep, and any local iosweep run whose -cache is the
 // coordinator's directory, finds it.

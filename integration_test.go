@@ -37,8 +37,7 @@ func TestEndToEndKitchenSink(t *testing.T) {
 		QueueLatencyPerFlow:  20 * des.Microsecond,
 		SubmitLatencyPerFlow: 20 * des.Microsecond,
 	})
-	tr := tmio.Attach(sys, tmio.Config{
-		Strategy:       tmio.StrategyConfig{Strategy: tmio.Frequent, Tol: 1.2},
+	tr := tmio.Attach(sys, tmio.StrategyConfig{Strategy: tmio.Frequent, Tol: 1.2}, tmio.Config{
 		PerClassLimits: true,
 	})
 	sink := &tmio.CollectSink{}
@@ -206,9 +205,7 @@ func TestDeterminismAcrossFeatures(t *testing.T) {
 		sys := mpiio.NewSystem(w, fs, adio.Config{
 			HiccupProb: 0.01, QueueLatencyPerFlow: 10 * des.Microsecond,
 		})
-		tr := tmio.Attach(sys, tmio.Config{
-			Strategy: tmio.StrategyConfig{Strategy: tmio.Adaptive, Tol: 1.1},
-		})
+		tr := tmio.Attach(sys, tmio.StrategyConfig{Strategy: tmio.Adaptive, Tol: 1.1}, tmio.Config{})
 		if err := w.Run(workloads.WacommMain(sys, workloads.WacommConfig{
 			Particles: 200_000, Iterations: 6,
 		})); err != nil {
@@ -241,8 +238,7 @@ func TestSoakLargeMixed(t *testing.T) {
 		HiccupProb:          1e-4,
 		QueueLatencyPerFlow: 5 * des.Microsecond,
 	})
-	tr := tmio.Attach(sys, tmio.Config{
-		Strategy:       tmio.StrategyConfig{Strategy: tmio.Frequent, Tol: 1.2},
+	tr := tmio.Attach(sys, tmio.StrategyConfig{Strategy: tmio.Frequent, Tol: 1.2}, tmio.Config{
 		PerClassLimits: true,
 	})
 	if err := w.Run(workloads.WacommMain(sys, workloads.WacommConfig{

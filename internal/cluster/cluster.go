@@ -279,7 +279,7 @@ func (s *simulation) start(j *job) {
 
 	j.world = mpi.NewWorld(s.e, mpi.Config{Size: j.spec.Nodes, RanksPerNode: 1})
 	j.sys = mpiio.NewSystem(j.world, s.fs, adio.Config{Tag: pfs.Tag{Job: j.id}})
-	j.tracer = tmio.Attach(j.sys, tmio.Config{DisableOverhead: true})
+	j.tracer = tmio.Attach(j.sys, tmio.StrategyConfig{}, tmio.Config{DisableOverhead: true})
 	j.world.Launch(s.jobMain(j))
 	j.world.AllDone().Then(func() { s.end(j) })
 }

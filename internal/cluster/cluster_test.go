@@ -466,7 +466,7 @@ func monitorSim(cfg Config) *simulation {
 		j := &job{id: id, spec: spec.withDefaults()}
 		j.world = mpi.NewWorld(e, mpi.Config{Size: j.spec.Nodes, RanksPerNode: 1})
 		j.sys = mpiio.NewSystem(j.world, fs, adio.Config{Tag: pfs.Tag{Job: id}})
-		j.tracer = tmio.Attach(j.sys, tmio.Config{DisableOverhead: true})
+		j.tracer = tmio.Attach(j.sys, tmio.StrategyConfig{}, tmio.Config{DisableOverhead: true})
 		s.jobs = append(s.jobs, j)
 		s.res.Bandwidth = append(s.res.Bandwidth, &metrics.Series{})
 		s.running[id] = true

@@ -37,9 +37,6 @@ const (
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Std converts the virtual duration to a standard library time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // String formats the duration like time.Duration does.
 func (d Duration) String() string { return time.Duration(d).String() }
 

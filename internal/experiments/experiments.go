@@ -84,11 +84,7 @@ type Renderer interface{ Render() string }
 type Experiment struct {
 	// Fig is the canonical figure id; figures sharing one experiment
 	// ("2" with "1", "6" with "5") share the id of the lower figure.
-	Fig string
-	// Seed is the non-default scenario seed the experiment was built
-	// with (only the "faults" figure uses one; 0 elsewhere). It rides
-	// into PointRefs so a remote worker re-enumerates the same sweep.
-	Seed     int64
+	Fig      string
 	Points   []runner.Point
 	Assemble func(results []runner.Result) (Renderer, error)
 }

@@ -86,7 +86,6 @@ func FigFaultsExperimentSeeded(scale Scale, seed int64) *Experiment {
 
 	return &Experiment{
 		Fig:    "faults",
-		Seed:   seed,
 		Points: []runner.Point{newPoint(key("clean"), clean), newPoint(key("faulted"), faulted)},
 		Assemble: func(results []runner.Result) (Renderer, error) {
 			cleanRep, err := reportAt(results, 0)

@@ -79,9 +79,7 @@ func emitWorkloadTrace(cfg pointConfig) (traceBytes, reportBytes []byte, rep *tm
 	opts.NoTracer = true
 	sim := iobehind.NewSim(opts)
 	em := trace.NewEmitter(sim.IO, cfg.Workload)
-	tcfg := cfg.Tracer
-	tcfg.Strategy = cfg.Strategy
-	sim.Tracer = tmio.Attach(sim.IO, tcfg)
+	sim.Tracer = tmio.Attach(sim.IO, cfg.Strategy, cfg.Tracer)
 	sim.IO.SetInterceptor(mpiio.Tee(em, sim.Tracer))
 	if rep, err = sim.Run(cfg.main(sim.IO)); err != nil {
 		return nil, nil, nil, err

@@ -57,13 +57,14 @@ func TestGoldenRenders(t *testing.T) {
 }
 
 // TestCacheKeyIsComplete requires each quick-plan point's config, the
-// value its cache key hashes, to be the whole of its input: it
-// JSON-round-trips the config, builds a fresh point from the decoded
-// value alone, runs it, and requires the result digest that
-// testdata/golden/points.txt pins. A field that changes a result but
-// never reaches the key (tagged json:"-", unexported, or read from
-// outside the config) fails here; TestGoldenRenders runs the enumerated
-// points themselves and cannot see one.
+// value its cache key hashes, to be the whole of its input: it encodes
+// the config to JSON, builds a fresh point from those bytes alone with
+// PointFromJSON, as a fabric worker does, runs it, and requires the
+// result digest that testdata/golden/points.txt pins. A field that
+// changes a result but never reaches the key (tagged json:"-",
+// unexported, or read from outside the config) fails here;
+// TestGoldenRenders runs the enumerated points themselves and cannot
+// see one.
 func TestCacheKeyIsComplete(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "points.txt"))
 	if err != nil {
@@ -86,11 +87,10 @@ func TestCacheKeyIsComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("point %s: %v", p.Key, err)
 		}
-		var cfg pointConfig
-		if err := json.Unmarshal(data, &cfg); err != nil {
+		rebuilt, err := PointFromJSON(p.Key, data)
+		if err != nil {
 			t.Fatalf("point %s: %v", p.Key, err)
 		}
-		rebuilt := newPoint(p.Key, cfg)
 		want, err := runner.CacheKey(p)
 		if err != nil {
 			t.Fatal(err)

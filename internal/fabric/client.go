@@ -2,35 +2,31 @@ package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"time"
 
-	"iobehind/internal/experiments"
 	"iobehind/internal/runner"
 )
 
-// ManifestFor pairs resolved points with their serializable refs into
-// the wire manifest, computing each point's content address. The two
-// slices must come from the same enumeration (e.g. a Plan's Points and
-// Refs).
-func ManifestFor(points []runner.Point, refs []experiments.PointRef) ([]ManifestPoint, error) {
-	if len(points) != len(refs) {
-		return nil, fmt.Errorf("fabric: %d points vs %d refs", len(points), len(refs))
-	}
+// ManifestFor turns points into the wire manifest: each point's key,
+// its config's canonical JSON and its content address.
+func ManifestFor(points []runner.Point) ([]ManifestPoint, error) {
 	manifest := make([]ManifestPoint, len(points))
 	for i, p := range points {
 		if p.New == nil {
 			return nil, fmt.Errorf("fabric: point %s has no result allocator; it cannot travel the fabric", p.Key)
 		}
-		if refs[i].Key != p.Key {
-			return nil, fmt.Errorf("fabric: ref %s paired with point %s", refs[i], p.Key)
+		config, err := json.Marshal(p.Config)
+		if err != nil {
+			return nil, fmt.Errorf("fabric: encode config of %s: %w", p.Key, err)
 		}
 		ckey, err := runner.CacheKey(p)
 		if err != nil {
 			return nil, fmt.Errorf("fabric: hash config of %s: %w", p.Key, err)
 		}
-		manifest[i] = ManifestPoint{Ref: refs[i], Config: p.Config, CacheKey: ckey}
+		manifest[i] = ManifestPoint{Key: p.Key, Config: config, CacheKey: ckey}
 	}
 	return manifest, nil
 }
@@ -120,7 +116,7 @@ func Submit(ctx context.Context, addr, id string, manifest []ManifestPoint, logf
 			}
 			for i, ok := range got {
 				if !ok {
-					return nil, fmt.Errorf("fabric: sweep done but point %s never reported", manifest[i].Ref.Key)
+					return nil, fmt.Errorf("fabric: sweep done but point %s never reported", manifest[i].Key)
 				}
 			}
 			return out, nil

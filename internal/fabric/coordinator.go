@@ -32,8 +32,8 @@ type Options struct {
 	// Nil discards them.
 	Logf func(format string, args ...any)
 	// OnAccept, when non-nil, is called after every first-acceptance of
-	// a point — the hook the smoke test and integration tests use to
-	// kill a worker mid-sweep at a deterministic moment.
+	// a point — the hook the integration test uses to kill a worker
+	// mid-sweep at a deterministic moment.
 	OnAccept func(worker string, index int, pointKey string)
 }
 
@@ -284,7 +284,7 @@ func (c *Coordinator) grant(worker string, held *[]uint64) Msg {
 	*held = append(*held, l.seq)
 	w.leases++
 	c.logf("fabric: lease seq=%d point=%s worker=%s event=grant deadline=%s",
-		l.seq, sw.points[idx].Ref.Key, worker, l.deadline.Format(time.RFC3339))
+		l.seq, sw.points[idx].Key, worker, l.deadline.Format(time.RFC3339))
 	return Msg{Kind: KindLease, Seq: l.seq, Index: idx, Point: &sw.points[idx]}
 }
 
@@ -302,7 +302,7 @@ func (c *Coordinator) requeueLocked(l *lease, cause string) {
 		w.leases--
 	}
 	c.logf("fabric: lease seq=%d point=%s worker=%s event=redispatch cause=%s held=%s",
-		l.seq, sw.points[l.index].Ref.Key, l.worker, cause, time.Since(l.granted).Round(time.Millisecond))
+		l.seq, sw.points[l.index].Key, l.worker, cause, time.Since(l.granted).Round(time.Millisecond))
 }
 
 // reaper expires leases past their deadline.
@@ -376,7 +376,7 @@ func (c *Coordinator) recordResult(worker string, m Msg, held *[]uint64) (*sweep
 		c.logf("fabric: worker=%s event=orphan-result cachekey=%s", worker, m.CacheKey)
 		return nil, 0, false
 	}
-	key := sw.points[idx].Ref.Key
+	key := sw.points[idx].Key
 	if sw.state[idx] == stateDone {
 		sw.stats.Duplicates++
 		c.totals.Duplicates++
@@ -415,7 +415,7 @@ func (c *Coordinator) recordResult(worker string, m Msg, held *[]uint64) (*sweep
 // deliverResult stores a first completion in the cache and streams it
 // to the submitting client.
 func (c *Coordinator) deliverResult(sw *sweepState, worker string, idx int, m Msg) {
-	key := sw.points[idx].Ref.Key
+	key := sw.points[idx].Key
 	if m.Err == "" {
 		// The point's one cache write (atomic temp+rename): duplicates
 		// never reach here, and a resubmission resumes from it. Error
@@ -481,13 +481,13 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 	keys := make(map[string]bool, len(m.Points))
 	for _, mp := range m.Points {
 		if !runner.ValidCacheKey(mp.CacheKey) {
-			WriteMsg(conn, Msg{Kind: KindAccepted, Err: fmt.Sprintf("point %s: malformed cache key", mp.Ref.Key)})
+			WriteMsg(conn, Msg{Kind: KindAccepted, Err: fmt.Sprintf("point %s: malformed cache key", mp.Key)})
 			return
 		}
 		if keys[mp.CacheKey] {
 			// Two points sharing an address would alias in byKey and the
 			// cache; real configs cannot collide, so this is a client bug.
-			WriteMsg(conn, Msg{Kind: KindAccepted, Err: fmt.Sprintf("point %s: duplicate cache key in manifest", mp.Ref.Key)})
+			WriteMsg(conn, Msg{Kind: KindAccepted, Err: fmt.Sprintf("point %s: duplicate cache key in manifest", mp.Key)})
 			return
 		}
 		keys[mp.CacheKey] = true

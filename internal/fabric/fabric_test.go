@@ -101,16 +101,13 @@ func (w *manualWorker) finish(lease Msg, data []byte) Msg {
 }
 
 // syntheticManifest fabricates n manifest points with valid (but made-up)
-// content addresses — the coordinator never resolves refs, so these
+// content addresses — the coordinator never builds points, so these
 // exercise its machinery without running simulations.
 func syntheticManifest(n int) []ManifestPoint {
 	points := make([]ManifestPoint, n)
 	for i := range points {
 		key := fmt.Sprintf("%064x", i+1)
-		points[i] = ManifestPoint{
-			Ref:      experiments.PointRef{Fig: "synthetic", Scale: "quick", Index: i, Key: "synthetic/" + key[56:]},
-			CacheKey: key,
-		}
+		points[i] = ManifestPoint{Key: "synthetic/" + key[56:], CacheKey: key}
 	}
 	return points
 }
@@ -502,7 +499,7 @@ func TestResultsPrecedeSweepDone(t *testing.T) {
 		m := Msg{Kind: KindResult, CacheKey: mp.CacheKey, Bytes: []byte(mp.CacheKey)}
 		sw, idx, first := co.recordResult("w", m, &held)
 		if !first {
-			t.Fatalf("point %s: first completion not recorded", mp.Ref.Key)
+			t.Fatalf("point %s: first completion not recorded", mp.Key)
 		}
 		recs = append(recs, recorded{sw, idx, m})
 	}
@@ -534,13 +531,15 @@ func TestResultsPrecedeSweepDone(t *testing.T) {
 // interrupted has no outcome to report, so execute yields nothing to
 // deliver (the coordinator re-dispatches the lease on disconnect) instead
 // of an Err result the coordinator would accept as final. The same lease
-// on a live context yields the point's bytes.
+// on a live context yields the point's bytes. A lease whose config no
+// longer hashes to its cache key — a submitter and worker that disagree
+// on the point — yields a skew error and runs nothing.
 func TestExecuteCancelledDeliversNothing(t *testing.T) {
 	plan, err := experiments.BuildPlan([]string{"5"}, experiments.Quick, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := ManifestFor(plan.Points[:1], plan.Refs[:1])
+	manifest, err := ManifestFor(plan.Points[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,5 +558,15 @@ func TestExecuteCancelledDeliversNothing(t *testing.T) {
 	}
 	if res.CacheKey != manifest[0].CacheKey || res.Cached {
 		t.Fatalf("live run: key %s cached=%v, want computed %s", res.CacheKey, res.Cached, manifest[0].CacheKey)
+	}
+
+	skewed := manifest[0]
+	skewed.Config = manifest[1].Config
+	res, ok = ex.execute(context.Background(), Msg{Kind: KindLease, Seq: 2, Point: &skewed})
+	if !ok || !strings.Contains(res.Err, "cache key skew") || len(res.Bytes) != 0 {
+		t.Fatalf("skewed lease: ok=%v err=%q bytes=%d, want a cache key skew error and no run", ok, res.Err, len(res.Bytes))
+	}
+	if res.CacheKey != skewed.CacheKey {
+		t.Fatalf("skewed lease: result names %s, want the lease's %s", res.CacheKey, skewed.CacheKey)
 	}
 }

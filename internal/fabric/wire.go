@@ -15,8 +15,9 @@
 // clock: lease deadlines, reconnect backoff, and worker liveness are
 // properties of real machines, not of the simulated cluster, and none of
 // them can influence a point's result. That is why internal/fabric is
-// deliberately absent from iolint's walltime rule while everything that
-// enters a manifest stays under the cachekey rule.
+// deliberately absent from iolint's walltime rule, while every config
+// that enters a manifest is a runner.Point's first and stays under the
+// cachekey rule.
 package fabric
 
 import (
@@ -26,15 +27,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"iobehind/internal/experiments"
 )
 
 // ProtocolVersion is the fabric wire-protocol version. A peer speaking a
 // newer version is rejected at decode time: lease contents are trusted
 // to re-execute bit-identically, so silent cross-version tolerance is a
-// hazard, not a feature.
-const ProtocolVersion = 1
+// hazard, not a feature. Version 2 ships each point's config instead
+// of a figure reference for the worker to re-enumerate.
+const ProtocolVersion = 2
 
 // MaxFrameBytes bounds one frame (4-byte big-endian length prefix +
 // payload). Submit frames carry a whole manifest; result frames carry
@@ -100,18 +100,17 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// ManifestPoint is one sweep point as it travels the wire: the
-// serializable ref a worker resolves locally, the point's config (its
-// cache-key identity, carried so a worker can name exactly what differed
-// on a skew), and the submitter-computed content-address of the result.
+// ManifestPoint is one sweep point as it travels the wire: its key, its
+// config, from which a worker builds it (experiments.PointFromJSON), and
+// the submitter-computed content address of its result.
 type ManifestPoint struct {
-	Ref experiments.PointRef
-	// Config is the point's cache-key identity. Concrete types must be
-	// gob-registered (internal/experiments does so for every built-in
-	// config) and must satisfy iolint's cachekey rule.
-	Config any
-	// CacheKey is runner.CacheKey of the resolved point, computed by the
-	// submitter. Workers recompute and refuse to run on mismatch.
+	Key string
+	// Config is the point config's canonical JSON, the bytes
+	// runner.CacheKey hashes.
+	Config []byte
+	// CacheKey is runner.CacheKey of the point, computed by the
+	// submitter. Workers recompute it from the point they build and
+	// refuse to run on mismatch.
 	CacheKey string
 }
 

@@ -11,14 +11,15 @@ import (
 	"testing"
 
 	"iobehind/internal/experiments"
+	"iobehind/internal/runner"
 )
 
 // sampleMsgs covers every kind with representative payloads.
 func sampleMsgs(t *testing.T) []Msg {
 	t.Helper()
-	exp := experiments.Fig05Experiment(experiments.Quick)
-	refs := experiments.ExperimentRefs(exp, experiments.Quick)
-	manifest, err := ManifestFor(exp.Points[:2], refs[:2])
+	points := experiments.Fig05Experiment(experiments.Quick).Points[:2:2]
+	points = append(points, experiments.FigFaultsExperimentSeeded(experiments.Quick, 42).Points...)
+	manifest, err := ManifestFor(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +36,10 @@ func sampleMsgs(t *testing.T) []Msg {
 	}
 }
 
-// TestMsgRoundTrip writes and re-reads every message kind, including a
-// manifest whose Config survives as the same cache-key identity.
+// TestMsgRoundTrip writes and re-reads every message kind, then builds
+// each point of the manifest read off the wire from its config alone, as
+// a worker does, and requires the cache key the submitter computed — for
+// a seeded fault scenario too, whose seed lives only in the config.
 func TestMsgRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := sampleMsgs(t)
@@ -45,6 +48,7 @@ func TestMsgRoundTrip(t *testing.T) {
 			t.Fatalf("write %s: %v", m.Kind, err)
 		}
 	}
+	var manifest []ManifestPoint
 	for _, want := range msgs {
 		got, err := ReadMsg(&buf)
 		if err != nil {
@@ -58,33 +62,30 @@ func TestMsgRoundTrip(t *testing.T) {
 		if got.V != ProtocolVersion {
 			t.Fatalf("read %s: version %d, want stamped %d", want.Kind, got.V, ProtocolVersion)
 		}
-		if want.Point != nil && (got.Point == nil || got.Point.CacheKey != want.Point.CacheKey) {
+		if want.Point != nil && (got.Point == nil || !reflect.DeepEqual(*got.Point, *want.Point)) {
 			t.Fatalf("lease point did not survive: %+v", got.Point)
 		}
-		if len(want.Points) != len(got.Points) {
-			t.Fatalf("manifest length changed: %d -> %d", len(want.Points), len(got.Points))
+		if !reflect.DeepEqual(got.Points, want.Points) {
+			t.Fatalf("manifest changed on the wire: %d -> %d points", len(want.Points), len(got.Points))
+		}
+		if got.Kind == KindSubmit {
+			manifest = got.Points
 		}
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("%d trailing bytes after reading all messages", buf.Len())
 	}
-	// A manifest read off the wire must still resolve with the same key.
-	m2 := sampleMsgs(t)[1]
-	var wire bytes.Buffer
-	if err := WriteMsg(&wire, m2); err != nil {
-		t.Fatal(err)
+	if len(manifest) != 4 {
+		t.Fatalf("read %d manifest points, want 4", len(manifest))
 	}
-	back, err := ReadMsg(&wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mp := range back.Points {
-		p, err := experiments.ResolvePoint(mp.Ref)
+	for _, mp := range manifest {
+		p, err := experiments.PointFromJSON(mp.Key, mp.Config)
 		if err != nil {
-			t.Fatalf("resolve wire ref %s: %v", mp.Ref, err)
+			t.Fatalf("build wire point %s: %v", mp.Key, err)
 		}
-		if p.Key != mp.Ref.Key {
-			t.Fatalf("wire ref resolved to %q", p.Key)
+		ckey, err := runner.CacheKey(p)
+		if err != nil || ckey != mp.CacheKey {
+			t.Fatalf("wire point %s: built cache key %s (%v), manifest %s", mp.Key, ckey, err, mp.CacheKey)
 		}
 	}
 }

@@ -197,9 +197,9 @@ func (e *executor) deliver(ctx context.Context, res Msg) bool {
 	return true
 }
 
-// execute resolves and runs one leased point, returning the result
+// execute builds and runs one leased point, returning the result
 // message to deliver. Every failure mode of the point itself —
-// unresolvable ref, cache-key skew, point error, panic — becomes an Err
+// undecodable config, cache-key skew, point error, panic — becomes an Err
 // result; the executor never dies on a poisoned lease. The second result
 // is false when the executor's own cancellation interrupted the run: that
 // outcome says nothing about the point, so there is nothing to deliver
@@ -212,7 +212,7 @@ func (e *executor) execute(ctx context.Context, lease Msg) (Msg, bool) {
 		return res, true
 	}
 	res.CacheKey = mp.CacheKey
-	p, err := experiments.ResolvePoint(mp.Ref)
+	p, err := experiments.PointFromJSON(mp.Key, mp.Config)
 	if err != nil {
 		res.Err = err.Error()
 		return res, true
@@ -223,9 +223,9 @@ func (e *executor) execute(ctx context.Context, lease Msg) (Msg, bool) {
 		return res, true
 	}
 	if ckey != mp.CacheKey {
-		// Version skew: this binary enumerates a different point than
-		// the submitter hashed. Running it would poison the result
-		// store under the submitter's address — refuse instead.
+		// Version skew: this binary builds a different point from the
+		// config than the submitter hashed. Running it would poison the
+		// result store under the submitter's address — refuse instead.
 		res.Err = fmt.Sprintf("cache key skew: submitter %s, worker %s — mismatched binaries?", mp.CacheKey, ckey)
 		return res, true
 	}

@@ -72,9 +72,8 @@ func runStreamingApp(t *testing.T, addr, appID string, seed int64, ranks, phases
 	w := mpi.NewWorld(e, mpi.Config{Size: ranks})
 	fs := pfs.New(e, pfs.Config{WriteCapacity: 100e6, ReadCapacity: 100e6})
 	sys := mpiio.NewSystem(w, fs, adio.Config{SubRequestSize: 1e6})
-	tr := tmio.Attach(sys, tmio.Config{
+	tr := tmio.Attach(sys, tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.5}, tmio.Config{
 		DisableOverhead: true,
-		Strategy:        tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.5},
 	})
 	tcp, err := tmio.DialSinkWith(addr, tmio.SinkOptions{AppID: appID, Binary: binary})
 	if err != nil {
@@ -134,29 +133,36 @@ func sameSeries(a, b *metrics.Series) error {
 // frames, two speaking JSON lines, all into the same listener — and for
 // each app the gateway's online B/B_L/T step series must equal the
 // offline region sweep over the very same records, whichever protocol
-// carried them.
+// carried them. A fifth connection streams app-0's simulation again over
+// JSON lines, and its series must equal app-0's, which came over binary
+// frames; once every sink has closed, no connection stays active.
 func TestConcurrentAppsOnlineMatchesOffline(t *testing.T) {
 	s, addr, stop := startGateway(t, Config{})
 	defer stop()
 
 	const apps = 4
-	collects := make([]*tmio.CollectSink, apps)
+	ids := make([]string, apps+1)
+	collects := make([]*tmio.CollectSink, apps+1)
 	var wg sync.WaitGroup
-	for i := 0; i < apps; i++ {
+	for i := 0; i <= apps; i++ {
+		ids[i] = fmt.Sprintf("app-%d", i)
+		j, binary := i, i%2 == 0
+		if i == apps {
+			ids[i], j, binary = "app-0-json", 0, false
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			collects[i] = runStreamingApp(t, addr, fmt.Sprintf("app-%d", i),
-				int64(i+1), 2, 5+i, int64(i+1)*5e6, i%2 == 0)
-		}(i)
+			collects[i] = runStreamingApp(t, addr, ids[i],
+				int64(j+1), 2, 5+j, int64(j+1)*5e6, binary)
+		}()
 	}
 	wg.Wait()
 	if t.Failed() {
 		return
 	}
 
-	for i := 0; i < apps; i++ {
-		id := fmt.Sprintf("app-%d", i)
+	for i, id := range ids {
 		want := int64(collects[i].Len())
 		if want == 0 {
 			t.Fatalf("%s: no records collected", id)
@@ -195,8 +201,19 @@ func TestConcurrentAppsOnlineMatchesOffline(t *testing.T) {
 		}
 	}
 
+	binSeries, _ := s.AppSeries("app-0")
+	jsonSeries, _ := s.AppSeries("app-0-json")
+	for _, pair := range [][2]*metrics.Series{
+		{binSeries.B, jsonSeries.B}, {binSeries.BL, jsonSeries.BL}, {binSeries.T, jsonSeries.T},
+	} {
+		if err := sameSeries(pair[0], pair[1]); err != nil {
+			t.Errorf("one simulation over both protocols: %s series: %v", pair[0].Name, err)
+		}
+	}
+
+	waitFor(t, "connections to close", func() bool { return s.Stats().ConnsActive == 0 })
 	st := s.Stats()
-	if st.Apps != apps || st.ConnsTotal != apps || st.Dropped != 0 || st.DecodeErrors != 0 {
+	if st.Apps != apps+1 || st.ConnsTotal != apps+1 || st.Dropped != 0 || st.DecodeErrors != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

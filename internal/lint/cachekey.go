@@ -24,14 +24,15 @@ import (
 // "this is runtime wiring, not identity"), as tmio.Config.FaultOracle
 // does. Fields already tagged `json:"-"` are not descended into.
 //
-// The same contract guards fabric.ManifestPoint: its Config travels the
-// wire as the point's cache-key identity, so a config that cannot
-// marshal totally would silently change identity between the submitter
-// and a remote worker. Both composite literals root the walk.
+// The same JSON is what a fabric manifest carries to a remote worker
+// (as bytes, so the manifest holds no typed config to walk): a config
+// that cannot marshal totally would change identity between the
+// submitter and the worker. A Point literal or a Config assignment roots
+// the walk.
 var cachekeyAnalyzer = &Analyzer{
 	Name: "cachekey",
-	Doc: "structs reachable from a runner.Point or fabric.ManifestPoint " +
-		"config must mark func/chan/unexported-interface fields json:\"-\" " +
+	Doc: "structs reachable from a runner.Point config must mark " +
+		"func/chan/unexported-interface fields json:\"-\" " +
 		"so JSON-based SHA-256 cache keys stay total and stable",
 	Run: func(prog *Program, p *Package) []Diagnostic {
 		w := &cachekeyWalker{p: p, visited: make(map[types.Type]bool), reported: make(map[*types.Var]bool)}
@@ -70,8 +71,7 @@ var cachekeyAnalyzer = &Analyzer{
 }
 
 // isConfigCarrier reports whether t is (a pointer to) a struct whose
-// Config field is a cache-key root: the runner package's Point or the
-// fabric package's ManifestPoint.
+// Config field is a cache-key root: the runner package's Point.
 func isConfigCarrier(t types.Type) bool {
 	if t == nil {
 		return false
@@ -84,16 +84,7 @@ func isConfigCarrier(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	switch obj.Name() {
-	case "Point":
-		return pathIs(obj.Pkg().Path(), "internal/runner")
-	case "ManifestPoint":
-		return pathIs(obj.Pkg().Path(), "internal/fabric")
-	}
-	return false
+	return obj.Pkg() != nil && obj.Name() == "Point" && pathIs(obj.Pkg().Path(), "internal/runner")
 }
 
 type cachekeyWalker struct {

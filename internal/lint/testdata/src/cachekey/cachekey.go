@@ -1,13 +1,11 @@
 // Fixture for the cachekey rule: every struct reachable from a
-// runner.Point or fabric.ManifestPoint config must mark
-// func/chan/unexported-interface fields json:"-". Rule applicability
-// does not depend on the import path.
+// runner.Point config must mark func/chan/unexported-interface fields
+// json:"-". Rule applicability does not depend on the import path.
 package fixture
 
 import (
 	"io"
 
-	"iobehind/internal/fabric"
 	"iobehind/internal/runner"
 )
 
@@ -57,26 +55,6 @@ func assign() runner.Point {
 	var p runner.Point
 	p.Config = &assignedConfig{}
 	return p
-}
-
-// manifestConfig enters a fabric manifest, so it travels the wire as a
-// point's cache-key identity — the same totality contract applies.
-type manifestConfig struct {
-	Ranks  int
-	OnLoss func()   // want "[cachekey] cache-keyed field OnLoss contains func content"
-	Feed   chan int `json:"-"` // excluded wiring: allowed
-}
-
-var _ = fabric.ManifestPoint{Config: manifestConfig{}}
-
-func assignManifest() fabric.ManifestPoint {
-	var mp fabric.ManifestPoint
-	mp.Config = &manifestAssigned{}
-	return mp
-}
-
-type manifestAssigned struct {
-	Done chan struct{} // want "[cachekey] cache-keyed field Done contains chan content"
 }
 
 // cleanConfig is never used as a Point config; its hazards are not the

@@ -120,9 +120,6 @@ func (bb *BurstBuffer) Level() int64 { return bb.level }
 // Drained returns the total bytes moved to the file system so far.
 func (bb *BurstBuffer) Drained() int64 { return bb.drained }
 
-// Config returns the buffer configuration (with defaults applied).
-func (bb *BurstBuffer) Config() BurstBufferConfig { return bb.cfg }
-
 // Write absorbs bytes into the buffer at WriteRate, back-pressuring the
 // writer while the buffer is full, and calls then once the last byte has
 // been absorbed (not drained). The write runs as engine events, not in a

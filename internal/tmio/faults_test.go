@@ -28,13 +28,13 @@ var (
 // oracle over that window (mirroring the injector's overlap semantics).
 func faultedRun(t *testing.T, sc StrategyConfig, degrade, withOracle bool) (*harness, *Report) {
 	t.Helper()
-	cfg := Config{Strategy: sc, PhaseEnd: LastWait, DisableOverhead: true}
+	cfg := Config{PhaseEnd: LastWait, DisableOverhead: true}
 	if withOracle {
 		cfg.FaultOracle = func(class pfs.Class, from, to des.Time) bool {
 			return class == pfs.Write && faultFrom < to && from < faultTo
 		}
 	}
-	h := newHarness(1, cfg)
+	h := newHarness(1, sc, cfg)
 	if degrade {
 		h.e.Schedule(faultFrom, des.PrioEarly, func() { h.fs.SetFaultFactors(0.05, 1) })
 		h.e.Schedule(faultTo, des.PrioEarly, func() { h.fs.SetFaultFactors(1, 1) })
@@ -170,13 +170,12 @@ func TestReportCountsFaultPhasesAndSpans(t *testing.T) {
 
 func TestStreamRecordsCarryFaultMarks(t *testing.T) {
 	cfg := Config{
-		Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.1},
 		DisableOverhead: true,
 		FaultOracle: func(class pfs.Class, from, to des.Time) bool {
 			return faultFrom < to && from < faultTo
 		},
 	}
-	h := newHarness(1, cfg)
+	h := newHarness(1, StrategyConfig{Strategy: Direct, Tol: 1.1}, cfg)
 	sink := &CollectSink{}
 	h.tr.SetSink(sink)
 	h.run(t, phasedWriter(6, 10e6, des.Second))
@@ -236,7 +235,7 @@ func TestPhaseRetriesSummedFromRequests(t *testing.T) {
 	w := mpi.NewWorld(e, mpi.Config{Size: 1})
 	fs := pfs.New(e, pfs.Config{WriteCapacity: 100e6, ReadCapacity: 100e6})
 	sys := mpiio.NewSystem(w, fs, adio.Config{})
-	tr := Attach(sys, Config{DisableOverhead: true})
+	tr := Attach(sys, StrategyConfig{}, Config{DisableOverhead: true})
 	sink := &CollectSink{}
 	tr.SetSink(sink)
 	attempts := 0

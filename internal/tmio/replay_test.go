@@ -170,7 +170,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	sizes := []int64{20e6, 40e6, 10e6, 30e6, 10e6, 10e6, 80e6, 10e6}
 	for _, s := range []Strategy{Direct, UpOnly, Adaptive, Frequent} {
 		strat := StrategyConfig{Strategy: s, Tol: 1.5}
-		h := newHarness(2, Config{Strategy: strat, DisableOverhead: true})
+		h := newHarness(2, strat, Config{DisableOverhead: true})
 		rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
 			var req *mpiio.Request
 			for _, n := range sizes {

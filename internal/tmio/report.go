@@ -75,7 +75,7 @@ type Report struct {
 func (t *Tracer) Report() *Report {
 	rep := &Report{
 		Ranks:    len(t.ranks),
-		Strategy: t.cfg.Strategy,
+		Strategy: t.strat,
 	}
 	var firstStart, lastEnd, lastAppEnd des.Time
 	first := true

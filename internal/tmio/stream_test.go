@@ -94,7 +94,7 @@ func TestTracedAppSurvivesStalledCollector(t *testing.T) {
 	defer server.Close()
 	sink := pipeSink(client, 16)
 
-	h := newHarness(2, Config{DisableOverhead: true})
+	h := newHarness(2, StrategyConfig{}, Config{DisableOverhead: true})
 	h.tr.SetSink(sink)
 	start := time.Now()
 	rep := h.run(t, phasedWriter(100, 1e6, 50*des.Millisecond))
@@ -495,7 +495,7 @@ func TestSinkBuffersDuringOutage(t *testing.T) {
 // version and the throughput window of completed transfers.
 // TestSinkAppIDStamping covers the App field, which the sink stamps.
 func TestStreamRecordVersionAndIdentity(t *testing.T) {
-	h := newHarness(1, Config{DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{DisableOverhead: true})
 	sink := &CollectSink{}
 	h.tr.SetSink(sink)
 	h.run(t, phasedWriter(3, 10e6, des.Second))
@@ -590,7 +590,7 @@ func TestSinkSlowReaderDoesNotSlowSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newHarness(2, Config{DisableOverhead: true})
+	h := newHarness(2, StrategyConfig{}, Config{DisableOverhead: true})
 	h.tr.SetSink(sink)
 	start := time.Now()
 	h.run(t, phasedWriter(20, 1e6, 100*des.Millisecond))

@@ -25,12 +25,12 @@ type harness struct {
 	tr  *Tracer
 }
 
-func newHarness(size int, cfg Config) *harness {
+func newHarness(size int, strat StrategyConfig, cfg Config) *harness {
 	e := des.NewEngine(1)
 	w := mpi.NewWorld(e, mpi.Config{Size: size})
 	fs := pfs.New(e, pfs.Config{WriteCapacity: 100e6, ReadCapacity: 100e6})
 	sys := mpiio.NewSystem(w, fs, adio.Config{SubRequestSize: 1e6})
-	tr := Attach(sys, cfg)
+	tr := Attach(sys, strat, cfg)
 	return &harness{e: e, w: w, fs: fs, sys: sys, tr: tr}
 }
 
@@ -63,7 +63,7 @@ func phasedWriter(phases int, bytes int64, compute des.Duration) func(*mpi.Rank,
 }
 
 func TestRequiredBandwidthMatchesComputePhase(t *testing.T) {
-	h := newHarness(1, Config{DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{DisableOverhead: true})
 	rep := h.run(t, phasedWriter(5, 10e6, des.Second))
 	// Each phase: 10 MB available window ≈ 1 s ⇒ B ≈ 10 MB/s.
 	if rep.Ranks != 1 || len(rep.BPhases) != 5 {
@@ -83,7 +83,7 @@ func TestRequiredBandwidthMatchesComputePhase(t *testing.T) {
 }
 
 func TestNoLimitLeavesAgentUnlimited(t *testing.T) {
-	h := newHarness(1, Config{DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{DisableOverhead: true})
 	h.run(t, phasedWriter(3, 1e6, des.Second))
 	if !math.IsInf(h.tr.Limit(0), 1) {
 		t.Fatalf("limit = %v, want unlimited", h.tr.Limit(0))
@@ -91,8 +91,7 @@ func TestNoLimitLeavesAgentUnlimited(t *testing.T) {
 }
 
 func TestDirectStrategyAppliesLimit(t *testing.T) {
-	h := newHarness(1, Config{
-		Strategy:        StrategyConfig{Strategy: Direct, Tol: 2},
+	h := newHarness(1, StrategyConfig{Strategy: Direct, Tol: 2}, Config{
 		DisableOverhead: true,
 	})
 	rep := h.run(t, phasedWriter(4, 10e6, des.Second))
@@ -119,8 +118,7 @@ func TestDirectStrategyAppliesLimit(t *testing.T) {
 }
 
 func TestUpOnlyNeverLowersLimit(t *testing.T) {
-	h := newHarness(1, Config{
-		Strategy:        StrategyConfig{Strategy: UpOnly, Tol: 1.1},
+	h := newHarness(1, StrategyConfig{Strategy: UpOnly, Tol: 1.1}, Config{
 		DisableOverhead: true,
 	})
 	// Shrinking I/O sizes would lower a direct limit; up-only must hold.
@@ -143,8 +141,7 @@ func TestUpOnlyNeverLowersLimit(t *testing.T) {
 }
 
 func TestThroughputFollowsPreviousPhaseLimit(t *testing.T) {
-	h := newHarness(1, Config{
-		Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.0},
+	h := newHarness(1, StrategyConfig{Strategy: Direct, Tol: 1.0}, Config{
 		DisableOverhead: true,
 	})
 	rep := h.run(t, phasedWriter(5, 10e6, des.Second))
@@ -226,8 +223,7 @@ func TestStrategyStringsAndLabels(t *testing.T) {
 }
 
 func TestExploitAccountsHiddenIO(t *testing.T) {
-	h := newHarness(1, Config{
-		Strategy:        StrategyConfig{Strategy: Direct, Tol: 1},
+	h := newHarness(1, StrategyConfig{Strategy: Direct, Tol: 1}, Config{
 		DisableOverhead: true,
 	})
 	rep := h.run(t, phasedWriter(10, 10e6, des.Second))
@@ -249,7 +245,7 @@ func TestExploitAccountsHiddenIO(t *testing.T) {
 }
 
 func TestUnthrottledBurstHasLowExploit(t *testing.T) {
-	h := newHarness(1, Config{DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{DisableOverhead: true})
 	rep := h.run(t, phasedWriter(10, 1e6, des.Second))
 	d := rep.Distribution()
 	// 1 MB at 100 MB/s = 10 ms inside a 1 s phase: ~1% exploit.
@@ -262,7 +258,7 @@ func TestUnthrottledBurstHasLowExploit(t *testing.T) {
 }
 
 func TestLostWhenComputeTooShort(t *testing.T) {
-	h := newHarness(1, Config{DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{DisableOverhead: true})
 	rep := h.run(t, phasedWriter(5, 100e6, 100*des.Millisecond))
 	d := rep.Distribution()
 	// 1 s of I/O against 0.1 s compute phases: most time is blocked waits.
@@ -272,7 +268,7 @@ func TestLostWhenComputeTooShort(t *testing.T) {
 }
 
 func TestSyncIOVisible(t *testing.T) {
-	h := newHarness(1, Config{DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{DisableOverhead: true})
 	rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
 		f.WriteAt(0, 50e6) // 0.5 s
 		r.Compute(500 * des.Millisecond)
@@ -292,7 +288,7 @@ func TestSyncIOVisible(t *testing.T) {
 
 func TestMultiRequestPhaseFirstVsLastWait(t *testing.T) {
 	run := func(rule PhaseEndRule) *Report {
-		h := newHarness(1, Config{PhaseEnd: rule, DisableOverhead: true})
+		h := newHarness(1, StrategyConfig{}, Config{PhaseEnd: rule, DisableOverhead: true})
 		return h.run(t, func(r *mpi.Rank, f *mpiio.File) {
 			// Two requests in one phase; the second wait comes later.
 			q1 := f.IwriteAt(0, 10e6)
@@ -318,7 +314,7 @@ func TestMultiRequestPhaseFirstVsLastWait(t *testing.T) {
 
 func TestSumVsAverageAggregation(t *testing.T) {
 	run := func(agg Aggregation) float64 {
-		h := newHarness(1, Config{Aggregation: agg, DisableOverhead: true})
+		h := newHarness(1, StrategyConfig{}, Config{Aggregation: agg, DisableOverhead: true})
 		rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
 			q1 := f.IwriteAt(0, 10e6)
 			q2 := f.IwriteAt(0, 10e6)
@@ -336,7 +332,7 @@ func TestSumVsAverageAggregation(t *testing.T) {
 
 func TestOverheadPeriSmallAndPostGrows(t *testing.T) {
 	runWith := func(size int) *Report {
-		h := newHarness(size, Config{})
+		h := newHarness(size, StrategyConfig{}, Config{})
 		return h.run(t, phasedWriter(5, 1e6, 100*des.Millisecond))
 	}
 	small := runWith(2)
@@ -355,7 +351,7 @@ func TestOverheadPeriSmallAndPostGrows(t *testing.T) {
 }
 
 func TestAppTimeExcludesPostOverhead(t *testing.T) {
-	h := newHarness(4, Config{})
+	h := newHarness(4, StrategyConfig{}, Config{})
 	rep := h.run(t, phasedWriter(3, 1e6, 100*des.Millisecond))
 	if rep.AppTime >= rep.Runtime {
 		t.Fatalf("AppTime %v not below Runtime %v", rep.AppTime, rep.Runtime)
@@ -363,7 +359,7 @@ func TestAppTimeExcludesPostOverhead(t *testing.T) {
 }
 
 func TestReportJSON(t *testing.T) {
-	h := newHarness(2, Config{Strategy: StrategyConfig{Strategy: Direct}})
+	h := newHarness(2, StrategyConfig{Strategy: Direct}, Config{})
 	rep := h.run(t, phasedWriter(3, 5e6, des.Second))
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -378,7 +374,7 @@ func TestReportJSON(t *testing.T) {
 }
 
 func TestSinkReceivesPhases(t *testing.T) {
-	h := newHarness(2, Config{DisableOverhead: true})
+	h := newHarness(2, StrategyConfig{}, Config{DisableOverhead: true})
 	sink := &CollectSink{}
 	h.tr.SetSink(sink)
 	h.run(t, phasedWriter(4, 1e6, 100*des.Millisecond))
@@ -433,17 +429,17 @@ func TestTCPSinkRoundTrip(t *testing.T) {
 }
 
 func TestTracerString(t *testing.T) {
-	h := newHarness(2, Config{Strategy: StrategyConfig{Strategy: UpOnly}})
+	h := newHarness(2, StrategyConfig{Strategy: UpOnly}, Config{})
 	if got := h.tr.String(); !strings.Contains(got, "up-only") {
 		t.Fatalf("String = %q", got)
 	}
-	if h.tr.Config().Strategy.Tol != 1.1 {
-		t.Fatal("defaults not applied")
+	if rep := h.run(t, phasedWriter(1, 1e6, des.Second)); rep.Strategy.Tol != 1.1 {
+		t.Fatalf("report strategy %+v: defaults not applied", rep.Strategy)
 	}
 }
 
 func TestPhasesCount(t *testing.T) {
-	h := newHarness(1, Config{DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{DisableOverhead: true})
 	h.run(t, phasedWriter(7, 1e6, 10*des.Millisecond))
 	if got := h.tr.Phases(0); got != 7 {
 		t.Fatalf("phases = %d, want 7", got)
@@ -483,8 +479,7 @@ func TestFrequencyTable(t *testing.T) {
 }
 
 func TestFrequentStrategyIgnoresOutliers(t *testing.T) {
-	h := newHarness(1, Config{
-		Strategy:        StrategyConfig{Strategy: Frequent, Tol: 1.1},
+	h := newHarness(1, StrategyConfig{Strategy: Frequent, Tol: 1.1}, Config{
 		DisableOverhead: true,
 	})
 	h.run(t, func(r *mpi.Rank, f *mpiio.File) {
@@ -516,8 +511,7 @@ func TestFrequentStrategyLabel(t *testing.T) {
 }
 
 func TestPerClassLimitsIndependent(t *testing.T) {
-	h := newHarness(1, Config{
-		Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.1},
+	h := newHarness(1, StrategyConfig{Strategy: Direct, Tol: 1.1}, Config{
 		PerClassLimits:  true,
 		DisableOverhead: true,
 	})
@@ -556,8 +550,7 @@ func TestPerClassLimitsIndependent(t *testing.T) {
 // has its own control loop, Frequent's histogram included. Two 10 MB
 // reads per 80 MB write must not make the reads' mode the write limit.
 func TestFrequentPerClassKeepsClassesApart(t *testing.T) {
-	h := newHarness(1, Config{
-		Strategy:        StrategyConfig{Strategy: Frequent, Tol: 1.1},
+	h := newHarness(1, StrategyConfig{Strategy: Frequent, Tol: 1.1}, Config{
 		PerClassLimits:  true,
 		DisableOverhead: true,
 	})
@@ -591,8 +584,7 @@ func TestSharedLimitOscillatesAcrossClasses(t *testing.T) {
 	// write phases inherit the (much lower) read-derived limit and must
 	// wait; with per-class limits they do not.
 	run := func(perClass bool) Distribution {
-		h := newHarness(1, Config{
-			Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.1},
+		h := newHarness(1, StrategyConfig{Strategy: Direct, Tol: 1.1}, Config{
 			PerClassLimits:  perClass,
 			DisableOverhead: true,
 		})
@@ -624,8 +616,7 @@ func TestSharedLimitOscillatesAcrossClasses(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	h := newHarness(2, Config{
-		Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.1},
+	h := newHarness(2, StrategyConfig{Strategy: Direct, Tol: 1.1}, Config{
 		DisableOverhead: true,
 	})
 	h.run(t, phasedWriter(4, 100e6, 200*des.Millisecond)) // I/O outlasts compute: waits exist
@@ -668,8 +659,7 @@ func TestUniformLimitStarvesImbalancedRanks(t *testing.T) {
 	// uniform application-level limit caps both at the mean and makes the
 	// heavy rank wait — the reason the paper keeps limits per rank.
 	run := func(uniform bool) Distribution {
-		h := newHarness(2, Config{
-			Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.1},
+		h := newHarness(2, StrategyConfig{Strategy: Direct, Tol: 1.1}, Config{
 			UniformLimit:    uniform,
 			DisableOverhead: true,
 		})
@@ -702,8 +692,7 @@ func TestUniformLimitStarvesImbalancedRanks(t *testing.T) {
 }
 
 func TestRankBreakdown(t *testing.T) {
-	h := newHarness(3, Config{
-		Strategy:        StrategyConfig{Strategy: Direct, Tol: 1.1},
+	h := newHarness(3, StrategyConfig{Strategy: Direct, Tol: 1.1}, Config{
 		DisableOverhead: true,
 	})
 	h.run(t, func(r *mpi.Rank, f *mpiio.File) {
@@ -741,7 +730,7 @@ func TestRankBreakdown(t *testing.T) {
 func TestOutOfOrderWaitsFirstWaitRule(t *testing.T) {
 	// Waiting the second request before the first: under FirstWait the
 	// phase stays open until the *head* is waited.
-	h := newHarness(1, Config{DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{DisableOverhead: true})
 	rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
 		q1 := f.IwriteAt(0, 10e6)
 		q2 := f.IwriteAt(0, 10e6)
@@ -762,7 +751,7 @@ func TestOutOfOrderWaitsFirstWaitRule(t *testing.T) {
 func TestOutOfOrderWaitsLastWaitRule(t *testing.T) {
 	// Under LastWait the same pattern closes at the head's wait too,
 	// because by then *all* queue members have been waited.
-	h := newHarness(1, Config{PhaseEnd: LastWait, DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{PhaseEnd: LastWait, DisableOverhead: true})
 	rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
 		q1 := f.IwriteAt(0, 10e6)
 		q2 := f.IwriteAt(0, 10e6)
@@ -782,7 +771,7 @@ func TestOutOfOrderWaitsLastWaitRule(t *testing.T) {
 func TestWaitForClosedPhaseRequestIgnored(t *testing.T) {
 	// A request left over from a closed phase: its wait is tracked as
 	// blocking time but opens no new phase bookkeeping.
-	h := newHarness(1, Config{DisableOverhead: true})
+	h := newHarness(1, StrategyConfig{}, Config{DisableOverhead: true})
 	rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
 		q1 := f.IwriteAt(0, 10e6)
 		q2 := f.IwriteAt(0, 10e6)
@@ -802,7 +791,7 @@ func TestWaitForClosedPhaseRequestIgnored(t *testing.T) {
 // TestReportFileRoundTrip: a saved report decodes to the live report's
 // accounting, B phases and series bit for bit, and renders the same text.
 func TestReportFileRoundTrip(t *testing.T) {
-	h := newHarness(3, Config{Strategy: StrategyConfig{Strategy: Adaptive}})
+	h := newHarness(3, StrategyConfig{Strategy: Adaptive}, Config{})
 	rep := h.run(t, func(r *mpi.Rank, f *mpiio.File) {
 		var req *mpiio.Request
 		for j := 0; j < 5; j++ {

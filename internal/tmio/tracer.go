@@ -69,8 +69,6 @@ const minWindow des.Duration = des.Millisecond
 
 // Config configures a tracer.
 type Config struct {
-	// Strategy drives the bandwidth limiting; Strategy.None only traces.
-	Strategy StrategyConfig
 	// PhaseEnd defaults to FirstWait.
 	PhaseEnd PhaseEndRule
 	// Aggregation defaults to Sum.
@@ -107,6 +105,7 @@ type Config struct {
 // strategy. Create it with Attach before launching the world.
 type Tracer struct {
 	sys     *mpiio.System
+	strat   StrategyConfig
 	cfg     Config
 	ranks   []*rankTracer
 	sink    Sink
@@ -118,21 +117,19 @@ type Tracer struct {
 }
 
 // Attach installs a tracer on the system (the LD_PRELOAD moment). It
-// registers the MPI-IO interceptor and the MPI_Finalize hook.
-func Attach(sys *mpiio.System, cfg Config) *Tracer {
-	cfg.Strategy = cfg.Strategy.WithDefaults()
-	t := &Tracer{sys: sys, cfg: cfg}
+// registers the MPI-IO interceptor and the MPI_Finalize hook. strat
+// drives the bandwidth limiting; its None strategy only traces.
+func Attach(sys *mpiio.System, strat StrategyConfig, cfg Config) *Tracer {
+	strat = strat.WithDefaults()
+	t := &Tracer{sys: sys, strat: strat, cfg: cfg}
 	for _, r := range sys.World().Ranks() {
-		loop := newLimiter(cfg.Strategy)
+		loop := newLimiter(strat)
 		t.ranks = append(t.ranks, &rankTracer{t: t, rank: r, loops: [2]limiter{loop, loop}})
 	}
 	sys.SetInterceptor(t)
 	sys.World().AddFinalizeHook(t.finalize)
 	return t
 }
-
-// Config returns the tracer configuration (with defaults applied).
-func (t *Tracer) Config() Config { return t.cfg }
 
 // rankTracer is the per-rank bookkeeping: the bandwidth/throughput
 // monitoring queues and the accumulated accounting.
@@ -317,7 +314,7 @@ func (rt *rankTracer) closePhase(te des.Time, applyLimit bool) {
 	if rt.t.cfg.PerClassLimits {
 		loop = &rt.loops[class]
 	}
-	if applyLimit && rt.t.cfg.Strategy.Limits() {
+	if applyLimit && rt.t.strat.Limits() {
 		next := loop.next(b)
 		if rt.t.cfg.UniformLimit {
 			next = rt.t.uniformLimit(rt, b)
@@ -353,7 +350,7 @@ func (t *Tracer) uniformLimit(rt *rankTracer, b float64) float64 {
 	}
 	t.uniformSum += b - rt.uniformB
 	rt.uniformB = b
-	return t.cfg.Strategy.WithDefaults().Tol * t.uniformSum / float64(t.uniformCount)
+	return t.strat.Tol * t.uniformSum / float64(t.uniformCount)
 }
 
 // finalize is the MPI_Finalize hook: the post-runtime aggregation. Every
@@ -401,5 +398,5 @@ func (t *Tracer) Phases(rank int) int { return len(t.ranks[rank].phases) }
 
 func (t *Tracer) String() string {
 	return fmt.Sprintf("tmio.Tracer{ranks: %d, strategy: %s}",
-		len(t.ranks), t.cfg.Strategy.Label())
+		len(t.ranks), t.strat.Label())
 }

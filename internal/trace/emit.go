@@ -18,7 +18,7 @@ import (
 // the tracer applies its per-call overhead:
 //
 //	em := trace.NewEmitter(sys, "my-app")
-//	tr := tmio.Attach(sys, tmioCfg)          // installs itself…
+//	tr := tmio.Attach(sys, strat, tmioCfg)   // installs itself…
 //	sys.SetInterceptor(mpiio.Tee(em, tr))    // …then compose both
 //
 // NewEmitter must run before tmio.Attach: both register MPI_Finalize

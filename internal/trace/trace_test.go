@@ -108,7 +108,7 @@ func emitWorkload(t *testing.T, ranks, rpn int, strat tmio.StrategyConfig,
 	fs := pfs.New(e, *testFS())
 	sys := mpiio.NewSystem(w, fs, adio.Config{})
 	em := NewEmitter(sys, "dogfood")
-	tr := tmio.Attach(sys, tmio.Config{Strategy: strat})
+	tr := tmio.Attach(sys, strat, tmio.Config{})
 	sys.SetInterceptor(mpiio.Tee(em, tr))
 	if err := w.Run(mainOf(sys)); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func replayTrace(t *testing.T, raw []byte, rpn int, strat tmio.StrategyConfig) [
 	w := mpi.NewWorld(e, mpi.Config{Size: parsed.Ranks, RanksPerNode: rpn})
 	fs := pfs.New(e, *testFS())
 	sys := mpiio.NewSystem(w, fs, adio.Config{})
-	tr := tmio.Attach(sys, tmio.Config{Strategy: strat})
+	tr := tmio.Attach(sys, strat, tmio.Config{})
 	if err := w.Run(ReplayMain(sys, parsed)); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestReplayFourRankHandWrittenTrace(t *testing.T) {
 	w := mpi.NewWorld(e, mpi.Config{Size: 4, RanksPerNode: 2})
 	fs := pfs.New(e, *testFS())
 	sys := mpiio.NewSystem(w, fs, adio.Config{})
-	tr := tmio.Attach(sys, tmio.Config{DisableOverhead: true})
+	tr := tmio.Attach(sys, tmio.StrategyConfig{}, tmio.Config{DisableOverhead: true})
 	if err := w.Run(ReplayMain(sys, parsed)); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestReplaySlowerSystemCollapsesGaps(t *testing.T) {
 	w := mpi.NewWorld(e, mpi.Config{Size: 2, RanksPerNode: 2})
 	fs := pfs.New(e, pfs.Config{WriteCapacity: 1e8, ReadCapacity: 1e8})
 	sys := mpiio.NewSystem(w, fs, adio.Config{})
-	tr := tmio.Attach(sys, tmio.Config{})
+	tr := tmio.Attach(sys, tmio.StrategyConfig{}, tmio.Config{})
 	if err := w.Run(ReplayMain(sys, parsed)); err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,7 @@ func TestCheckpointAsyncHidesCost(t *testing.T) {
 		w := mpi.NewWorld(e, mpi.Config{Size: 4})
 		fs := pfs.New(e, pfs.Config{WriteCapacity: 2e9, ReadCapacity: 2e9})
 		sys := mpiio.NewSystem(w, fs, adio.Config{})
-		tr := tmio.Attach(sys, tmio.Config{
-			Strategy:        tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.2},
+		tr := tmio.Attach(sys, tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.2}, tmio.Config{
 			DisableOverhead: true,
 		})
 		cfg := CheckpointConfig{

@@ -26,7 +26,7 @@ func newStack(t *testing.T, ranks int, strat tmio.StrategyConfig) *stack {
 	w := mpi.NewWorld(e, mpi.Config{Size: ranks})
 	fs := pfs.New(e, pfs.LichtenbergConfig())
 	sys := mpiio.NewSystem(w, fs, adio.Config{})
-	tr := tmio.Attach(sys, tmio.Config{Strategy: strat, DisableOverhead: true})
+	tr := tmio.Attach(sys, strat, tmio.Config{DisableOverhead: true})
 	return &stack{e: e, w: w, fs: fs, sys: sys, tr: tr}
 }
 

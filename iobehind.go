@@ -145,8 +145,7 @@ type Options struct {
 	RanksPerNode int
 	// Strategy drives the limiter; the zero value traces without limiting.
 	Strategy StrategyConfig
-	// Tracer carries the remaining TMIO options; its Strategy field is
-	// overridden by Strategy above.
+	// Tracer carries the remaining TMIO options.
 	Tracer TracerConfig
 	// NoTracer skips attaching TMIO entirely (raw runs).
 	NoTracer bool
@@ -183,14 +182,13 @@ func NewSim(opts Options) *Sim {
 	sys := mpiio.NewSystem(w, fs, opts.Agent)
 	s := &Sim{Engine: e, World: w, FS: fs, IO: sys}
 	tcfg := opts.Tracer
-	tcfg.Strategy = opts.Strategy
 	if opts.Faults != nil && !opts.Faults.Empty() {
 		inj := faults.New(e, fs, *opts.Faults)
 		sys.SetFaults(inj)
 		tcfg.FaultOracle = inj.Overlaps
 	}
 	if !opts.NoTracer {
-		s.Tracer = tmio.Attach(sys, tcfg)
+		s.Tracer = tmio.Attach(sys, opts.Strategy, tcfg)
 	}
 	return s
 }
