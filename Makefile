@@ -34,7 +34,7 @@ ALLOCS_SLACK   ?= 0.05
 # percent of pure noise in ns/op — more than the regression threshold.
 BENCH_FLAGS     = -run xxx -bench=. -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -p 1
 
-.PHONY: all build vet fmt-check lint lint-self test race fuzz-smoke bench bench-json bench-check perfbench-check sweep faults-smoke examples ci clean
+.PHONY: all build vet fmt-check lint lint-self test race fuzz-smoke bench bench-json bench-check perfbench-check sweep examples ci clean
 
 all: ci
 
@@ -112,12 +112,6 @@ fuzz-smoke:
 		done; \
 	done
 
-# Deterministic seeded fault scenario: runs the 'faults' figure and fails
-# unless its invariants hold (nonzero transient-error retries, limiter
-# recovered after the windows closed).
-faults-smoke:
-	$(GO) run ./cmd/iosweep -figs faults -check-faults
-
 # Run every example under examples/ end to end. go build ./... only
 # compiles them; this fails when one exits non-zero, or when one prints
 # anything but its recorded examples/<name>/testdata/stdout.txt (all nine
@@ -171,7 +165,7 @@ perfbench-check:
 sweep:
 	$(GO) run ./cmd/iosweep -figs all -scale quick -j 0 -cache .iosweep-cache
 
-ci: vet fmt-check build lint lint-self test race fuzz-smoke bench-check perfbench-check faults-smoke examples
+ci: vet fmt-check build lint lint-self test race fuzz-smoke bench-check perfbench-check examples
 
 clean:
 	rm -rf .iosweep-cache

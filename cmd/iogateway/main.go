@@ -9,12 +9,12 @@
 // For long-lived deployments, -retention-window N bounds each app's
 // retained history to the last N virtual seconds of activity (older
 // regions are compacted into an exact running max plus a coarsened tail
-// of -retention-tail points), so per-app memory is bounded instead of
-// growing for the life of the run.
+// of at most 64 points), so per-app memory is bounded instead of growing
+// for the life of the run.
 //
 // Both addresses are bound before the startup line is logged; a taken
 // address, or a server failing later, exits 1 (a signal drains and exits
-// 0). Traced applications point tmio.DialSinkWith at the -listen address;
+// 0). Traced applications point tmio.DialSink at the -listen address;
 // schedulers and dashboards query the -http address:
 //
 //	GET /healthz              liveness
@@ -49,15 +49,12 @@ func main() {
 	queue := flag.Int("queue", 1024, "per-connection record queue depth")
 	retention := flag.Float64("retention-window", 0,
 		"per-app history bound in virtual seconds: regions older than this behind an app's activity frontier are compacted into a fixed summary (0 = retain everything)")
-	retentionTail := flag.Int("retention-tail", 64,
-		"coarsened summary points kept per compacted sweep")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "iogateway: ", log.LstdFlags)
 	srv := gateway.New(gateway.Config{
 		QueueDepth:      *queue,
 		RetentionWindow: des.DurationOf(*retention),
-		RetentionTail:   *retentionTail,
 		Logf:            logger.Printf,
 	})
 	ln, err := net.Listen("tcp", *listen)

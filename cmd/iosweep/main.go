@@ -66,7 +66,6 @@ func run() int {
 	cacheDir := flag.String("cache", "", "cache directory for completed points (empty disables caching)")
 	outDir := flag.String("out", "", "also write each figure's output to <out>/fig<N>.txt")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault scenario's random window batch (figure 'faults')")
-	checkFaults := flag.Bool("check-faults", false, "fail unless the fault scenario's invariants hold (nonzero retries, recovered limit)")
 	traceFile := flag.String("trace", "", "replay this I/O trace file (docs/TRACE_FORMAT.md) instead of sweeping figures")
 	emitTrace := flag.String("emit-trace", "", "emit a trace of -workload to this file and exit")
 	workload := flag.String("workload", "phased", "built-in workload for -emit-trace: phased, hacc, wacomm, or ior")
@@ -208,16 +207,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "iosweep: figure %s: %v\n", fe.ID, err)
 			failed++
 			continue
-		}
-		if *checkFaults {
-			if c, ok := res.(interface{ Check() error }); ok {
-				if err := c.Check(); err != nil {
-					fmt.Fprintf(os.Stderr, "iosweep: figure %s: %v\n", fe.ID, err)
-					failed++
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "iosweep: figure %s: fault invariants hold\n", fe.ID)
-			}
 		}
 		header := fmt.Sprintf("### Figure %s (%s scale, %d points)\n\n",
 			fe.ID, scale, len(fe.Exp.Points))

@@ -48,7 +48,7 @@ func main() {
 		Ranks: 8,
 		FS:    &iobehind.FSConfig{WriteCapacity: 64e6, ReadCapacity: 64e6},
 	})
-	sink, err := tmio.DialSinkWith(ln.Addr().String(), tmio.SinkOptions{AppID: "wacomm", Binary: true})
+	sink, err := tmio.DialSink(ln.Addr().String(), "wacomm")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,13 +41,6 @@ type Config struct {
 	// SubRequestSize is the throttling granularity in bytes. Defaults to
 	// 8 MiB. Requests at or below this size are executed in one piece.
 	SubRequestSize int64
-	// MinLimit is the lowest admissible bandwidth limit in bytes/s;
-	// SetLimit clamps below it so a mismeasured required bandwidth can
-	// never stall the application outright. Defaults to 512 B/s — low
-	// enough not to interfere with the tiny per-rank request sizes of
-	// large strong-scaled runs (a 9216-rank WaComM++ writes ~10 KiB per
-	// rank per hour).
-	MinLimit float64
 	// Tag identifies this agent's flows to file-system observers.
 	Tag pfs.Tag
 	// CarryDeficit keeps the Case-B overrun accumulator across requests
@@ -77,18 +70,6 @@ type Config struct {
 	// Reads bypass the buffer.
 	BurstBuffer *pfs.BurstBufferConfig
 
-	// RetryMax bounds the consecutive retries of one failing sub-request
-	// when a fault model reports transient I/O errors; after RetryMax
-	// failed retries the request is abandoned (Stats.Failed) and the
-	// exhaustion counted. Defaults to 4.
-	RetryMax int
-	// RetryBackoff is the base of the exponential retry backoff on the
-	// simulated clock: the n-th consecutive retry sleeps
-	// RetryBackoff × 2^(n-1), capped at RetryBackoffMax. Defaults to
-	// 10 ms / 1 s.
-	RetryBackoff    des.Duration
-	RetryBackoffMax des.Duration
-
 	// SubmitLatencyPerFlow and QueueLatencyPerFlow model I/O-server
 	// queuing under burst storms. When thousands of ranks hit the file
 	// system at once, posting a request stalls the *caller* briefly
@@ -104,6 +85,25 @@ type Config struct {
 	QueueLatencyPerFlow  des.Duration
 }
 
+const (
+	// minLimit is the lowest admissible bandwidth limit in bytes/s;
+	// SetLimit clamps below it so a mismeasured required bandwidth can
+	// never stall the application outright. 512 B/s is low enough not
+	// to interfere with the tiny per-rank request sizes of large
+	// strong-scaled runs (a 9216-rank WaComM++ writes ~10 KiB per rank
+	// per hour).
+	minLimit = 512
+	// retryMax bounds the consecutive retries of one failing sub-request
+	// when a fault model reports transient I/O errors; after retryMax
+	// failed retries the request is abandoned (Stats.Failed) and the
+	// exhaustion counted.
+	retryMax = 4
+	// retryBackoffBase is the base of the exponential retry backoff on
+	// the simulated clock: the n-th consecutive retry sleeps
+	// retryBackoffBase × 2^(n-1), so the fourth and last sleeps 80 ms.
+	retryBackoffBase = 10 * des.Millisecond
+)
+
 // StormLatency samples a queuing delay for one operation: perFlow scaled
 // by the number of concurrent flows, jittered by 0.5 + Exp(1).
 func StormLatency(e *des.Engine, perFlow des.Duration, flows int) des.Duration {
@@ -118,20 +118,8 @@ func (c *Config) applyDefaults() {
 	if c.SubRequestSize <= 0 {
 		c.SubRequestSize = 8 << 20
 	}
-	if c.MinLimit <= 0 {
-		c.MinLimit = 512
-	}
 	if c.HiccupMean <= 0 {
 		c.HiccupMean = 500 * des.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 4
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * des.Millisecond
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = des.Second
 	}
 }
 
@@ -178,8 +166,8 @@ type RequestStats struct {
 	// Retries counts failed sub-request attempts that were retried under
 	// an active fault model; BackoffSlept is the total retry backoff
 	// slept on the simulated clock. Failed marks a request abandoned
-	// after RetryMax consecutive failures — its remaining bytes were
-	// never transferred.
+	// when a chunk failed again after its fourth retry — its remaining
+	// bytes were never transferred.
 	Retries      int
 	BackoffSlept des.Duration
 	Failed       bool
@@ -305,7 +293,7 @@ func (a *Agent) Limit() float64 { return a.limit[pfs.Write] }
 func (a *Agent) ClassLimit(class pfs.Class) float64 { return a.limit[class] }
 
 // SetLimit installs a bandwidth limit in bytes/s for both classes,
-// clamped to MinLimit. Pass pfs.Unlimited to remove the limit. This is
+// clamped to 512 B/s. Pass pfs.Unlimited to remove the limit. This is
 // the user-level control the paper exposes; TMIO calls it after every
 // wait with the strategy's next-phase value.
 func (a *Agent) SetLimit(limit float64) {
@@ -322,8 +310,8 @@ func (a *Agent) SetClassLimit(class pfs.Class, limit float64) {
 		a.limit[class] = pfs.Unlimited
 		return
 	}
-	if limit < a.cfg.MinLimit {
-		limit = a.cfg.MinLimit
+	if limit < minLimit {
+		limit = minLimit
 	}
 	a.limit[class] = limit
 }
@@ -379,8 +367,8 @@ func (a *Agent) Hiccups() int { return a.hiccups }
 // retried under a fault model.
 func (a *Agent) Retries() int { return a.retries }
 
-// RetryExhausted returns how many requests this agent abandoned after
-// RetryMax consecutive failures.
+// RetryExhausted returns how many requests this agent abandoned once a
+// chunk had used up its retries.
 func (a *Agent) RetryExhausted() int { return a.retryExhausted }
 
 // serve takes the next request off the queue and executes it, or, with
@@ -549,12 +537,12 @@ func (a *Agent) settle() {
 			// delivered nothing. The wasted time banks into the
 			// deficit (it was real wall time the pacing must absorb);
 			// the chunk is retried after an exponential backoff on
-			// the simulated clock, bounded by RetryMax.
+			// the simulated clock, bounded by retryMax.
 			if a.limited {
 				a.deficit += actual
 			}
 			a.failures++
-			if a.failures > a.cfg.RetryMax {
+			if a.failures > retryMax {
 				a.retryExhausted++
 				req.Stats.Failed = true
 				a.finish()
@@ -562,7 +550,7 @@ func (a *Agent) settle() {
 			}
 			req.Stats.Retries++
 			a.retries++
-			d := retryBackoff(a.cfg, a.failures)
+			d := retryBackoff(a.failures)
 			req.Stats.BackoffSlept += d
 			a.e.After(d, a.nextChunkFn)
 			return
@@ -631,15 +619,8 @@ func (a *Agent) maybeHiccup(req *Request) {
 	}
 }
 
-// retryBackoff returns the sleep before the failures-th consecutive retry:
-// RetryBackoff × 2^(failures−1), capped at RetryBackoffMax.
-func retryBackoff(cfg Config, failures int) des.Duration {
-	if failures > 20 {
-		return cfg.RetryBackoffMax
-	}
-	d := cfg.RetryBackoff << (failures - 1)
-	if d <= 0 || d > cfg.RetryBackoffMax {
-		d = cfg.RetryBackoffMax
-	}
-	return d
+// retryBackoff returns the sleep before the failures-th consecutive
+// retry, failures in [1, retryMax]: retryBackoffBase × 2^(failures−1).
+func retryBackoff(failures int) des.Duration {
+	return retryBackoffBase << (failures - 1)
 }

@@ -133,10 +133,10 @@ func TestDeficitReducesSleep(t *testing.T) {
 }
 
 func TestSetLimitClampsAndClears(t *testing.T) {
-	_, _, a, _ := setup(Config{MinLimit: 1000})
+	_, _, a, _ := setup(Config{})
 	a.SetLimit(1)
-	if a.Limit() != 1000 {
-		t.Fatalf("limit = %v, want clamped 1000", a.Limit())
+	if a.Limit() != minLimit {
+		t.Fatalf("limit = %v, want clamped %v", a.Limit(), minLimit)
 	}
 	a.SetLimit(5000)
 	if a.Limit() != 5000 {
@@ -299,7 +299,7 @@ func TestThrottlePacingProperty(t *testing.T) {
 		limit := float64(limitKB%50_000)*1024 + 50_000
 		e := des.NewEngine(3)
 		fs := pfs.New(e, pfs.Config{WriteCapacity: 1e9, ReadCapacity: 1e9})
-		a := NewAgent(e, fs, nil, Config{SubRequestSize: 1 << 20, MinLimit: 1})
+		a := NewAgent(e, fs, nil, Config{SubRequestSize: 1 << 20})
 		var stats RequestStats
 		e.Spawn("app", func(p *des.Proc) {
 			a.SetLimit(limit)

@@ -42,7 +42,7 @@ func (f *scriptedFaults) ErrorProb(pfs.Class) float64 {
 }
 
 func TestTransientErrorsRetriedWithBackoff(t *testing.T) {
-	e, _, a, _ := setup(Config{RetryBackoff: 10 * des.Millisecond})
+	e, _, a, _ := setup(Config{})
 	a.SetFaults(&scriptedFaults{failFirst: 2})
 	var stats RequestStats
 	e.Spawn("app", func(p *des.Proc) {
@@ -75,7 +75,7 @@ func TestTransientErrorsRetriedWithBackoff(t *testing.T) {
 }
 
 func TestRetryExhaustionMarksRequestFailed(t *testing.T) {
-	e, _, a, _ := setup(Config{RetryMax: 2, SubRequestSize: 1e6})
+	e, _, a, _ := setup(Config{SubRequestSize: 1e6})
 	a.SetFaults(&scriptedFaults{failFirst: 1 << 30}) // never succeeds
 	var stats RequestStats
 	e.Spawn("app", func(p *des.Proc) {
@@ -91,8 +91,12 @@ func TestRetryExhaustionMarksRequestFailed(t *testing.T) {
 	if !stats.Failed {
 		t.Fatal("exhausted request not marked Failed")
 	}
-	if stats.Retries != 2 || a.RetryExhausted() != 1 {
-		t.Fatalf("retries = %d, exhausted = %d; want 2, 1", stats.Retries, a.RetryExhausted())
+	if stats.Retries != retryMax || a.RetryExhausted() != 1 {
+		t.Fatalf("retries = %d, exhausted = %d; want %d, 1", stats.Retries, a.RetryExhausted(), retryMax)
+	}
+	// 10 + 20 + 40 + 80 ms of backoff between the five attempts.
+	if got := stats.BackoffSlept; got != 150*des.Millisecond {
+		t.Fatalf("backoff slept %v, want 150ms", got)
 	}
 	// Nothing was delivered: the first chunk never went through.
 	if a.TotalBytes(pfs.Write) != 0 {
@@ -103,24 +107,19 @@ func TestRetryExhaustionMarksRequestFailed(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffDoublesAndCaps pins the backoff of every retry the
+// agent can take: it doubles from 10 ms, and retryMax caps it at the
+// fourth retry's 80 ms.
 func TestRetryBackoffDoublesAndCaps(t *testing.T) {
-	cfg := Config{}
-	cfg.applyDefaults() // 10 ms base, 1 s cap
 	want := []des.Duration{
-		10 * des.Millisecond, 20 * des.Millisecond, 40 * des.Millisecond,
-		80 * des.Millisecond, 160 * des.Millisecond, 320 * des.Millisecond,
-		640 * des.Millisecond, des.Second, des.Second,
+		10 * des.Millisecond, 20 * des.Millisecond, 40 * des.Millisecond, 80 * des.Millisecond,
+	}
+	if len(want) != retryMax {
+		t.Fatalf("retryMax = %d, the table covers %d retries", retryMax, len(want))
 	}
 	for i, w := range want {
-		if got := retryBackoff(cfg, i+1); got != w {
+		if got := retryBackoff(i + 1); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-	// Deep failure counts must not overflow the shift into a zero or
-	// negative sleep.
-	for _, n := range []int{21, 63, 64, 1000} {
-		if got := retryBackoff(cfg, n); got != des.Second {
-			t.Errorf("backoff(%d) = %v, want the 1s cap", n, got)
 		}
 	}
 }

@@ -156,14 +156,14 @@ func (a *refAgent) execute(p *des.Proc, req *Request) {
 					deficit += actual
 				}
 				failures++
-				if failures > a.cfg.RetryMax {
+				if failures > retryMax {
 					a.retryExhausted++
 					req.Stats.Failed = true
 					break
 				}
 				req.Stats.Retries++
 				a.retries++
-				d := retryBackoff(a.cfg, failures)
+				d := retryBackoff(failures)
 				p.Sleep(d)
 				req.Stats.BackoffSlept += d
 				continue
@@ -270,9 +270,6 @@ func decodeAgentScript(data []byte) agentScript {
 			slowdown: 1 + float64(hdr[3]%4)/2,
 			errProb:  float64(hdr[2]) / 255 * 0.9,
 		}
-		sc.cfg.RetryMax = 1 + int(hdr[3]%3)
-		sc.cfg.RetryBackoff = 30 * des.Millisecond
-		sc.cfg.RetryBackoffMax = 200 * des.Millisecond
 	}
 	if flags&8 != 0 {
 		sc.cfg.BurstBuffer = &pfs.BurstBufferConfig{

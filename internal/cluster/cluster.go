@@ -26,9 +26,9 @@ const (
 	// distribution by node count only).
 	NoLimit LimitPolicy = iota
 	// LimitDuringContention caps each asynchronous job's ranks at their
-	// measured required bandwidth (scaled by Tol) whenever another job is
-	// doing I/O at the same time, and removes the cap otherwise (Fig. 1
-	// bottom).
+	// measured required bandwidth (times a 1.1 tolerance) whenever
+	// another job is doing I/O at the same time, and removes the cap
+	// otherwise (Fig. 1 bottom).
 	LimitDuringContention
 	// LimitPredictive caps asynchronous jobs *ahead of* the other jobs'
 	// I/O bursts: the monitor runs FTIO period detection over each
@@ -80,6 +80,14 @@ func (j JobSpec) withDefaults() JobSpec {
 	return j
 }
 
+const (
+	// capTol scales the monitor's cap over a job's requirement, like the
+	// strategies' tolerance.
+	capTol = 1.1
+	// seed drives all randomness of a scenario.
+	seed = 1
+)
+
 // Config describes the cluster scenario.
 type Config struct {
 	// Nodes is the cluster size (paper: 500 × 96-core nodes).
@@ -90,11 +98,6 @@ type Config struct {
 	Jobs []JobSpec
 	// Policy selects the limiting behaviour.
 	Policy LimitPolicy
-	// Tol scales the applied limit, like the strategies' tolerance.
-	// Defaults to 1.1.
-	Tol float64
-	// Seed drives all randomness. Defaults to 1.
-	Seed int64
 	// MonitorInterval is the contention monitor's polling period.
 	// Defaults to 100 ms.
 	MonitorInterval des.Duration
@@ -134,12 +137,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 500
 	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1.1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if cfg.MonitorInterval <= 0 {
 		cfg.MonitorInterval = 100 * des.Millisecond
 	}
@@ -147,7 +144,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("cluster: no jobs")
 	}
 
-	e := des.NewEngine(cfg.Seed)
+	e := des.NewEngine(seed)
 	fsCfg := pfs.Config{WriteCapacity: 120e9, ReadCapacity: 120e9}
 	if cfg.FS != nil {
 		fsCfg = *cfg.FS
@@ -232,7 +229,7 @@ type job struct {
 	forecast forecast // FTIO's burst forecast (synchronous jobs, LimitPredictive)
 }
 
-// requirement is the bandwidth the monitor caps the job at, before Tol:
+// requirement is the bandwidth the monitor caps the job at, before capTol:
 // TMIO's measurement once there is one, and until then the job's average
 // write rate, BytesPerNode per Compute.
 func (j *job) requirement() float64 {
@@ -374,7 +371,7 @@ func (s *simulation) updateRunningSeries() {
 // MonitorInterval under any policy but NoLimit until every job has
 // finished. Under LimitPredictive it first refreshes the synchronous
 // jobs' burst forecasts. Then it takes each running asynchronous job's
-// requirement from TMIO and caps the job at requirement × Tol exactly
+// requirement from TMIO and caps the job at requirement × capTol exactly
 // when the policy is LimitAlways or another job contends (see
 // contended); otherwise the job runs uncapped.
 func (s *simulation) tick() {
@@ -408,7 +405,7 @@ func (s *simulation) tick() {
 		limit := pfs.Unlimited
 		if want {
 			s.res.LimitToggles++
-			limit = j.requirement() * s.cfg.Tol
+			limit = j.requirement() * capTol
 		}
 		for rank := 0; rank < j.spec.Nodes; rank++ {
 			j.sys.Agent(rank).SetLimit(limit)

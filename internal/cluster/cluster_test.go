@@ -485,11 +485,14 @@ func (s *simulation) limits(id int) []float64 {
 }
 
 func TestCapDuringContentionToggles(t *testing.T) {
-	s := monitorSim(Config{Policy: LimitDuringContention, Tol: 1.5, Jobs: []JobSpec{
+	s := monitorSim(Config{Policy: LimitDuringContention, Jobs: []JobSpec{
 		// Async: falls back to 100 MB/s per node before any measurement.
 		{Nodes: 2, Async: true, BytesPerNode: 100e6, Compute: des.Second},
 		{Nodes: 1},
 	}})
+	// The monitor multiplies at run time, so the expected caps must too:
+	// the constant expression 100e6 * capTol rounds differently.
+	fallback, measured := 100e6, 200e6
 	limitIs := func(want float64) {
 		t.Helper()
 		for rank, got := range s.limits(0) {
@@ -501,18 +504,18 @@ func TestCapDuringContentionToggles(t *testing.T) {
 	// No one else active: uncapped.
 	s.tick()
 	limitIs(pfs.Unlimited)
-	// The sync job has flows in flight: cap at fallback × Tol.
+	// The sync job has flows in flight: cap at fallback × capTol.
 	s.active[1] = 1
 	s.tick()
-	limitIs(150e6)
+	limitIs(fallback * capTol)
 	// A measurement arrives; the cap follows it on the next cap-on.
-	s.jobs[0].required = 200e6
+	s.jobs[0].required = measured
 	s.active[1] = 0
 	s.tick()
 	limitIs(pfs.Unlimited)
 	s.active[1] = 1
 	s.tick()
-	limitIs(300e6)
+	limitIs(measured * capTol)
 	// A job that is not running does not contend, whatever its flows.
 	s.running[1] = false
 	s.tick()
@@ -523,7 +526,7 @@ func TestCapDuringContentionToggles(t *testing.T) {
 }
 
 func TestCapAlways(t *testing.T) {
-	s := monitorSim(Config{Policy: LimitAlways, Tol: 1.1, Jobs: []JobSpec{
+	s := monitorSim(Config{Policy: LimitAlways, Jobs: []JobSpec{
 		{Nodes: 1, Async: true, BytesPerNode: 100e6, Compute: des.Second},
 	}})
 	s.tick()
@@ -538,7 +541,7 @@ func TestCapAlways(t *testing.T) {
 }
 
 func TestPredictiveCapping(t *testing.T) {
-	cfg := Config{Policy: LimitPredictive, Tol: 1,
+	cfg := Config{Policy: LimitPredictive,
 		MonitorInterval: 750 * des.Millisecond, // four ticks look 3 s ahead
 		Jobs:            []JobSpec{{Nodes: 1, Async: true}, {Nodes: 1}}}
 	s := monitorSim(cfg)

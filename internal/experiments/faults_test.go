@@ -5,21 +5,72 @@ import (
 	"testing"
 
 	"iobehind"
+	"iobehind/internal/des"
 	"iobehind/internal/faults"
+	"iobehind/internal/region"
 	"iobehind/internal/runner"
+	"iobehind/internal/tmio"
 )
 
-// TestFigFaultsQuick runs the seeded fault scenario at quick scale and
-// asserts its built-in invariants: transient errors were retried, fault
-// windows tainted phases, and the limiter recovered once they closed.
+// TestFigFaultsQuick assembles the fault scenario at quick scale for
+// fault seeds 1–20. Assemble enforces the built-in invariants —
+// transient errors were retried, fault windows tainted phases, and the
+// limiter recovered once they closed — so each seed's sweep must
+// assemble.
 func TestFigFaultsQuick(t *testing.T) {
-	res := runFig[*FigFaultsResult](t, runner.Serial(), FigFaultsExperiment(Quick))
-	if err := res.Check(); err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 20; seed++ {
+		res := runFig[*FigFaultsResult](t, runner.Serial(), FigFaultsExperimentSeeded(Quick, seed))
+		if out := res.Render(); !strings.Contains(out, "faulted") {
+			t.Fatalf("seed %d: render missing the faulted column:\n%s", seed, out)
+		}
 	}
-	out := res.Render()
-	if out == "" || !strings.Contains(out, "faulted") {
-		t.Fatalf("render missing the faulted column:\n%s", out)
+}
+
+// TestFigFaultsAssembleEnforcesInvariants hands the fault figure's
+// Assemble results that break each invariant in turn and requires an
+// error naming the broken one.
+func TestFigFaultsAssembleEnforcesInvariants(t *testing.T) {
+	exp := FigFaultsExperimentSeeded(Quick, 1)
+	var lastEnd des.Time
+	for _, w := range figFaultsScenario(1).Resolve() {
+		if w.End() > lastEnd {
+			lastEnd = w.End()
+		}
+	}
+	recovered := lastEnd.Add(des.Second)
+	assemble := func(breakIt func(clean, faulted *tmio.Report)) error {
+		clean := &tmio.Report{BLPhases: []region.Phase{{Start: recovered, Value: 100e6}}}
+		faulted := &tmio.Report{Retries: 3, FaultPhases: 2,
+			BLPhases: []region.Phase{{Start: recovered, Value: 120e6}}}
+		breakIt(clean, faulted)
+		_, err := exp.Assemble([]runner.Result{{Key: "clean", Value: clean}, {Key: "faulted", Value: faulted}})
+		return err
+	}
+	if err := assemble(func(_, _ *tmio.Report) {}); err != nil {
+		t.Fatalf("results that hold every invariant: %v", err)
+	}
+	cases := []struct {
+		name, want string
+		breakIt    func(clean, faulted *tmio.Report)
+	}{
+		{"no retries", "no transient-error retries",
+			func(_, f *tmio.Report) { f.Retries = 0 }},
+		{"no faulty phase", "no phase was marked faulty",
+			func(_, f *tmio.Report) { f.FaultPhases = 0 }},
+		{"no limit at all", "missing applied limits",
+			func(_, f *tmio.Report) { f.BLPhases = nil }},
+		{"no limit after the last window", "no limit derived after the last fault window",
+			func(_, f *tmio.Report) { f.BLPhases[0].Start = lastEnd.Add(-des.Millisecond) }},
+		{"recovered limit over 3x", "diverged from clean limit",
+			func(_, f *tmio.Report) { f.BLPhases[0].Value = 301e6 }},
+		{"recovered limit under 1/3", "diverged from clean limit",
+			func(_, f *tmio.Report) { f.BLPhases[0].Value = 33e6 }},
+	}
+	for _, c := range cases {
+		err := assemble(c.breakIt)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Assemble error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }
 

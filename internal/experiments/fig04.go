@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"iobehind/internal/des"
+	"iobehind/internal/metrics"
 	"iobehind/internal/region"
 	"iobehind/internal/report"
 	"iobehind/internal/runner"
@@ -17,14 +18,7 @@ import (
 // executable and inspectable.
 type Fig04Result struct {
 	Phases []region.Phase
-	Series *seriesWrap
-}
-
-// seriesWrap pairs the swept series with the sample instants used for
-// rendering.
-type seriesWrap struct {
-	s   interface{ At(des.Time) float64 }
-	end des.Time
+	Series *metrics.Series
 }
 
 // fig04Payload is the cacheable result of the exact aggregation point.
@@ -58,7 +52,7 @@ func Fig04Experiment(scale Scale) *Experiment {
 			}
 			return &Fig04Result{
 				Phases: p.Phases,
-				Series: &seriesWrap{s: region.Sweep("B_r", p.Phases), end: sec(11)},
+				Series: region.Sweep("B_r", p.Phases),
 			}, nil
 		},
 	}
@@ -85,7 +79,7 @@ func (r *Fig04Result) Render() string {
 	// Region boundaries are the sorted start/end times.
 	boundaries := []float64{1, 2, 3, 6, 8}
 	for i, at := range boundaries {
-		v := r.Series.s.At(des.Time(des.DurationOf(at)) + 1)
+		v := r.Series.At(des.Time(des.DurationOf(at)) + 1)
 		rt.AddRow(
 			fmt.Sprintf("%d", i+1),
 			fmt.Sprintf("%.0f s", at),
@@ -95,7 +89,7 @@ func (r *Fig04Result) Render() string {
 	b.WriteString(rt.Render())
 	max := 0.0
 	for _, at := range boundaries {
-		if v := r.Series.s.At(des.Time(des.DurationOf(at)) + 1); v > max {
+		if v := r.Series.At(des.Time(des.DurationOf(at)) + 1); v > max {
 			max = v
 		}
 	}

@@ -58,7 +58,8 @@ func FigFaultsExperiment(scale Scale) *Experiment {
 // FigFaultsExperimentSeeded enumerates the clean and faulted runs; seed
 // drives the scenario's random window batch (and nothing else — the
 // engine seed is fixed, so two invocations with the same fault seed are
-// byte-for-byte identical).
+// byte-for-byte identical). Its Assemble fails unless the scenario's
+// invariants hold (see Check).
 func FigFaultsExperimentSeeded(scale Scale, seed int64) *Experiment {
 	if seed == 0 {
 		seed = 1
@@ -96,13 +97,17 @@ func FigFaultsExperimentSeeded(scale Scale, seed int64) *Experiment {
 			if err != nil {
 				return nil, fmt.Errorf("figfaults: faulted: %w", err)
 			}
-			return &FigFaultsResult{
+			res := &FigFaultsResult{
 				Scale:   scale,
 				Seed:    seed,
 				Windows: faulted.Faults.Resolve(),
 				Clean:   cleanRep,
 				Faulted: faultedRep,
-			}, nil
+			}
+			if err := res.Check(); err != nil {
+				return nil, err
+			}
+			return res, nil
 		},
 	}
 }
@@ -124,8 +129,9 @@ func lastLimit(rep *tmio.Report) (float64, des.Time) {
 // Check asserts the scenario's invariants: faults were hit (nonzero
 // retries, tainted phases), and the limiter recovered — a fresh limit was
 // derived from a clean phase after the last fault window closed, within a
-// factor of three of the clean run's final limit. cmd/iosweep's
-// -check-faults flag calls it.
+// factor of three of the clean run's final limit. The experiment's
+// Assemble calls it, so every sweep of the figure fails on a broken
+// invariant, the way the trace figure fails a diverged round trip.
 func (r *FigFaultsResult) Check() error {
 	if r.Faulted.Retries == 0 {
 		return fmt.Errorf("figfaults: no transient-error retries under an IOError window")

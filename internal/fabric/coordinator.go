@@ -3,7 +3,9 @@ package fabric
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -25,9 +27,6 @@ type Options struct {
 	// lease expires and the point is re-dispatched to another worker
 	// (straggler speculation). Default 60s.
 	LeaseTimeout time.Duration
-	// IdleRetry is the backoff hint sent to workers when no work is
-	// pending. Default 200ms.
-	IdleRetry time.Duration
 	// Logf receives structured per-lease log lines (key=value pairs).
 	// Nil discards them.
 	Logf func(format string, args ...any)
@@ -79,6 +78,9 @@ type sweepState struct {
 	delivered int      // results handed to the client stream so far
 }
 
+// idleRetry is the backoff hint sent to workers when no work is pending.
+const idleRetry = 200 * time.Millisecond
+
 // Coordinator hands manifest points to pull-based workers, re-dispatches
 // expired leases, accepts the first completion of each point (verifying
 // that any duplicate is byte-identical), stores it in the cache, and
@@ -108,9 +110,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	}
 	if opts.LeaseTimeout <= 0 {
 		opts.LeaseTimeout = 60 * time.Second
-	}
-	if opts.IdleRetry <= 0 {
-		opts.IdleRetry = 200 * time.Millisecond
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -195,7 +194,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		}
 	}()
 
-	hello, err := ReadMsg(conn)
+	hello, err := c.read(conn, "hello")
 	if err != nil || hello.Kind != KindHello {
 		return
 	}
@@ -207,6 +206,22 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	default:
 		c.logf("fabric: conn from %s: unknown role %q", conn.RemoteAddr(), hello.Role)
 	}
+}
+
+// read reads one message from conn's peer. A failure other than a clean
+// close or this coordinator's shutdown is logged with the peer's address
+// and the error, so a peer speaking another protocol version is named
+// when its connection is dropped. what names the expected message.
+func (c *Coordinator) read(conn net.Conn, what string) (Msg, error) {
+	m, err := ReadMsg(conn)
+	if err != nil && !errors.Is(err, io.EOF) {
+		select {
+		case <-c.stop:
+		default:
+			c.logf("fabric: conn from %s: %s: %v", conn.RemoteAddr(), what, err)
+		}
+	}
+	return m, err
 }
 
 // touchWorker updates liveness for id and returns its info (locked).
@@ -243,7 +258,7 @@ func (c *Coordinator) serveWorker(conn net.Conn, id string) {
 	}()
 
 	for {
-		m, err := ReadMsg(conn)
+		m, err := c.read(conn, "worker="+id)
 		if err != nil {
 			return
 		}
@@ -272,7 +287,7 @@ func (c *Coordinator) grant(worker string, held *[]uint64) Msg {
 	w := c.touchWorker(worker)
 	sw := c.sweep
 	if sw == nil || len(sw.queue) == 0 {
-		return Msg{Kind: KindIdle, RetryMS: int(c.opts.IdleRetry / time.Millisecond)}
+		return Msg{Kind: KindIdle, RetryMS: int(idleRetry / time.Millisecond)}
 	}
 	idx := sw.queue[0]
 	sw.queue = sw.queue[1:]
@@ -470,7 +485,7 @@ func (c *Coordinator) writeClientLocked(sw *sweepState, m Msg) {
 
 // serveClient accepts one submission on conn and streams its results.
 func (c *Coordinator) serveClient(conn net.Conn, id string) {
-	m, err := ReadMsg(conn)
+	m, err := c.read(conn, "client="+id)
 	if err != nil || m.Kind != KindSubmit {
 		return
 	}
@@ -551,7 +566,7 @@ func (c *Coordinator) serveClient(conn net.Conn, id string) {
 	// Block until the client hangs up (or sends anything else, which we
 	// ignore); detach it so worker-side streaming stops cleanly.
 	for {
-		if _, err := ReadMsg(conn); err != nil {
+		if _, err := c.read(conn, "client="+id); err != nil {
 			break
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,7 +133,7 @@ func submitAsync(ctx context.Context, t *testing.T, addr string, manifest []Mani
 // and asserts the point is re-dispatched to another, the sweep completes,
 // and the re-dispatch is counted. Run under -race in the CI race sweep.
 func TestLeaseExpiryRedispatch(t *testing.T) {
-	co := startCoordinator(t, Options{LeaseTimeout: 50 * time.Millisecond, IdleRetry: 5 * time.Millisecond})
+	co := startCoordinator(t, Options{LeaseTimeout: 50 * time.Millisecond})
 	manifest := syntheticManifest(1)
 	ch := submitAsync(context.Background(), t, co.Addr(), manifest)
 
@@ -167,7 +168,7 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 // asserts the point is immediately re-queued without waiting for the
 // deadline.
 func TestDisconnectRequeuesLease(t *testing.T) {
-	co := startCoordinator(t, Options{LeaseTimeout: time.Hour, IdleRetry: 5 * time.Millisecond})
+	co := startCoordinator(t, Options{LeaseTimeout: time.Hour})
 	manifest := syntheticManifest(1)
 	ch := submitAsync(context.Background(), t, co.Addr(), manifest)
 
@@ -197,7 +198,7 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := startCoordinator(t, Options{Cache: cache, LeaseTimeout: 50 * time.Millisecond, IdleRetry: 5 * time.Millisecond})
+	co := startCoordinator(t, Options{Cache: cache, LeaseTimeout: 50 * time.Millisecond})
 	manifest := syntheticManifest(2)
 	ch := submitAsync(context.Background(), t, co.Addr(), manifest)
 
@@ -262,7 +263,7 @@ func TestCoordinatorResumesFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co1, err := NewCoordinator(Options{Cache: cache1, IdleRetry: 5 * time.Millisecond, Logf: t.Logf})
+	co1, err := NewCoordinator(Options{Cache: cache1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestCoordinatorResumesFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co2, err := NewCoordinator(Options{Cache: cache2, IdleRetry: 5 * time.Millisecond, Logf: t.Logf})
+	co2, err := NewCoordinator(Options{Cache: cache2, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestSubmitRejections(t *testing.T) {
 // workers under the race detector: every point completes exactly once
 // from the client's perspective no matter how many workers race.
 func TestConcurrentWorkersDrainSweep(t *testing.T) {
-	co := startCoordinator(t, Options{LeaseTimeout: time.Second, IdleRetry: time.Millisecond})
+	co := startCoordinator(t, Options{LeaseTimeout: time.Second})
 	const n = 24
 	manifest := syntheticManifest(n)
 	ch := submitAsync(context.Background(), t, co.Addr(), manifest)
@@ -568,5 +569,128 @@ func TestExecuteCancelledDeliversNothing(t *testing.T) {
 	}
 	if res.CacheKey != skewed.CacheKey {
 		t.Fatalf("skewed lease: result names %s, want the lease's %s", res.CacheKey, skewed.CacheKey)
+	}
+}
+
+// logLines is a Logf that keeps every line, for tests that require one.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// waitLine returns the first line containing every one of subs, waiting
+// up to five seconds for it.
+func (l *logLines) waitLine(t *testing.T, subs ...string) string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l.mu.Lock()
+		for _, line := range l.lines {
+			found := true
+			for _, sub := range subs {
+				found = found && strings.Contains(line, sub)
+			}
+			if found {
+				l.mu.Unlock()
+				return line
+			}
+		}
+		lines := append([]string(nil), l.lines...)
+		l.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("no log line contains %q; got %q", subs, lines)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCoordinatorLogsUndecodableMessage: a peer whose frame does not
+// decode — a garbage frame here, a peer of another protocol version in
+// practice — is dropped with one log line naming it and the decode
+// error, while a peer that closes cleanly leaves no line.
+func TestCoordinatorLogsUndecodableMessage(t *testing.T) {
+	var log logLines
+	co := startCoordinator(t, Options{Logf: log.logf})
+
+	quiet, err := net.Dial("tcp", co.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	quietAddr := quiet.LocalAddr().String()
+	quiet.Close()
+
+	conn, err := net.Dial("tcp", co.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0, 0, 0, 4, 'j', 'u', 'n', 'k'}); err != nil {
+		t.Fatal(err)
+	}
+	log.waitLine(t, conn.LocalAddr().String(), "decode message")
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after the garbage frame: %v, want the coordinator's close", err)
+	}
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, line := range log.lines {
+		if strings.Contains(line, quietAddr) {
+			t.Fatalf("a clean close was logged: %q", line)
+		}
+	}
+}
+
+// TestWorkerRedialRateBounded: against a coordinator that accepts every
+// connection, answers the executor's get with a frame that does not
+// decode, and hangs up, the executor logs the decode error naming the
+// coordinator and redials on its doubling, jittered backoff — a handful
+// of dials in the window, not a hot loop of hundreds.
+func TestWorkerRedialRateBounded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dials atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			// Read the hello and the get before answering, so the
+			// executor reads the garbage frame, not a reset.
+			ReadMsg(conn)
+			ReadMsg(conn)
+			conn.Write([]byte{0, 0, 0, 4, 'j', 'u', 'n', 'k'})
+			conn.Close()
+		}
+	}()
+
+	var log logLines
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		RunWorker(ctx, WorkerOptions{Coordinator: ln.Addr().String(), ID: "w", Logf: log.logf})
+	}()
+	time.Sleep(400 * time.Millisecond)
+	cancel()
+	<-done
+
+	log.waitLine(t, "coordinator="+ln.Addr().String(), "decode message")
+	// The backoff starts at 100 ms, jittered to [50, 100) ms, and
+	// doubles: at most four dials fit in 400 ms.
+	if n := dials.Load(); n < 1 || n > 6 {
+		t.Fatalf("%d dials in 400ms, want between 1 and 6", n)
 	}
 }

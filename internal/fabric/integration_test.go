@@ -80,7 +80,6 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	co, err := NewCoordinator(Options{
 		Cache:        sharedCache,
 		LeaseTimeout: 5 * time.Second,
-		IdleRetry:    10 * time.Millisecond,
 		Logf:         t.Logf,
 		// Kill worker 1 as soon as any result lands: whatever it holds
 		// at that moment must be re-dispatched and the sweep must still
@@ -113,8 +112,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			RunWorker(w.ctx, WorkerOptions{
-				Coordinator: co.Addr(), ID: w.id, Executors: 2,
-				Logf: t.Logf, MaxBackoff: 100 * time.Millisecond,
+				Coordinator: co.Addr(), ID: w.id, Executors: 2, Logf: t.Logf,
 			})
 		}()
 	}

@@ -2,7 +2,9 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -23,11 +25,14 @@ type WorkerOptions struct {
 	Executors int
 	// Logf receives progress lines. Nil discards them.
 	Logf func(format string, args ...any)
-	// DialTimeout bounds one connection attempt. Default 5s.
-	DialTimeout time.Duration
-	// MaxBackoff caps the reconnect backoff. Default 5s.
-	MaxBackoff time.Duration
 }
+
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 5 * time.Second
+	// maxBackoff caps the reconnect backoff.
+	maxBackoff = 5 * time.Second
+)
 
 // RunWorker pulls leases from the coordinator and executes them until ctx
 // is cancelled. Each executor holds its own connection; a lost connection
@@ -47,12 +52,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 5 * time.Second
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Executors; i++ {
@@ -77,6 +76,7 @@ type executor struct {
 
 	conn     net.Conn
 	stopConn func() bool // context.AfterFunc cleanup for conn
+	replied  bool        // conn has delivered a reply
 	backoff  time.Duration
 	pending  *Msg // computed result not yet acked by the coordinator
 }
@@ -102,12 +102,11 @@ func (e *executor) run(ctx context.Context) {
 			e.pending = nil
 		}
 		if err := WriteMsg(e.conn, Msg{Kind: KindGet, Role: "worker", ID: e.name}); err != nil {
-			e.dropConn()
+			e.lost(ctx, err)
 			continue
 		}
-		m, err := ReadMsg(e.conn)
-		if err != nil {
-			e.dropConn()
+		m, ok := e.reply(ctx)
+		if !ok {
 			continue
 		}
 		switch m.Kind {
@@ -136,8 +135,9 @@ func (e *executor) run(ctx context.Context) {
 }
 
 // connect dials and introduces the executor; false means backoff taken.
+// The backoff resets only once the new connection delivers a reply.
 func (e *executor) connect(ctx context.Context) bool {
-	d := net.Dialer{Timeout: e.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", e.opts.Coordinator)
 	if err != nil {
 		e.waitBackoff(ctx, err)
@@ -150,8 +150,40 @@ func (e *executor) connect(ctx context.Context) bool {
 	}
 	e.conn = conn
 	e.stopConn = context.AfterFunc(ctx, func() { conn.Close() })
-	e.backoff = 0
+	e.replied = false
 	return true
+}
+
+// reply reads the coordinator's answer on the current connection; a
+// failure drops the connection (see lost).
+func (e *executor) reply(ctx context.Context) (Msg, bool) {
+	m, err := ReadMsg(e.conn)
+	if err != nil {
+		e.lost(ctx, err)
+		return Msg{}, false
+	}
+	e.replied = true
+	e.backoff = 0
+	return m, true
+}
+
+// lost drops a failed connection and logs the cause, so a coordinator
+// speaking another protocol version is named. A connection that failed
+// before delivering any reply counts as a failed dial and waits out the
+// backoff, so a coordinator that accepts and drops every connection is
+// not redialed in a hot loop. A later failure redials at once, and a
+// clean close then needs no line; neither does the executor's own
+// cancellation.
+func (e *executor) lost(ctx context.Context, cause error) {
+	replied := e.replied
+	e.dropConn()
+	switch {
+	case ctx.Err() != nil:
+	case !replied:
+		e.waitBackoff(ctx, cause)
+	case !errors.Is(cause, io.EOF):
+		e.logf("fabric: worker=%s coordinator=%s: %v, reconnecting", e.name, e.opts.Coordinator, cause)
+	}
 }
 
 func (e *executor) dropConn() {
@@ -171,11 +203,11 @@ func (e *executor) waitBackoff(ctx context.Context, cause error) {
 		e.backoff = 100 * time.Millisecond
 	} else {
 		e.backoff *= 2
-		if e.backoff > e.opts.MaxBackoff {
-			e.backoff = e.opts.MaxBackoff
+		if e.backoff > maxBackoff {
+			e.backoff = maxBackoff
 		}
 	}
-	e.logf("fabric: worker=%s coordinator unreachable (%v), retrying in %s", e.name, cause, e.backoff)
+	e.logf("fabric: worker=%s coordinator=%s: %v, retrying in %s", e.name, e.opts.Coordinator, cause, e.backoff)
 	sleepCtx(ctx, jitter(e.backoff))
 }
 
@@ -183,11 +215,14 @@ func (e *executor) waitBackoff(ctx context.Context, cause error) {
 // connection (the caller retries after reconnect via e.pending).
 func (e *executor) deliver(ctx context.Context, res Msg) bool {
 	if err := WriteMsg(e.conn, res); err != nil {
-		e.dropConn()
+		e.lost(ctx, err)
 		return false
 	}
-	ack, err := ReadMsg(e.conn)
-	if err != nil || ack.Kind != KindAck {
+	ack, ok := e.reply(ctx)
+	if !ok {
+		return false
+	}
+	if ack.Kind != KindAck {
 		e.dropConn()
 		return false
 	}

@@ -128,9 +128,12 @@ func (w Window) validate() error {
 }
 
 // RandomConfig generates seeded-random windows in addition to (or instead
-// of) scripted ones. Generation happens at Injector construction from its
-// own rand.Rand seeded with Seed, so it never perturbs the engine's draw
-// order and is identical across runs and parallelism levels.
+// of) scripted ones: Degrade, ServerStall and IOError windows on the
+// write channel. Outage and Straggler are disruptive enough that only
+// scripted windows use them. Generation happens at Injector construction
+// from its own rand.Rand seeded with Seed, so it never perturbs the
+// engine's draw order and is identical across runs and parallelism
+// levels.
 type RandomConfig struct {
 	// Seed drives the generator; 0 defaults to 1.
 	Seed int64 `json:"seed"`
@@ -142,13 +145,6 @@ type RandomConfig struct {
 	// MeanDur is the mean (exponential) window duration. Defaults to
 	// Horizon/20.
 	MeanDur des.Duration `json:"mean_dur,omitempty"`
-	// Kinds to draw from; empty means {Degrade, ServerStall, IOError}
-	// (Outage and Straggler are disruptive enough that they are opt-in).
-	Kinds []Kind `json:"kinds,omitempty"`
-	// Class targeted by the generated windows (Straggler ignores it).
-	Class pfs.Class `json:"class,omitempty"`
-	// Nodes bounds the straggler node draw to [0, Nodes); 0 means node 0.
-	Nodes int `json:"nodes,omitempty"`
 }
 
 // Config is a complete fault scenario: scripted windows plus an optional
@@ -201,16 +197,13 @@ func (rc RandomConfig) generate() []Window {
 	if mean <= 0 {
 		mean = rc.Horizon / 20
 	}
-	kinds := rc.Kinds
-	if len(kinds) == 0 {
-		kinds = []Kind{Degrade, ServerStall, IOError}
-	}
+	kinds := [...]Kind{Degrade, ServerStall, IOError}
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Window, 0, rc.Count)
 	for i := 0; i < rc.Count; i++ {
 		w := Window{
 			Kind:  kinds[rng.Intn(len(kinds))],
-			Class: rc.Class,
+			Class: pfs.Write,
 			Start: des.Time(des.DurationOf(rng.Float64() * rc.Horizon.Seconds())),
 			Dur:   des.DurationOf(rng.ExpFloat64() * mean.Seconds()),
 		}
@@ -222,11 +215,6 @@ func (rc RandomConfig) generate() []Window {
 			w.Factor = 0.1 + 0.6*rng.Float64()
 		case ServerStall:
 			w.Factor = 2 + 8*rng.Float64()
-		case Straggler:
-			w.Factor = 2 + 6*rng.Float64()
-			if rc.Nodes > 1 {
-				w.Node = rng.Intn(rc.Nodes)
-			}
 		case IOError:
 			w.Prob = 0.05 + 0.25*rng.Float64()
 		}

@@ -83,8 +83,7 @@ func TestInvalidWindowsPanicAtConstruction(t *testing.T) {
 }
 
 func TestRandomGenerationDeterministic(t *testing.T) {
-	rc := RandomConfig{Seed: 42, Count: 8, Horizon: 10 * des.Second, Nodes: 4,
-		Kinds: []Kind{Degrade, Outage, ServerStall, Straggler, IOError}}
+	rc := RandomConfig{Seed: 42, Count: 8, Horizon: 10 * des.Second}
 	a, b := rc.generate(), rc.generate()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed generated different windows")
@@ -98,6 +97,9 @@ func TestRandomGenerationDeterministic(t *testing.T) {
 		}
 		if w.Start < 0 || w.Start >= des.Time(rc.Horizon) {
 			t.Errorf("window start %v outside [0, %v)", w.Start, rc.Horizon)
+		}
+		if w.Kind == Outage || w.Kind == Straggler || w.Class != pfs.Write {
+			t.Errorf("random batch drew a %s window on %s; only scripted windows are outages or stragglers", w.Kind, w.Class)
 		}
 	}
 	rc.Seed = 43
@@ -336,13 +338,13 @@ func TestStragglerSlowsOnlyItsNode(t *testing.T) {
 }
 
 func TestIOErrorWindowExhaustsRetries(t *testing.T) {
-	// Certain failure: every attempt fails, the agent retries RetryMax
+	// Certain failure: every attempt fails, the agent retries four
 	// times, abandons the request, and delivers nothing.
 	done, a, _ := runOne(t, Config{Windows: []Window{
 		{Kind: IOError, Class: pfs.Write, Prob: 1, Start: 0, Dur: 100 * des.Second},
-	}}, adio.Config{RetryMax: 3}, 10e6, 0)
-	if a.Retries() != 3 {
-		t.Fatalf("retries = %d, want 3", a.Retries())
+	}}, adio.Config{}, 10e6, 0)
+	if a.Retries() != 4 {
+		t.Fatalf("retries = %d, want 4", a.Retries())
 	}
 	if a.RetryExhausted() != 1 {
 		t.Fatalf("exhausted = %d, want 1", a.RetryExhausted())

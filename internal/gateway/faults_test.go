@@ -49,7 +49,7 @@ func TestFaultAnnotationsSurface(t *testing.T) {
 	s, addr, stop := startGateway(t, Config{})
 	defer stop()
 
-	sink, err := tmio.DialSinkWith(addr, tmio.SinkOptions{AppID: "faulty-app"})
+	sink, err := tmio.DialSink(addr, "faulty-app")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,15 +42,12 @@ type Config struct {
 	// history in *virtual* time: once an app's activity frontier moves
 	// past the window, closed regions older than (frontier − window) are
 	// compacted into a fixed summary (exact running max plus a coarsened
-	// tail of at most RetentionTail points) and the FTIO signal slices
+	// tail of at most 64 points) and the FTIO signal slices
 	// are pruned to the same horizon, so per-app memory is bounded by
 	// the window's occupancy instead of growing for the life of the run.
 	// Records arriving behind an app's horizon are rejected and counted
 	// in Stats.Late. 0 (the default) retains everything.
 	RetentionWindow des.Duration
-	// RetentionTail bounds the coarsened summary kept per compacted
-	// sweep. Defaults to 64 when retention is active.
-	RetentionTail int
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -115,7 +112,7 @@ type Server struct {
 // New creates a gateway server.
 func New(cfg Config) *Server {
 	s := &Server{cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
-	s.reg.init(s.cfg.RetentionWindow, s.cfg.RetentionTail)
+	s.reg.init(s.cfg.RetentionWindow)
 	return s
 }
 
@@ -227,8 +224,8 @@ func (s *Server) Stats() Stats {
 // accepted.
 //
 // The protocol is sniffed from the first two bytes: the binary frame
-// magic can never begin a JSON line, so new producers speak frames and
-// old producers fall back to JSON lines on the same listener.
+// magic can never begin a JSON line, so the tracer's TCPSink speaks
+// frames and other producers may write JSON lines to the same listener.
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {

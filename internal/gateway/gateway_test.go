@@ -52,7 +52,7 @@ func startGateway(t *testing.T, cfg Config) (*Server, string, func()) {
 // can compare online aggregation against an offline sweep over the exact
 // same records.
 type teeSink struct {
-	tcp     *tmio.TCPSink
+	tcp     tmio.Sink
 	collect *tmio.CollectSink
 }
 
@@ -63,9 +63,33 @@ func (s teeSink) Emit(rec tmio.StreamRecord) error {
 
 func (s teeSink) Close() error { return s.tcp.Close() }
 
+// lineSink writes each record as a JSON line straight to the connection,
+// the way producers other than the tracer's TCPSink (which writes binary
+// frames) speak to the gateway.
+type lineSink struct {
+	conn  net.Conn
+	enc   *json.Encoder
+	appID string
+}
+
+func dialLineSink(addr, appID string) (*lineSink, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return &lineSink{conn: conn, enc: json.NewEncoder(conn), appID: appID}, nil
+}
+
+func (s *lineSink) Emit(rec tmio.StreamRecord) error {
+	rec.App = s.appID
+	return s.enc.Encode(rec)
+}
+
+func (s *lineSink) Close() error { return s.conn.Close() }
+
 // runStreamingApp runs one traced simulation that streams every phase to
-// the gateway — over binary frames or JSON lines — returning the locally
-// collected copy of the records.
+// the gateway — as binary frames through a TCPSink, or as JSON lines —
+// returning the locally collected copy of the records.
 func runStreamingApp(t *testing.T, addr, appID string, seed int64, ranks, phases int, bytes int64, binary bool) *tmio.CollectSink {
 	t.Helper()
 	e := des.NewEngine(seed)
@@ -75,7 +99,13 @@ func runStreamingApp(t *testing.T, addr, appID string, seed int64, ranks, phases
 	tr := tmio.Attach(sys, tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.5}, tmio.Config{
 		DisableOverhead: true,
 	})
-	tcp, err := tmio.DialSinkWith(addr, tmio.SinkOptions{AppID: appID, Binary: binary})
+	var tcp tmio.Sink
+	var err error
+	if binary {
+		tcp, err = tmio.DialSink(addr, appID)
+	} else {
+		tcp, err = dialLineSink(addr, appID)
+	}
 	if err != nil {
 		t.Errorf("%s: dial: %v", appID, err)
 		return nil
@@ -129,13 +159,14 @@ func sameSeries(a, b *metrics.Series) error {
 }
 
 // TestConcurrentAppsOnlineMatchesOffline is the end-to-end acceptance
-// test: four concurrent simulated applications — two speaking binary
-// frames, two speaking JSON lines, all into the same listener — and for
-// each app the gateway's online B/B_L/T step series must equal the
-// offline region sweep over the very same records, whichever protocol
-// carried them. A fifth connection streams app-0's simulation again over
-// JSON lines, and its series must equal app-0's, which came over binary
-// frames; once every sink has closed, no connection stays active.
+// test: four concurrent simulated applications — two streaming binary
+// frames through TCPSinks, two writing JSON lines, all into the same
+// listener — and for each app the gateway's online B/B_L/T step series
+// must equal the offline region sweep over the very same records,
+// whichever protocol carried them. A fifth connection streams app-0's
+// simulation again as JSON lines, and its series must equal app-0's,
+// which came as binary frames; once every sink has closed, no
+// connection stays active.
 func TestConcurrentAppsOnlineMatchesOffline(t *testing.T) {
 	s, addr, stop := startGateway(t, Config{})
 	defer stop()

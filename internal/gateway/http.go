@@ -80,8 +80,8 @@ func pointsToJSON(series *metrics.Series) []pointJSON {
 	return pts
 }
 
-// PredictJSON is the wire form of a Prediction (also decoded by
-// iogateway's smoke check and the streaming example, hence exported).
+// PredictJSON is the wire form of a Prediction (also decoded by the
+// streaming example, hence exported).
 type PredictJSON struct {
 	ID           string  `json:"id"`
 	OK           bool    `json:"ok"`

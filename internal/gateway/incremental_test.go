@@ -87,10 +87,7 @@ func TestShardedRegistrySpreadsApps(t *testing.T) {
 // behind the horizon is rejected and surfaces in Stats.Late and
 // /metrics.
 func TestRetentionBoundsMemory(t *testing.T) {
-	s := New(Config{
-		RetentionWindow: des.DurationOf(10), // 10 virtual seconds
-		RetentionTail:   8,
-	})
+	s := New(Config{RetentionWindow: des.DurationOf(10)}) // 10 virtual seconds
 	var all []region.Phase
 	const n = 5000
 	for j := 0; j < n; j++ {

@@ -110,10 +110,8 @@ type appShard struct {
 type registry struct {
 	shards [appShards]appShard
 
-	// window > 0 bounds each app's retained history in virtual time;
-	// tailCap bounds the coarsened summary kept for compacted history.
-	window  des.Duration
-	tailCap int
+	// window > 0 bounds each app's retained history in virtual time.
+	window des.Duration
 
 	// slow counts write-locked getOrCreate passes (app creations, plus
 	// the rare lost race); late counts records rejected because they
@@ -122,12 +120,11 @@ type registry struct {
 	late atomic.Int64
 }
 
-func (r *registry) init(window des.Duration, tailCap int) {
+func (r *registry) init(window des.Duration) {
 	for i := range r.shards {
 		r.shards[i].apps = make(map[string]*appState)
 	}
 	r.window = window
-	r.tailCap = tailCap
 }
 
 // shardOf hashes the app ID with inline FNV-1a (allocation-free, unlike
@@ -187,11 +184,6 @@ func (r *registry) getOrCreate(id string) *appState {
 		b:  region.NewIncrementalSweep("B"),
 		bl: region.NewIncrementalSweep("B_L"),
 		t:  region.NewIncrementalSweep("T"),
-	}
-	if r.tailCap > 0 {
-		st.b.SetTailCap(r.tailCap)
-		st.bl.SetTailCap(r.tailCap)
-		st.t.SetTailCap(r.tailCap)
 	}
 	sh.apps[id] = st
 	return st

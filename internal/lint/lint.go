@@ -28,12 +28,11 @@
 //     sim-reachable code; the kernel is single-threaded by design and
 //     concurrency belongs to the exempt packages.
 //   - errdrop    — no discarded error from the fuzz-tested decoders
-//     (tmio.DecodeStreamRecord, trace.DecodeRecord, fabric.DecodeMsg) or
-//     from Close/Flush on files and buffered writers in the fabric and
-//     runner packages, where a swallowed error breaks the resume
-//     guarantee.
-//   - cachekey   — structs reachable from a runner.Point config, or from
-//     a fabric.ManifestPoint config about to travel the wire, must mark
+//     (tmio.DecodeStreamRecord, tmio.DecodeFrame, trace.DecodeRecord,
+//     fabric.DecodeMsg) or from Close/Flush on files and buffered writers
+//     in the fabric and runner packages, where a swallowed error breaks
+//     the resume guarantee.
+//   - cachekey   — structs reachable from a runner.Point config must mark
 //     func/chan/unexported-interface fields `json:"-"` so json.Marshal
 //     based SHA-256 cache keys stay total and stable.
 //   - floateq    — ==/!= between floating-point expressions is forbidden

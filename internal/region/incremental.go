@@ -14,8 +14,8 @@ const (
 	// splits (three per ~chunkMax/2 inserts, amortizing to zero — pinned
 	// by BenchmarkIncrementalAdd in the bench-check gate).
 	chunkMax = 512
-	// defaultTailCap bounds the coarsened-history points Compact keeps.
-	defaultTailCap = 64
+	// tailCap bounds the coarsened-history points Compact keeps.
+	tailCap = 64
 )
 
 // chunk is one run of consecutive boundary deltas in the global
@@ -91,22 +91,13 @@ type IncrementalSweep struct {
 	horizon      des.Time
 	compactedMax float64
 	tail         []metrics.Point
-	tailCap      int
 	late         int64
 }
 
 // NewIncrementalSweep creates an empty aggregator producing a series
 // with the given name.
 func NewIncrementalSweep(name string) *IncrementalSweep {
-	return &IncrementalSweep{name: name, tailCap: defaultTailCap}
-}
-
-// SetTailCap bounds the coarsened-history points retained by Compact
-// (default 64). Values < 1 are ignored.
-func (s *IncrementalSweep) SetTailCap(n int) {
-	if n > 0 {
-		s.tailCap = n
-	}
+	return &IncrementalSweep{name: name}
 }
 
 // Len returns the number of accepted phases, including phases whose
@@ -256,11 +247,7 @@ func (s *IncrementalSweep) Compact(cutoff des.Time) {
 // the earlier time and the larger value — the span-max envelope) until
 // it fits the cap, doubling the summary's granularity each pass.
 func (s *IncrementalSweep) coarsenTail() {
-	limit := s.tailCap
-	if limit <= 0 {
-		limit = defaultTailCap
-	}
-	for len(s.tail) > limit {
+	for len(s.tail) > tailCap {
 		half := (len(s.tail) + 1) / 2
 		for i := 0; i < half; i++ {
 			p := s.tail[2*i]

@@ -195,10 +195,11 @@ func TestIncrementalReversedArrival(t *testing.T) {
 // the horizon are rejected and counted.
 func TestIncrementalCompact(t *testing.T) {
 	inc := NewIncrementalSweep("B")
-	inc.SetTailCap(8)
 	var all []Phase
-	// A tall spike early on: Max must survive compaction exactly.
-	for i := 0; i < 4000; i++ {
+	// A tall spike early on: Max must survive compaction exactly. The
+	// history before the cutoff spans more chunks than the tail keeps,
+	// so Compact must coarsen it.
+	for i := 0; i < 12000; i++ {
 		v := 1.7e6
 		if i == 137 {
 			v = 9.9e7
@@ -209,12 +210,15 @@ func TestIncrementalCompact(t *testing.T) {
 			t.Fatalf("Add %d rejected", i)
 		}
 	}
-	before, _ := inc.Size()
-	cutoff := ms(6000)
+	before, chunksBefore := inc.Size()
+	cutoff := ms(20000)
 	inc.Compact(cutoff)
-	after, _ := inc.Size()
+	after, chunksAfter := inc.Size()
 	if after >= before {
 		t.Fatalf("Compact did not shrink: %d -> %d boundaries", before, after)
+	}
+	if dropped := chunksBefore - chunksAfter; dropped <= tailCap {
+		t.Fatalf("Compact dropped %d chunks, too few to need coarsening to %d points", dropped, tailCap)
 	}
 	horizon, ok := inc.Horizon()
 	if !ok || horizon >= cutoff {
@@ -252,8 +256,8 @@ func TestIncrementalCompact(t *testing.T) {
 			head++
 		}
 	}
-	if head > 8 {
-		t.Fatalf("coarsened tail has %d points, cap 8", head)
+	if head > tailCap {
+		t.Fatalf("coarsened tail has %d points, cap %d", head, tailCap)
 	}
 
 	// Late arrival behind the horizon: rejected and counted.
@@ -265,7 +269,7 @@ func TestIncrementalCompact(t *testing.T) {
 	}
 	// New arrivals ahead of the horizon still fold in and keep the live
 	// suffix exact: the carry preserved the running sum across the drop.
-	ph := Phase{Start: ms(8100), End: ms(8200), Value: 3.3e6}
+	ph := Phase{Start: ms(24100), End: ms(24200), Value: 3.3e6}
 	if !inc.Add(ph) {
 		t.Fatal("live phase rejected after compact")
 	}

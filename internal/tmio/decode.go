@@ -10,9 +10,10 @@ import (
 // ErrEmptyRecord is returned by DecodeStreamRecord for blank input lines.
 var ErrEmptyRecord = errors.New("tmio: empty stream record")
 
-// DecodeStreamRecord parses one JSON line of the TMIO stream protocol —
-// the inverse of what TCPSink emits. It is the single decode path shared
-// by every consumer (the gateway's ingest loop, tests, fuzzing), so
+// DecodeStreamRecord parses one JSON line of the TMIO stream protocol,
+// the encoding of producers other than TCPSink, which writes binary
+// frames (DecodeFrame). It is the single JSON decode path shared by
+// every consumer (the gateway's ingest loop, tests, fuzzing), so
 // tolerance decisions live in one place:
 //
 //   - unknown fields and higher schema versions are accepted (the

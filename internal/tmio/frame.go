@@ -32,8 +32,8 @@ import (
 // The two magic bytes can never begin a JSON line (0xB5 is not valid
 // UTF-8 lead byte territory for JSON text, which starts with
 // whitespace or '{'), which is what lets gateway.Server sniff the first
-// bytes of a connection and fall back to the JSON-lines decode for old
-// producers.
+// bytes of a connection and fall back to the JSON-lines decode for
+// producers other than TCPSink.
 const (
 	frameMagic0 = 0xB5
 	frameMagic1 = 0x10

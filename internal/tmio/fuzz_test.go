@@ -15,11 +15,11 @@ import (
 //
 //   - errors always come with a zero record (no partially decoded fields
 //     can leak into aggregation);
-//   - an accepted record survives a marshal/decode round trip unchanged
-//     (re-encoding a record is how the gateway's smoke path replays);
+//   - an accepted record survives a marshal/decode round trip unchanged,
+//     so re-encoding a stream loses nothing;
 //   - whitespace framing never changes the outcome.
 func FuzzDecodeStreamRecord(f *testing.F) {
-	// A full valid record, as TCPSink emits it.
+	// A full valid record, as a JSON-lines producer writes it.
 	f.Add(`{"v":1,"app":"hacc-run-1","rank":3,"phase":2,"ts":1.5,"te":2.5,"b":1048576,"bl":9.5e5,"t":8e5,"tts":1.6,"tte":2.4}`)
 	// Minimal record: omitempty fields absent.
 	f.Add(`{"rank":0,"phase":0,"ts":0,"te":0.5,"b":42}`)

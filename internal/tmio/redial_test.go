@@ -18,7 +18,7 @@ func TestRedialRateBounded(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // the port is now dead: every dial fails fast
 
-	s := newSink(nil, SinkOptions{})
+	s := newSink(nil, "")
 	s.bufferRecords = 8
 	s.dialTimeout = 100 * time.Millisecond
 	s.addr = addr
@@ -28,7 +28,7 @@ func TestRedialRateBounded(t *testing.T) {
 	}
 
 	time.Sleep(600 * time.Millisecond)
-	dials := s.Dials()
+	dials := s.dials.Load()
 	s.Close()
 
 	if dials < 1 {

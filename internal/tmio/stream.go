@@ -1,8 +1,6 @@
 package tmio
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -34,7 +32,8 @@ type Sink interface {
 	Close() error
 }
 
-// StreamRecord is one rank-phase measurement, streamed as a JSON line.
+// StreamRecord is one rank-phase measurement, streamed in a binary frame
+// by TCPSink or as a JSON line by other producers (docs/STREAM_FORMAT.md).
 //
 // V is the schema version (StreamVersion); App identifies the
 // application/run so a collector can demultiplex several concurrent runs
@@ -61,20 +60,6 @@ type StreamRecord struct {
 	Retries int  `json:"retries,omitempty"`
 }
 
-// SinkOptions selects how a TCP sink labels and encodes its records.
-type SinkOptions struct {
-	// AppID is stamped into every record's App field (unless the record
-	// already carries one), so one collector can tell concurrent runs
-	// apart.
-	AppID string
-	// Binary selects the binary frame encoding (docs/STREAM_FORMAT.md):
-	// each flush packs the whole batch into a pooled frame buffer and
-	// writes it with one syscall, with zero steady-state allocations.
-	// The default stays JSON lines; the gateway sniffs the first bytes
-	// of a connection and accepts either.
-	Binary bool
-}
-
 // The TCP sink's buffering and reconnection tuning. newSink copies them
 // into the sink, where in-package tests may shorten them before the
 // writer starts.
@@ -97,8 +82,10 @@ const (
 	sinkSeed = 1
 )
 
-// TCPSink streams records over a TCP connection — JSON lines by
-// default, length-prefixed binary frames with SinkOptions.Binary.
+// TCPSink streams records over a TCP connection as binary frames
+// (docs/STREAM_FORMAT.md): each flush packs the whole batch into a pooled
+// frame buffer and writes it with one syscall, with zero steady-state
+// allocations.
 //
 // Emit never blocks on the network and never fails the application:
 // records go into a bounded in-memory ring that a background writer
@@ -108,8 +95,8 @@ const (
 // full the oldest records are dropped and counted — the tracer degrades,
 // it never stalls.
 type TCPSink struct {
-	opts SinkOptions
-	addr string // redial target; empty when wrapping a foreign conn
+	appID string // stamped into records that carry no App
+	addr  string // redial target; empty when wrapping a foreign conn
 
 	// Tuning, set from the sink* constants by newSink.
 	bufferRecords             int
@@ -133,26 +120,24 @@ type TCPSink struct {
 	conn    net.Conn
 	rng     *rand.Rand
 	scratch []StreamRecord // reused takeBatch buffer, owned by the writer
-	jbuf    bytes.Buffer   // reused JSON-lines encode buffer
-	fbuf    *[]byte        // pooled binary frame buffer (Binary mode)
+	fbuf    *[]byte        // pooled frame buffer
 
-	// dials counts connection attempts (observability; the redial-rate
-	// test asserts the backoff bounds it).
+	// dials counts connection attempts; the redial-rate test asserts the
+	// backoff bounds it.
 	dials atomic.Int64
 }
 
-// Dials returns how many TCP connection attempts the sink has made.
-func (s *TCPSink) Dials() int64 { return s.dials.Load() }
-
-// DialSinkWith connects to addr (e.g. "127.0.0.1:5555"). The initial
-// dial is synchronous so an unreachable collector is reported
-// immediately; after that the sink reconnects on its own.
-func DialSinkWith(addr string, opts SinkOptions) (*TCPSink, error) {
+// DialSink connects to addr (e.g. "127.0.0.1:5555") and stamps appID
+// into every record's App field, unless the record already carries one,
+// so one collector can tell concurrent runs apart. The initial dial is
+// synchronous so an unreachable collector is reported immediately; after
+// that the sink reconnects on its own.
+func DialSink(addr, appID string) (*TCPSink, error) {
 	conn, err := net.DialTimeout("tcp", addr, sinkDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("tmio: dial sink: %w", err)
 	}
-	s := newSink(conn, opts)
+	s := newSink(conn, appID)
 	s.addr = addr
 	s.start()
 	return s, nil
@@ -162,9 +147,9 @@ func DialSinkWith(addr string, opts SinkOptions) (*TCPSink, error) {
 // writer starts with start. A sink without an addr cannot redial: if
 // its connection fails, it drops records (counted by Dropped) instead
 // of blocking.
-func newSink(conn net.Conn, opts SinkOptions) *TCPSink {
+func newSink(conn net.Conn, appID string) *TCPSink {
 	return &TCPSink{
-		opts:          opts,
+		appID:         appID,
 		bufferRecords: sinkBufferRecords,
 		writeTimeout:  sinkWriteTimeout,
 		dialTimeout:   sinkDialTimeout,
@@ -190,7 +175,7 @@ func (s *TCPSink) Emit(rec StreamRecord) error {
 		rec.V = StreamVersion
 	}
 	if rec.App == "" {
-		rec.App = s.opts.AppID
+		rec.App = s.appID
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -318,36 +303,25 @@ func (s *TCPSink) flush(batch []StreamRecord, final bool) {
 		}
 		return
 	}
-	var out []byte
-	if s.opts.Binary {
-		// Exact upper bound on the encoded size, so the pooled buffer
-		// never regrows mid-append and stays in its size class.
-		payload := 0
-		for i := range batch {
-			payload += 2 + recFixedLen + len(batch[i].App)
-		}
-		frames := 1 + payload/(MaxFramePayload-maxRecordWire)
-		if s.fbuf == nil {
-			s.fbuf = GetFrameBuf(payload + frames*FrameHeaderLen)
-		} else {
-			s.fbuf = GrowFrameBuf(s.fbuf, payload+frames*FrameHeaderLen)
-		}
-		buf, err := appendFrames((*s.fbuf)[:0], batch)
-		*s.fbuf = buf[:0]
-		if err != nil {
-			// A record outside the wire range cannot be represented; the
-			// batch is lost the same way a failed write loses it.
-			s.drop(batch, err)
-			return
-		}
-		out = buf
+	// Exact upper bound on the encoded size, so the pooled buffer never
+	// regrows mid-append and stays in its size class.
+	payload := 0
+	for i := range batch {
+		payload += 2 + recFixedLen + len(batch[i].App)
+	}
+	frames := 1 + payload/(MaxFramePayload-maxRecordWire)
+	if s.fbuf == nil {
+		s.fbuf = GetFrameBuf(payload + frames*FrameHeaderLen)
 	} else {
-		s.jbuf.Reset()
-		enc := json.NewEncoder(&s.jbuf)
-		for _, rec := range batch {
-			enc.Encode(rec) // cannot fail for this struct
-		}
-		out = s.jbuf.Bytes()
+		s.fbuf = GrowFrameBuf(s.fbuf, payload+frames*FrameHeaderLen)
+	}
+	out, err := appendFrames((*s.fbuf)[:0], batch)
+	*s.fbuf = out[:0]
+	if err != nil {
+		// A record outside the wire range cannot be represented; the
+		// batch is lost the same way a failed write loses it.
+		s.drop(batch, err)
+		return
 	}
 	s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 	if _, err := s.conn.Write(out); err != nil {

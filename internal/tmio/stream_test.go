@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 // redialled, with a 20 ms write timeout and, when bufferRecords is
 // positive, that ring size.
 func pipeSink(conn net.Conn, bufferRecords int) *TCPSink {
-	s := newSink(conn, SinkOptions{})
+	s := newSink(conn, "")
 	if bufferRecords > 0 {
 		s.bufferRecords = bufferRecords
 	}
@@ -27,7 +26,7 @@ func pipeSink(conn net.Conn, bufferRecords int) *TCPSink {
 	return s
 }
 
-// dialFastSink dials addr like DialSinkWith, with a 2–20 ms reconnect
+// dialFastSink dials addr like DialSink, with a 2–20 ms reconnect
 // backoff so the reconnect tests take milliseconds.
 func dialFastSink(t *testing.T, addr string) *TCPSink {
 	t.Helper()
@@ -35,7 +34,7 @@ func dialFastSink(t *testing.T, addr string) *TCPSink {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSink(conn, SinkOptions{})
+	s := newSink(conn, "")
 	s.addr = addr
 	s.backoffMin, s.backoffMax = 2*time.Millisecond, 20*time.Millisecond
 	s.start()
@@ -150,7 +149,7 @@ func TestSinkCloseReportsDrops(t *testing.T) {
 // the wrap, and requeue re-inserts an unflushed batch ahead of newer
 // records with the same oldest-first trimming.
 func TestSinkRingDropOldest(t *testing.T) {
-	s := newSink(nil, SinkOptions{})
+	s := newSink(nil, "")
 	s.bufferRecords = 4
 	for i := 0; i < 10; i++ {
 		if err := s.Emit(StreamRecord{Phase: i}); err != nil {
@@ -196,36 +195,52 @@ func TestSinkRingDropOldest(t *testing.T) {
 	}
 }
 
-// frameServer is the binary twin of lineServer: it accepts connections
-// and decodes length-prefixed frames via the shared FrameInfo +
-// DecodeFrame path.
+// frameServer is a test collector: it accepts connections in a loop and
+// decodes their frames through FrameInfo and DecodeFrame, the shared
+// decode path, recording every record and the connection it came on.
 type frameServer struct {
 	ln net.Listener
 
-	mu   sync.Mutex
-	recs []StreamRecord
+	mu     sync.Mutex
+	conns  int
+	recs   []StreamRecord
+	byConn map[int]int
+
+	// closeAfterFirstFrame makes connection 1 drop after one frame (the
+	// peer-closes-mid-stream scenario).
+	closeAfterFirstFrame bool
 }
 
-func newFrameServer(t *testing.T) *frameServer {
+func newFrameServer(t *testing.T, closeAfterFirstFrame bool) *frameServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skip("no loopback networking available:", err)
 	}
-	s := &frameServer{ln: ln}
+	return serveFrames(ln, closeAfterFirstFrame)
+}
+
+// serveFrames collects the frames of every connection ln accepts until
+// ln is closed.
+func serveFrames(ln net.Listener, closeAfterFirstFrame bool) *frameServer {
+	s := &frameServer{ln: ln, byConn: make(map[int]int), closeAfterFirstFrame: closeAfterFirstFrame}
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go s.read(conn)
+			s.mu.Lock()
+			s.conns++
+			id := s.conns
+			s.mu.Unlock()
+			go s.read(conn, id)
 		}
 	}()
 	return s
 }
 
-func (s *frameServer) read(conn net.Conn) {
+func (s *frameServer) read(conn net.Conn, id int) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	hdr := make([]byte, FrameHeaderLen)
@@ -252,26 +267,28 @@ func (s *frameServer) read(conn net.Conn) {
 		}
 		s.mu.Lock()
 		s.recs = append(s.recs, recs...)
+		s.byConn[id] += len(recs)
+		first := s.closeAfterFirstFrame && id == 1
 		s.mu.Unlock()
+		if first {
+			return // abrupt close mid-stream
+		}
 	}
 }
 
-func (s *frameServer) snapshot() []StreamRecord {
+func (s *frameServer) snapshot() (conns int, recs []StreamRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]StreamRecord(nil), s.recs...)
+	return s.conns, append([]StreamRecord(nil), s.recs...)
 }
 
-// TestSinkBinaryDelivery: a Binary-mode sink delivers every record, in
-// order, AppID-stamped, over pooled frames — and Close is clean when
-// nothing was dropped.
+// TestSinkBinaryDelivery: the sink delivers every record, in order,
+// app-stamped, over pooled frames — and Close is clean when nothing was
+// dropped.
 func TestSinkBinaryDelivery(t *testing.T) {
-	srv := newFrameServer(t)
+	srv := newFrameServer(t, false)
 	defer srv.ln.Close()
-	sink, err := DialSinkWith(srv.ln.Addr().String(), SinkOptions{
-		AppID:  "bin-run",
-		Binary: true,
-	})
+	sink, err := DialSink(srv.ln.Addr().String(), "bin-run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +304,7 @@ func TestSinkBinaryDelivery(t *testing.T) {
 	var recs []StreamRecord
 	deadline := time.After(3 * time.Second)
 	for {
-		recs = srv.snapshot()
+		_, recs = srv.snapshot()
 		if len(recs) == n {
 			break
 		}
@@ -304,77 +321,11 @@ func TestSinkBinaryDelivery(t *testing.T) {
 	}
 }
 
-// lineServer is a test collector: it accepts connections in a loop and
-// records every JSON line received, tracking which connection it arrived
-// on.
-type lineServer struct {
-	ln net.Listener
-
-	mu     sync.Mutex
-	conns  int
-	lines  []StreamRecord
-	byConn map[int]int
-
-	// closeAfterFirstLine makes connection 1 drop after one line (the
-	// peer-closes-mid-stream scenario).
-	closeAfterFirstLine bool
-}
-
-func newLineServer(t *testing.T, closeAfterFirstLine bool) *lineServer {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skip("no loopback networking available:", err)
-	}
-	s := &lineServer{ln: ln, byConn: make(map[int]int), closeAfterFirstLine: closeAfterFirstLine}
-	go s.acceptLoop()
-	return s
-}
-
-func (s *lineServer) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		s.conns++
-		id := s.conns
-		s.mu.Unlock()
-		go s.read(conn, id)
-	}
-}
-
-func (s *lineServer) read(conn net.Conn, id int) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		var rec StreamRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue
-		}
-		s.mu.Lock()
-		s.lines = append(s.lines, rec)
-		s.byConn[id]++
-		first := s.closeAfterFirstLine && id == 1
-		s.mu.Unlock()
-		if first {
-			return // abrupt close mid-stream
-		}
-	}
-}
-
-func (s *lineServer) snapshot() (conns int, lines []StreamRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conns, append([]StreamRecord(nil), s.lines...)
-}
-
 // TestSinkReconnectsAfterPeerClose: the collector drops the connection
 // after one record; the sink must redial (with backoff) and keep
 // delivering without ever surfacing an error to the emitter.
 func TestSinkReconnectsAfterPeerClose(t *testing.T) {
-	srv := newLineServer(t, true)
+	srv := newFrameServer(t, true)
 	defer srv.ln.Close()
 
 	sink := dialFastSink(t, srv.ln.Addr().String())
@@ -385,8 +336,8 @@ func TestSinkReconnectsAfterPeerClose(t *testing.T) {
 		if err := sink.Emit(StreamRecord{Rank: 0, Phase: i, B: 1}); err != nil {
 			t.Fatalf("emit: %v", err)
 		}
-		conns, lines := srv.snapshot()
-		if conns >= 2 && len(lines) >= 2 {
+		conns, recs := srv.snapshot()
+		if conns >= 2 && len(recs) >= 2 {
 			srv.mu.Lock()
 			second := srv.byConn[2]
 			srv.mu.Unlock()
@@ -397,7 +348,7 @@ func TestSinkReconnectsAfterPeerClose(t *testing.T) {
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("no delivery after reconnect: conns=%d lines=%d", conns, len(lines))
+			t.Fatalf("no delivery after reconnect: conns=%d records=%d", conns, len(recs))
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
@@ -451,41 +402,23 @@ func TestSinkBuffersDuringOutage(t *testing.T) {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	defer ln2.Close()
-	var delivered atomic.Int64
-	var sawOutageRecord atomic.Bool
-	go func() {
-		for {
-			conn, err := ln2.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				sc := bufio.NewScanner(conn)
-				for sc.Scan() {
-					var rec StreamRecord
-					if json.Unmarshal(sc.Bytes(), &rec) == nil {
-						if rec.Phase < 100 {
-							sawOutageRecord.Store(true)
-						}
-						delivered.Add(1)
-					}
-				}
-			}()
-		}
-	}()
+	srv := serveFrames(ln2, false)
 
 	// Probe until the reconnect lands; buffered outage records (phase <
 	// 100) must come through with it.
 	deadline := time.After(5 * time.Second)
 	for i := 100; ; i++ {
 		sink.Emit(StreamRecord{Rank: 0, Phase: i, B: 1})
-		if delivered.Load() > 0 && sawOutageRecord.Load() {
-			return
+		_, recs := srv.snapshot()
+		for _, rec := range recs {
+			if rec.Phase < 100 {
+				return
+			}
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("reconnect flush failed: delivered=%d outageSeen=%v dropped=%d",
-				delivered.Load(), sawOutageRecord.Load(), sink.Dropped())
+			t.Fatalf("reconnect flush failed: delivered=%d, none from the outage, dropped=%d",
+				len(recs), sink.Dropped())
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -515,9 +448,9 @@ func TestStreamRecordVersionAndIdentity(t *testing.T) {
 }
 
 func TestSinkAppIDStamping(t *testing.T) {
-	srv := newLineServer(t, false)
+	srv := newFrameServer(t, false)
 	defer srv.ln.Close()
-	sink, err := DialSinkWith(srv.ln.Addr().String(), SinkOptions{AppID: "wacomm-7"})
+	sink, err := DialSink(srv.ln.Addr().String(), "wacomm-7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,19 +461,19 @@ func TestSinkAppIDStamping(t *testing.T) {
 	}
 	deadline := time.After(3 * time.Second)
 	for {
-		_, lines := srv.snapshot()
-		if len(lines) == 2 {
-			if lines[0].App != "wacomm-7" || lines[0].V != StreamVersion {
-				t.Fatalf("stamped record = %+v", lines[0])
+		_, recs := srv.snapshot()
+		if len(recs) == 2 {
+			if recs[0].App != "wacomm-7" || recs[0].V != StreamVersion {
+				t.Fatalf("stamped record = %+v", recs[0])
 			}
-			if lines[1].App != "explicit" {
-				t.Fatalf("explicit app overwritten: %+v", lines[1])
+			if recs[1].App != "explicit" {
+				t.Fatalf("explicit app overwritten: %+v", recs[1])
 			}
 			return
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("lines = %d, want 2", len(lines))
+			t.Fatalf("records = %d, want 2", len(recs))
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
@@ -561,32 +494,30 @@ func TestStreamRecordDecodeTolerance(t *testing.T) {
 }
 
 // TestSinkSlowReaderDoesNotSlowSimulation: a collector that drains very
-// slowly (reads one line at a time with pauses) must not stretch the
-// traced application's wall time — emission is fire-and-forget.
+// slowly (64 bytes at a time with pauses) must not stretch the traced
+// application's wall time — emission is fire-and-forget.
 func TestSinkSlowReaderDoesNotSlowSimulation(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skip("no loopback networking available:", err)
 	}
 	defer ln.Close()
-	var received atomic.Int64
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		r := bufio.NewReader(conn)
+		buf := make([]byte, 64)
 		for {
-			if _, err := r.ReadString('\n'); err != nil {
+			if _, err := conn.Read(buf); err != nil {
 				return
 			}
-			received.Add(1)
 			time.Sleep(time.Millisecond) // deliberately slow drain
 		}
 	}()
 
-	sink, err := DialSinkWith(ln.Addr().String(), SinkOptions{})
+	sink, err := DialSink(ln.Addr().String(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package tmio
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -394,25 +395,25 @@ func TestSinkReceivesPhases(t *testing.T) {
 }
 
 func TestTCPSinkRoundTrip(t *testing.T) {
-	// A real TCP connection: listener collects JSON lines.
+	// A real TCP connection: the listener collects everything the sink
+	// writes until Close hangs up.
 	ln, err := newLocalListener()
 	if err != nil {
 		t.Skip("no loopback networking available:", err)
 	}
 	defer ln.Close()
-	got := make(chan string, 1)
+	got := make(chan []byte, 1)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
-			got <- ""
+			got <- nil
 			return
 		}
 		defer conn.Close()
-		buf := make([]byte, 4096)
-		n, _ := conn.Read(buf)
-		got <- string(buf[:n])
+		data, _ := io.ReadAll(conn)
+		got <- data
 	}()
-	sink, err := DialSinkWith(ln.Addr().String(), SinkOptions{})
+	sink, err := DialSink(ln.Addr().String(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,9 +423,13 @@ func TestTCPSinkRoundTrip(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	line := <-got
-	if !strings.Contains(line, `"rank":3`) || !strings.Contains(line, `"b":42`) {
-		t.Fatalf("streamed line = %q", line)
+	data := <-got
+	recs, n, err := DecodeFrame(nil, data)
+	if err != nil || n != len(data) || len(recs) != 1 {
+		t.Fatalf("streamed %d bytes: %d records in %d bytes, %v; want one frame of one record", len(data), len(recs), n, err)
+	}
+	if rec := recs[0]; rec.Rank != 3 || rec.Phase != 1 || rec.B != 42 || rec.V != StreamVersion {
+		t.Fatalf("streamed record = %+v", rec)
 	}
 }
 

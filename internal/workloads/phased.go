@@ -22,9 +22,6 @@ type PhasedConfig struct {
 	Compute des.Duration
 	// JitterFraction stretches each phase by a uniform random fraction.
 	JitterFraction float64
-	// Collective, if true, issues a barrier between phases (collective
-	// checkpointing: all ranks' I/O phases align).
-	Collective bool
 }
 
 // WithDefaults fills zero fields.
@@ -48,9 +45,6 @@ func PhasedMain(sys *mpiio.System, cfg PhasedConfig) func(*mpi.Rank) {
 		f := sys.Open(r, fmt.Sprintf("ckpt-%06d.dat", r.ID()))
 		var req *mpiio.Request
 		for j := 0; j < cfg.Phases; j++ {
-			if cfg.Collective {
-				r.Barrier()
-			}
 			d := cfg.Compute
 			if cfg.JitterFraction > 0 {
 				d += r.Jitter(des.Duration(float64(d) * cfg.JitterFraction))

@@ -252,7 +252,6 @@ func TestPhasedMainDefaults(t *testing.T) {
 	s := newStack(t, 2, tmio.StrategyConfig{Strategy: tmio.Direct, Tol: 1.5})
 	if err := s.w.Run(PhasedMain(s.sys, PhasedConfig{
 		Phases: 4, BytesPerPhase: 1 << 20, Compute: 100 * des.Millisecond,
-		Collective: true,
 	})); err != nil {
 		t.Fatal(err)
 	}
